@@ -224,8 +224,8 @@ std::string run_json(const TimedRun& r) {
       "\"trace_ops\": %llu, \"trace_ops_per_sec\": %.0f, "
       "\"traces_generated\": %llu, \"generate_ms\": %.2f, "
       "\"decode_ms\": %.2f, \"replay_ms\": %.2f, \"memo_hits\": %llu, "
-      "\"memo_misses\": %llu, \"tasks_retried\": %llu, "
-      "\"tasks_timed_out\": %llu, \"tasks_cancelled\": %llu}",
+      "\"memo_misses\": %llu, \"tasks_timed_out\": %llu, "
+      "\"tasks_cancelled\": %llu}",
       r.wall_ms, static_cast<unsigned long long>(r.counts.simulations),
       per_sec(r.counts.simulations, r.wall_ms),
       static_cast<unsigned long long>(r.counts.trace_ops),
@@ -236,7 +236,6 @@ std::string run_json(const TimedRun& r) {
       static_cast<double>(r.counts.replay_ns) / 1e6,
       static_cast<unsigned long long>(r.counts.memo_hits),
       static_cast<unsigned long long>(r.counts.memo_misses),
-      static_cast<unsigned long long>(r.counts.tasks_retried),
       static_cast<unsigned long long>(r.counts.tasks_timed_out),
       static_cast<unsigned long long>(r.counts.tasks_cancelled));
 }

@@ -11,9 +11,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -78,19 +80,38 @@ class ParallelExecutor {
       for (std::size_t i = 0; i < count; ++i) out.push_back(fn(i));
       return out;
     }
-    std::vector<std::future<R>> futures;
+    // A failed call hands its exception back as a value, not through the
+    // future's shared state: a worker may drop the last reference to that
+    // state after the caller is done with its future, and the exception
+    // must not be freed there while the caller still reads it (its
+    // reference count lives in the uninstrumented C++ runtime, so
+    // ThreadSanitizer cannot see that release as synchronization).
+    struct Slot {
+      std::optional<R> value;
+      std::exception_ptr error;
+    };
+    std::vector<std::future<Slot>> futures;
     futures.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(submit([&fn, i] { return fn(i); }));
+      futures.push_back(submit([&fn, i] {
+        Slot slot;
+        try {
+          slot.value.emplace(fn(i));
+        } catch (...) {
+          slot.error = std::current_exception();
+        }
+        return slot;
+      }));
     }
     // Collect in input order; capture the first failure but keep draining
     // so no task is left referencing `fn` when we unwind.
     std::exception_ptr first_error;
     for (auto& f : futures) {
-      try {
-        out.push_back(f.get());
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
+      Slot slot = f.get();
+      if (slot.error) {
+        if (!first_error) first_error = std::move(slot.error);
+      } else {
+        out.push_back(std::move(*slot.value));
       }
     }
     if (first_error) std::rethrow_exception(first_error);

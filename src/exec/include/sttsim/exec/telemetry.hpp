@@ -19,9 +19,8 @@ struct TelemetrySnapshot {
                                       ///< persistent result store
   std::uint64_t memo_misses = 0;      ///< grid points simulated because the
                                       ///< store had no (valid) record
-  std::uint64_t tasks_retried = 0;    ///< transient-failure retry attempts
-  std::uint64_t tasks_timed_out = 0;  ///< tasks past their request deadline
-  std::uint64_t tasks_cancelled = 0;  ///< tasks skipped/drained on cancel
+  std::uint64_t tasks_timed_out = 0;  ///< tasks skipped: deadline passed
+  std::uint64_t tasks_cancelled = 0;  ///< tasks skipped: interrupted
   std::uint64_t trace_store_hits = 0;   ///< traces decoded from the store
   std::uint64_t trace_store_misses = 0; ///< store probes that regenerated
   std::uint64_t generate_ns = 0;      ///< wall ns synthesizing traces
@@ -34,7 +33,6 @@ struct TelemetrySnapshot {
     return {simulations - rhs.simulations, trace_ops - rhs.trace_ops,
             traces_generated - rhs.traces_generated,
             memo_hits - rhs.memo_hits, memo_misses - rhs.memo_misses,
-            tasks_retried - rhs.tasks_retried,
             tasks_timed_out - rhs.tasks_timed_out,
             tasks_cancelled - rhs.tasks_cancelled,
             trace_store_hits - rhs.trace_store_hits,
@@ -59,9 +57,6 @@ class Telemetry {
   void count_memo_hit() { memo_hits_.fetch_add(1, std::memory_order_relaxed); }
   void count_memo_miss() {
     memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_task_retried() {
-    tasks_retried_.fetch_add(1, std::memory_order_relaxed);
   }
   void count_task_timed_out() {
     tasks_timed_out_.fetch_add(1, std::memory_order_relaxed);
@@ -91,7 +86,6 @@ class Telemetry {
             traces_generated_.load(std::memory_order_relaxed),
             memo_hits_.load(std::memory_order_relaxed),
             memo_misses_.load(std::memory_order_relaxed),
-            tasks_retried_.load(std::memory_order_relaxed),
             tasks_timed_out_.load(std::memory_order_relaxed),
             tasks_cancelled_.load(std::memory_order_relaxed),
             trace_store_hits_.load(std::memory_order_relaxed),
@@ -107,7 +101,6 @@ class Telemetry {
     traces_generated_.store(0, std::memory_order_relaxed);
     memo_hits_.store(0, std::memory_order_relaxed);
     memo_misses_.store(0, std::memory_order_relaxed);
-    tasks_retried_.store(0, std::memory_order_relaxed);
     tasks_timed_out_.store(0, std::memory_order_relaxed);
     tasks_cancelled_.store(0, std::memory_order_relaxed);
     trace_store_hits_.store(0, std::memory_order_relaxed);
@@ -123,7 +116,6 @@ class Telemetry {
   std::atomic<std::uint64_t> traces_generated_{0};
   std::atomic<std::uint64_t> memo_hits_{0};
   std::atomic<std::uint64_t> memo_misses_{0};
-  std::atomic<std::uint64_t> tasks_retried_{0};
   std::atomic<std::uint64_t> tasks_timed_out_{0};
   std::atomic<std::uint64_t> tasks_cancelled_{0};
   std::atomic<std::uint64_t> trace_store_hits_{0};

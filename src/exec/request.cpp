@@ -1,85 +1,32 @@
 #include "sttsim/exec/request.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <mutex>
 
 #include <signal.h>
 
-#include "sttsim/util/hash.hpp"
-
 namespace sttsim::exec {
 
-const char* to_string(TaskErrorKind kind) {
-  switch (kind) {
-    case TaskErrorKind::kTransient: return "transient";
-    case TaskErrorKind::kDeterministic: return "deterministic";
-    case TaskErrorKind::kCancelled: return "cancelled";
-    case TaskErrorKind::kTimeout: return "timeout";
-  }
-  return "unknown";
-}
-
-const char* to_string(TaskStatus status) {
-  switch (status) {
-    case TaskStatus::kOk: return "ok";
-    case TaskStatus::kFailed: return "failed";
-    case TaskStatus::kTimedOut: return "timed-out";
-    case TaskStatus::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
-
-// ---- Cancellation ------------------------------------------------------
-
-TaskErrorKind CancellationToken::reason() const {
-  for (const auto& s : {primary_, secondary_}) {
-    if (s && s->cancelled.load(std::memory_order_acquire)) {
-      return static_cast<TaskErrorKind>(
-          s->reason.load(std::memory_order_acquire));
-    }
-  }
-  return TaskErrorKind::kCancelled;
-}
-
-void CancellationToken::throw_if_cancelled() const {
-  if (cancelled()) {
-    const TaskErrorKind why = reason();
-    throw TaskError(why, std::string("task ") + to_string(why));
-  }
-}
-
-CancellationToken CancellationSource::token() const {
-  CancellationToken t;
-  t.primary_ = state_;
-  return t;
-}
-
-CancellationToken merge_tokens(const CancellationToken& a,
-                               const CancellationToken& b) {
-  CancellationToken t;
-  t.primary_ = a.primary_ ? a.primary_ : a.secondary_;
-  t.secondary_ = b.primary_ ? b.primary_ : b.secondary_;
-  return t;
-}
-
-CancellationSource& interrupt_source() {
-  static CancellationSource source;
-  return source;
+InterruptFlag& interrupt_source() {
+  static InterruptFlag flag;
+  return flag;
 }
 
 namespace {
 
 void interrupt_handler(int) {
-  // Async-signal-safe: only lock-free atomic stores. The source outlives
-  // every handler invocation (function-local static, never destroyed
-  // before handlers are gone at exit).
-  interrupt_source().cancel(TaskErrorKind::kCancelled);
+  // Async-signal-safe: one lock-free atomic store. The flag outlives every
+  // handler invocation (function-local static, constructed before the
+  // handler is installed).
+  interrupt_source().cancel();
 }
+
+std::mutex g_request_mu;
+CampaignRequest g_default_request;  // guarded by g_request_mu
 
 }  // namespace
 
 void install_interrupt_handler() {
-  // Touch the source first so its lazy construction never happens inside
+  // Touch the flag first so its lazy construction never happens inside
   // the handler.
   (void)interrupt_source();
   struct sigaction sa;
@@ -91,34 +38,6 @@ void install_interrupt_handler() {
   sigaction(SIGINT, &sa, nullptr);
 }
 
-// ---- Retry policy ------------------------------------------------------
-
-std::chrono::milliseconds RetryPolicy::backoff(std::size_t task_index,
-                                               unsigned attempt) const {
-  double delay = static_cast<double>(base_delay_ms);
-  for (unsigned i = 1; i < attempt; ++i) delay *= multiplier;
-  delay = std::min(delay, static_cast<double>(max_delay_ms));
-  // Deterministic jitter in [0.5, 1.0]: same seed, task, and attempt give
-  // the same backoff on every run of the campaign.
-  const std::uint64_t h =
-      util::Hash64().u64(jitter_seed).u64(task_index).u32(attempt).digest();
-  const double jitter = 0.5 + 0.5 * static_cast<double>(h % 1024) / 1023.0;
-  return std::chrono::milliseconds(
-      static_cast<std::int64_t>(std::ceil(delay * jitter)));
-}
-
-// ---- Defaults ----------------------------------------------------------
-
-namespace {
-
-std::mutex g_request_mu;
-CampaignRequest g_default_request;  // guarded by g_request_mu
-
-std::mutex g_faults_mu;
-std::optional<TaskFaults> g_faults;  // guarded by g_faults_mu
-
-}  // namespace
-
 void set_default_request(const CampaignRequest& request) {
   std::lock_guard<std::mutex> lock(g_request_mu);
   g_default_request = request;
@@ -127,211 +46,6 @@ void set_default_request(const CampaignRequest& request) {
 CampaignRequest default_request() {
   std::lock_guard<std::mutex> lock(g_request_mu);
   return g_default_request;
-}
-
-void set_task_faults(const std::optional<TaskFaults>& faults) {
-  std::lock_guard<std::mutex> lock(g_faults_mu);
-  g_faults = faults;
-}
-
-std::optional<TaskFaults> task_faults() {
-  std::lock_guard<std::mutex> lock(g_faults_mu);
-  return g_faults;
-}
-
-// ---- Engine fault injection -------------------------------------------
-
-bool TaskFaults::hits(std::uint32_t ppm, std::size_t task,
-                      std::uint64_t salt) const {
-  if (ppm == 0) return false;
-  const std::uint64_t h = util::Hash64().u64(seed).u64(task).u64(salt).digest();
-  return h % 1000000ull < ppm;
-}
-
-// ---- Priority queue ----------------------------------------------------
-
-namespace detail {
-
-void PriorityTaskQueue::push(int priority, std::function<void()> body) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.emplace(Rank{priority, next_seq_++}, std::move(body));
-}
-
-std::function<void()> PriorityTaskQueue::pop() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.empty()) return {};
-  auto it = pending_.begin();
-  std::function<void()> body = std::move(it->second);
-  pending_.erase(it);
-  return body;
-}
-
-std::size_t PriorityTaskQueue::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_.size();
-}
-
-}  // namespace detail
-
-// ---- Scheduler lifecycle ----------------------------------------------
-
-std::unique_ptr<detail::Lifecycle> RequestScheduler::begin_lifecycle(
-    const CampaignRequest& request) {
-  auto lc = std::make_unique<detail::Lifecycle>();
-  lc->request = request;
-  lc->token = merge_tokens(lc->source.token(), interrupt_source().token());
-  lc->faults = task_faults();
-  if (request.deadline_s > 0.0) {
-    lc->deadline = std::chrono::steady_clock::now() +
-                   std::chrono::microseconds(static_cast<std::int64_t>(
-                       request.deadline_s * 1e6));
-    detail::Lifecycle* raw = lc.get();
-    lc->watchdog = std::thread([raw] {
-      std::unique_lock<std::mutex> lock(raw->mu);
-      if (!raw->cv.wait_until(lock, *raw->deadline,
-                              [raw] { return raw->done; })) {
-        // Deadline passed with the request still running: mark every task
-        // overdue. Running tasks drain at their next safepoint; queued
-        // ones are skipped-and-reported. The request never wedges on them.
-        raw->source.cancel(TaskErrorKind::kTimeout);
-      }
-    });
-  }
-  return lc;
-}
-
-void RequestScheduler::end_lifecycle(detail::Lifecycle& lifecycle) {
-  if (lifecycle.watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(lifecycle.mu);
-      lifecycle.done = true;
-    }
-    lifecycle.cv.notify_all();
-    lifecycle.watchdog.join();
-  }
-}
-
-namespace {
-
-/// Token-aware sleep: wakes early (and reports true) when `token` trips.
-bool sleep_cancellable(std::chrono::milliseconds duration,
-                       const CancellationToken& token) {
-  const auto until = std::chrono::steady_clock::now() + duration;
-  while (std::chrono::steady_clock::now() < until) {
-    if (token.cancelled()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return token.cancelled();
-}
-
-}  // namespace
-
-TaskOutcome RequestScheduler::run_task(
-    detail::Lifecycle& lifecycle, std::size_t index,
-    const std::function<void(const CancellationToken&)>& attempt) {
-  TaskOutcome out;
-  Telemetry& telemetry = Telemetry::instance();
-  const CancellationToken& token = lifecycle.token;
-  const RetryPolicy& retry = lifecycle.request.retry;
-
-  const auto finish_cancelled = [&](TaskErrorKind why) {
-    if (why == TaskErrorKind::kTimeout) {
-      out.status = TaskStatus::kTimedOut;
-      telemetry.count_task_timed_out();
-    } else {
-      out.status = TaskStatus::kCancelled;
-      telemetry.count_task_cancelled();
-    }
-    out.error_kind = why;
-    out.error = std::string("task ") + to_string(why);
-  };
-
-  for (unsigned attempt_no = 1;; ++attempt_no) {
-    out.attempts = attempt_no;
-    // Pre-attempt gates: a cancelled request skips tasks that have not
-    // started (skip-and-report), and a passed deadline is a timeout even
-    // if the watchdog has not fired yet (jobs==1 runs inline and must not
-    // depend on watchdog scheduling latency).
-    if (token.cancelled()) {
-      finish_cancelled(token.reason());
-      return out;
-    }
-    if (lifecycle.past_deadline()) {
-      finish_cancelled(TaskErrorKind::kTimeout);
-      return out;
-    }
-    try {
-      if (lifecycle.faults) {
-        const TaskFaults& f = *lifecycle.faults;
-        if (f.throws_deterministic(index)) {
-          throw TaskError(TaskErrorKind::kDeterministic,
-                          "injected deterministic fault");
-        }
-        if (f.throws_transient(index) && attempt_no <= f.transient_failures) {
-          throw TaskError(TaskErrorKind::kTransient,
-                          "injected transient fault");
-        }
-        if (f.stalls(index)) {
-          // Cooperative stall: hold the worker until the watchdog (or an
-          // interrupt) trips the token — the shape of a hung backend call.
-          while (!token.cancelled()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-          token.throw_if_cancelled();
-        }
-        if (f.slows(index) && f.slow_ms > 0) {
-          if (sleep_cancellable(std::chrono::milliseconds(f.slow_ms), token)) {
-            token.throw_if_cancelled();
-          }
-        }
-      }
-      attempt(token);
-      out.status = TaskStatus::kOk;
-      const std::uint64_t completed =
-          lifecycle.completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (lifecycle.faults && lifecycle.faults->interrupt_after_tasks > 0 &&
-          completed == lifecycle.faults->interrupt_after_tasks) {
-        interrupt_source().cancel(TaskErrorKind::kCancelled);
-      }
-      return out;
-    } catch (const TaskError& e) {
-      switch (e.kind()) {
-        case TaskErrorKind::kTransient:
-          if (attempt_no <= retry.max_retries) {
-            telemetry.count_task_retried();
-            if (sleep_cancellable(retry.backoff(index, attempt_no), token)) {
-              finish_cancelled(token.reason());
-              return out;
-            }
-            continue;  // next attempt
-          }
-          out.status = TaskStatus::kFailed;
-          out.error_kind = TaskErrorKind::kTransient;
-          out.error = e.what();
-          out.exception = std::current_exception();
-          return out;
-        case TaskErrorKind::kDeterministic:
-          out.status = TaskStatus::kFailed;
-          out.error_kind = TaskErrorKind::kDeterministic;
-          out.error = e.what();
-          out.exception = std::current_exception();
-          return out;
-        case TaskErrorKind::kCancelled:
-        case TaskErrorKind::kTimeout:
-          finish_cancelled(e.kind());
-          return out;
-      }
-      return out;  // unreachable; silences -Wreturn-type
-    } catch (const std::exception& e) {
-      // Unclassified exceptions are deterministic: retrying a logic error
-      // or a bad configuration only reproduces it.
-      out.status = TaskStatus::kFailed;
-      out.error_kind = TaskErrorKind::kDeterministic;
-      out.error = e.what();
-      out.exception = std::current_exception();
-      return out;
-    }
-  }
 }
 
 }  // namespace sttsim::exec

@@ -278,32 +278,28 @@ void store_append(exec::ResultStore* store, std::uint64_t digest,
   store->append(digest, payload);
 }
 
-/// Post-request policy shared by the solo and batched paths. Task-level
-/// outcomes degrade gracefully: timed-out and cancelled points are
-/// skipped-and-reported (their result slots keep default RunStats; the
-/// telemetry counters and the grid summary carry the tally). Real failures
-/// keep the historical abort semantics — the lowest-index failed task's
-/// exception is rethrown after every task has drained — and an interrupt
-/// (SIGINT) surfaces as TaskError{kCancelled} once in-flight tasks have
-/// finished and appended their records, so a re-run resumes from the store.
+/// Post-request policy shared by the solo and batched paths. Points the
+/// request skipped (timed-out or cancelled) keep default RunStats in their
+/// result slots; the telemetry counters and the grid summary carry the
+/// tally. A failed point rethrows its exception — the lowest-index one —
+/// once every task has finished, and an interrupt (SIGINT) surfaces as
+/// CampaignInterrupted after the in-flight points finished and appended
+/// their records, so a re-run resumes from the store.
 template <typename T>
-void finish_request(const exec::RequestResult<T>& result) {
-  for (const exec::TaskResult<T>& t : result.tasks) {
-    if (t.outcome.status == exec::TaskStatus::kFailed && t.outcome.exception) {
-      std::rethrow_exception(t.outcome.exception);
-    }
+void finish_request(const std::vector<exec::TaskResult<T>>& tasks) {
+  for (const exec::TaskResult<T>& t : tasks) {
+    if (t.error) std::rethrow_exception(t.error);
   }
-  if (result.interrupted) {
-    throw exec::TaskError(
-        exec::TaskErrorKind::kCancelled,
+  if (exec::interrupt_source().cancelled()) {
+    throw exec::CampaignInterrupted(
         "campaign interrupted: completed points are persisted; re-running "
         "the same grid completes only the missing ones");
   }
 }
 
-/// Runs `points` as one scheduler task each (the unbatched PR 5 replay
-/// path, in the given order — j-major for a full grid, matching the
-/// historical serial loops) and scatters results into out[j][k]. Completed
+/// Runs `points` as one request task each (the unbatched replay path, in
+/// the given order — j-major for a full grid, matching the historical
+/// serial loops) and scatters results into out[j][k]. Completed
 /// misses append to the store from inside their task, so an interrupted
 /// campaign keeps every point it finished.
 void run_points_solo(TraceCache& cache,
@@ -312,10 +308,9 @@ void run_points_solo(TraceCache& cache,
                      const std::vector<GridPoint>& points,
                      exec::ResultStore* store,
                      std::vector<std::vector<sim::RunStats>>& out) {
-  exec::RequestScheduler scheduler;
-  const auto result = scheduler.run(
-      exec::default_request(), points.size(),
-      [&](std::size_t i, const exec::CancellationToken&) {
+  exec::ParallelExecutor pool;
+  const auto result = exec::run_request(
+      pool, exec::default_request(), points.size(), [&](std::size_t i) {
         const GridPoint& p = points[i];
         const SuiteJob& job = jobs[p.j];
         const cpu::DecodedTrace& trace =
@@ -329,9 +324,7 @@ void run_points_solo(TraceCache& cache,
         return stats;
       });
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (result.tasks[i].value) {
-      out[points[i].j][points[i].k] = *result.tasks[i].value;
-    }
+    if (result[i].value) out[points[i].j][points[i].k] = *result[i].value;
   }
   finish_request(result);
 }
@@ -384,10 +377,9 @@ void run_points_batched(TraceCache& cache,
     }
   }
 
-  exec::RequestScheduler scheduler;
-  const auto result = scheduler.run(
-      exec::default_request(), tasks.size(),
-      [&](std::size_t t, const exec::CancellationToken&) {
+  exec::ParallelExecutor pool;
+  const auto result = exec::run_request(
+      pool, exec::default_request(), tasks.size(), [&](std::size_t t) {
         const std::vector<std::size_t>& task = tasks[t];
         const GridPoint& first = points[task.front()];
         const CachedWorkload& workload =
@@ -413,8 +405,8 @@ void run_points_batched(TraceCache& cache,
       });
 
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (!result.tasks[t].value) continue;
-    const std::vector<sim::RunStats>& stats = *result.tasks[t].value;
+    if (!result[t].value) continue;
+    const std::vector<sim::RunStats>& stats = *result[t].value;
     for (std::size_t i = 0; i < tasks[t].size(); ++i) {
       const GridPoint& p = points[tasks[t][i]];
       out[p.j][p.k] = stats[i];
@@ -484,16 +476,14 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     }
   }
   // Lifecycle tally for this grid (delta over the run). The happy path —
-  // no retries, no deadline, nothing cancelled — prints exactly the
-  // historical line, byte for byte.
+  // no deadline, nothing cancelled — prints exactly the historical line,
+  // byte for byte.
   const exec::TelemetrySnapshot delta =
       exec::Telemetry::instance().snapshot() - before;
   char lifecycle[96] = "";
-  if (delta.tasks_retried != 0 || delta.tasks_timed_out != 0 ||
-      delta.tasks_cancelled != 0) {
+  if (delta.tasks_timed_out != 0 || delta.tasks_cancelled != 0) {
     std::snprintf(lifecycle, sizeof lifecycle,
-                  ", %llu retried, %llu timed-out, %llu cancelled",
-                  static_cast<unsigned long long>(delta.tasks_retried),
+                  ", %llu timed-out, %llu cancelled",
                   static_cast<unsigned long long>(delta.tasks_timed_out),
                   static_cast<unsigned long long>(delta.tasks_cancelled));
   }

@@ -170,15 +170,17 @@ struct SuiteJob {
 /// probing, so records appended by concurrent processes sharing the file
 /// count as hits too.
 ///
-/// The whole grid runs as one exec::CampaignRequest through a
-/// RequestScheduler (exec::default_request(); the benches'
-/// --deadline/--retries/--request-priority flags). Deterministic task
-/// failures rethrow the lowest-index exception; timed-out or cancelled
-/// points degrade to default RunStats in place (skip-and-report, never
-/// wedge); an interrupt (SIGINT token) throws TaskError(kCancelled) after
-/// completed points are scattered — and persisted, so re-running the same
-/// grid completes only the missing ones. With the default request and no
-/// faults the lifecycle is invisible: output stays byte-identical.
+/// The whole grid runs as one exec::run_request() under
+/// exec::default_request() (the benches' --deadline flag). Each point
+/// checks the interrupt flag and the deadline when it starts: once either
+/// has tripped, the points that have not started are skipped and keep
+/// default RunStats (counted as timed-out or cancelled), while started
+/// points always finish — and are persisted when a store is active. A
+/// failed point rethrows the lowest-index exception after every task
+/// finished; an interrupt (SIGINT) throws exec::CampaignInterrupted after
+/// completed points are scattered, so re-running the same grid completes
+/// only the missing ones. With no deadline and no interrupt the lifecycle
+/// is invisible: output stays byte-identical.
 std::vector<std::vector<sim::RunStats>> run_grid(
     TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
     const std::vector<SuiteJob>& jobs);

@@ -1,15 +1,19 @@
-// Engine-level request-lifecycle tests: grids run through the
-// RequestScheduler with injected engine faults (transient retries must be
-// byte-identical to fault-free runs, stalls must time out instead of
-// wedging, deterministic faults must abort like historical failures), the
-// deterministic interrupt hook (a SIGINT stand-in) with store-backed
-// resume, and fork-based two-process campaigns sharing one store file.
+// Engine-level campaign-lifecycle tests: whole grids run through
+// run_grid with hand-rolled workloads::Kernel objects whose generators
+// sleep, throw, or trip the interrupt flag from inside a grid point's task
+// (a deadline skips only points that have not started, a failing point
+// aborts the grid with the lowest-index error, an interrupted campaign
+// resumes from the store), plus fork-based two-process campaigns sharing
+// one store file.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -57,6 +61,20 @@ std::vector<experiments::SuiteJob> small_grid() {
   return jobs;
 }
 
+/// Suite kernel `name` with `hook` run at the start of every trace
+/// generation — inside the grid point's task. Name and trace are those of
+/// the suite kernel, so results and store digests match it exactly.
+workloads::Kernel hooked_kernel(const std::string& name,
+                                std::function<void()> hook) {
+  workloads::Kernel k = workloads::find_kernel(name);
+  k.generate = [gen = k.generate, hook](const workloads::CodegenOptions& o) {
+    hook();
+    return gen(o);
+  };
+  k.generate_decoded = nullptr;  // the trace cache decodes generate() then
+  return k;
+}
+
 std::string grid_fingerprint(
     const std::vector<std::vector<sim::RunStats>>& grid) {
   std::string out;
@@ -74,7 +92,6 @@ class CampaignTest : public ::testing::Test {
 
   static void reset_lifecycle() {
     exec::interrupt_source().reset();
-    exec::set_task_faults(std::nullopt);
     exec::set_default_request(exec::CampaignRequest{});
     exec::set_result_store(nullptr);
     exec::set_default_jobs(0);
@@ -82,133 +99,92 @@ class CampaignTest : public ::testing::Test {
   }
 };
 
-// ---- Fault-injected grids ----------------------------------------------
+// ---- Deadline, failure and interrupt -----------------------------------
 
-// Transient engine faults with retries enabled must be invisible in the
-// results: the retried grid is byte-identical to a fault-free run.
-TEST_F(CampaignTest, TransientFaultsWithRetriesAreByteIdentical) {
-  const auto kernels = experiments::select_kernels({"atax"});
-  const auto jobs = small_grid();
-
-  experiments::TraceCache ref_cache;
-  const std::string reference =
-      grid_fingerprint(experiments::run_grid(ref_cache, kernels, jobs));
-
-  exec::TaskFaults faults;
-  faults.seed = 5;
-  faults.transient_ppm = 1000000;  // every task flakes once
-  faults.transient_failures = 1;
-  exec::set_task_faults(faults);
-  exec::CampaignRequest request;
-  request.retry.max_retries = 2;
-  request.retry.base_delay_ms = 1;
-  request.retry.max_delay_ms = 2;
-  exec::set_default_request(request);
-
-  auto& telemetry = exec::Telemetry::instance();
-  const exec::TelemetrySnapshot before = telemetry.snapshot();
-  experiments::TraceCache cache;
-  const std::string retried =
-      grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
-  const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-
-  EXPECT_EQ(retried, reference)
-      << "a retried task produced different bytes than a clean first try";
-  EXPECT_EQ(delta.tasks_retried, jobs.size() * kernels.size())
-      << "every task should have flaked exactly once";
-  EXPECT_EQ(delta.tasks_timed_out, 0u);
-  EXPECT_EQ(delta.tasks_cancelled, 0u);
-}
-
-// A stalled point must be reported timed-out — never wedge the campaign.
-// The seed is chosen (by scanning the deterministic fault schedule) so the
-// LAST point in execution order stalls: everything before it completes and
-// matches the reference, the stalled point's slot stays default-initialized.
-TEST_F(CampaignTest, StalledPointTimesOutOthersComplete) {
-  const auto kernels = experiments::select_kernels({"atax"});
+// A deadline skips the points that have not started, never a running one.
+// The first point's trace generation sleeps past the deadline, yet that
+// point finishes with the reference result and is persisted; every later
+// point starts past the deadline and keeps default RunStats. Width 1 fixes
+// the execution order (j-major).
+TEST_F(CampaignTest, DeadlineSkipsUnstartedPointsAndKeepsTheRunningOne) {
+  const auto kernels = experiments::select_kernels({"atax", "mvt"});
   const auto jobs = small_grid();
   const std::size_t n = jobs.size() * kernels.size();
+  const std::string path = temp_store_path("deadline");
+  std::remove(path.c_str());
 
   experiments::TraceCache ref_cache;
   const auto reference = experiments::run_grid(ref_cache, kernels, jobs);
 
-  // Find a seed whose stall schedule hits exactly the last task.
-  exec::TaskFaults faults;
-  faults.stall_ppm = 300000;
-  bool found = false;
-  for (std::uint64_t seed = 0; seed < 4096 && !found; ++seed) {
-    faults.seed = seed;
-    bool only_last = faults.stalls(n - 1);
-    for (std::size_t i = 0; i + 1 < n && only_last; ++i) {
-      only_last = !faults.stalls(i);
+  exec::set_default_jobs(1);
+  exec::CampaignRequest request;
+  request.deadline_s = 0.5;
+  exec::set_default_request(request);
+  const auto nap = [] {
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+  };
+  const std::vector<workloads::Kernel> slow = {hooked_kernel("atax", nap),
+                                               kernels[1]};
+
+  auto& telemetry = exec::Telemetry::instance();
+  {
+    ScopedStore store(path);
+    const exec::TelemetrySnapshot before = telemetry.snapshot();
+    experiments::TraceCache cache;
+    const auto degraded = experiments::run_grid(cache, slow, jobs);
+    const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
+
+    EXPECT_EQ(sim::to_json(degraded[0][0]), sim::to_json(reference[0][0]))
+        << "the point running at the deadline must finish, not degrade";
+    EXPECT_EQ(delta.tasks_timed_out, n - 1);
+    EXPECT_EQ(delta.simulations, 1u);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t k = 0; k < kernels.size(); ++k) {
+        if (j == 0 && k == 0) continue;
+        EXPECT_EQ(degraded[j][k].core.total_cycles, 0u)
+            << "point (" << j << ", " << k << ") started past the deadline";
+      }
     }
-    found = only_last;
+    EXPECT_EQ(store.get().entries(), 1u) << "the finished point is persisted";
   }
-  ASSERT_TRUE(found) << "no seed stalls exactly the last of " << n << " tasks";
-  exec::set_task_faults(faults);
-  exec::CampaignRequest request;
-  // Generous relative to a point's simulation time even at -O0 with a
-  // concurrent ctest job on the CPU: only the stalled point (which never
-  // finishes on its own) should cross this line.
-  request.deadline_s = 0.6;
-  exec::set_default_request(request);
-
-  auto& telemetry = exec::Telemetry::instance();
-  const exec::TelemetrySnapshot before = telemetry.snapshot();
-  const auto start = std::chrono::steady_clock::now();
-  experiments::TraceCache cache;
-  const auto degraded = experiments::run_grid(cache, kernels, jobs);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-
-  // Degraded, not wedged: returned well within an order of magnitude of
-  // the deadline, with exactly one point reported timed-out.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            30);
-  EXPECT_EQ(delta.tasks_timed_out, 1u);
-  // Points in execution order are j-major; the last is jobs.back() x
-  // kernels.back(). Completed points match the reference bit for bit; the
-  // overdue point's slot is skip-and-report default RunStats.
-  for (std::size_t j = 0; j + 1 < jobs.size(); ++j) {
-    EXPECT_EQ(sim::to_json(degraded[j][0]), sim::to_json(reference[j][0]));
-  }
-  EXPECT_EQ(degraded.back().back().core.total_cycles, 0u)
-      << "timed-out point should have been skipped, not half-filled";
+  std::remove(path.c_str());
 }
 
-// Deterministic faults keep the historical abort semantics: run_grid
-// throws (the lowest-index failure), it does not silently degrade.
-TEST_F(CampaignTest, DeterministicFaultAbortsTheGrid) {
-  const auto kernels = experiments::select_kernels({"atax"});
+// A bug keeps the historical abort semantics: run_grid rethrows the
+// lowest-index failure, after every other point finished and was
+// persisted, instead of silently degrading. Two kernels fail in every
+// point; mvt's points come first in the j-major order.
+TEST_F(CampaignTest, FailingPointAbortsTheGridWithTheLowestIndexError) {
   const auto jobs = small_grid();
-  exec::TaskFaults faults;
-  faults.seed = 21;
-  faults.deterministic_ppm = 1000000;
-  exec::set_task_faults(faults);
-  exec::CampaignRequest request;
-  request.retry.max_retries = 3;  // must NOT retry a deterministic failure
-  exec::set_default_request(request);
-
-  auto& telemetry = exec::Telemetry::instance();
-  const exec::TelemetrySnapshot before = telemetry.snapshot();
-  experiments::TraceCache cache;
-  try {
-    experiments::run_grid(cache, kernels, jobs);
-    FAIL() << "expected the injected deterministic fault to propagate";
-  } catch (const exec::TaskError& e) {
-    EXPECT_EQ(e.kind(), exec::TaskErrorKind::kDeterministic);
+  const std::vector<workloads::Kernel> kernels = {
+      workloads::find_kernel("atax"),
+      hooked_kernel("mvt", [] { throw std::runtime_error("mvt failed"); }),
+      hooked_kernel("gesummv",
+                    [] { throw std::runtime_error("gesummv failed"); })};
+  const std::string path = temp_store_path("abort");
+  std::remove(path.c_str());
+  {
+    ScopedStore store(path);
+    experiments::TraceCache cache;
+    try {
+      experiments::run_grid(cache, kernels, jobs);
+      FAIL() << "expected the failing point to propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "mvt failed");
+    }
+    EXPECT_EQ(store.get().entries(), jobs.size())
+        << "every healthy atax point finishes and persists before the throw";
   }
-  const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-  EXPECT_EQ(delta.tasks_retried, 0u);
+  std::remove(path.c_str());
 }
 
-// ---- Interrupt-safe resume ---------------------------------------------
-
-// The deterministic SIGINT stand-in: the interrupt hook trips after the
-// first point completes; the campaign drains, throws kCancelled, and keeps
-// the completed point persisted. The re-run serves it from the store
-// (memo_hits == completed-before-interrupt) and generates traces only for
-// the kernels that were still missing.
+// Ctrl-C mid-campaign: the first point's generator trips the interrupt
+// flag from inside its task. That point finishes and is persisted, the
+// next one is skipped, and run_grid throws CampaignInterrupted. Width 1
+// fixes the order; at a larger width both points can start before the
+// interrupt. The re-run serves the finished point from the store
+// (memo_hits == completed-before-interrupt) and generates a trace only for
+// the kernel that was still missing.
 TEST_F(CampaignTest, InterruptedCampaignResumesOnlyMissingPoints) {
   const auto kernels = experiments::select_kernels({"atax", "mvt"});
   const std::vector<experiments::SuiteJob> jobs = {small_grid().front()};
@@ -219,25 +195,21 @@ TEST_F(CampaignTest, InterruptedCampaignResumesOnlyMissingPoints) {
   const std::string reference =
       grid_fingerprint(experiments::run_grid(ref_cache, kernels, jobs));
 
+  exec::set_default_jobs(1);
   auto& telemetry = exec::Telemetry::instance();
   {
     ScopedStore store(path);
-    exec::TaskFaults faults;
-    faults.interrupt_after_tasks = 1;  // "Ctrl-C" after the first point
-    exec::set_task_faults(faults);
+    const std::vector<workloads::Kernel> tripwire = {
+        hooked_kernel("atax", [] { exec::interrupt_source().cancel(); }),
+        kernels[1]};
     experiments::TraceCache cache;
-    try {
-      experiments::run_grid(cache, kernels, jobs);
-      FAIL() << "expected the interrupted campaign to throw";
-    } catch (const exec::TaskError& e) {
-      EXPECT_EQ(e.kind(), exec::TaskErrorKind::kCancelled);
-    }
-    // The point that completed before the interrupt was persisted.
+    EXPECT_THROW(experiments::run_grid(cache, tripwire, jobs),
+                 exec::CampaignInterrupted);
+    // The point that was running when the interrupt tripped was persisted.
     EXPECT_EQ(store.get().entries(), 1u);
   }
 
-  // Resume: clear the interrupt, drop the faults, run the same grid.
-  exec::set_task_faults(std::nullopt);
+  // Resume: clear the interrupt and run the plain grid.
   exec::interrupt_source().reset();
   {
     ScopedStore store(path);
