@@ -4,9 +4,9 @@
 // every DL1 organization replaying one decoded gemm trace through the
 // devirtualized fast path and through the generic virtual-dispatch
 // reference loop — and (c) the batched-replay microbenchmark: the same
-// trace, in its delta/RLE-compressed form, driving four clock-varied
-// configurations of each organization in one pass (cpu::replay_batch),
-// against the same work done as four solo fast-path replays. Results go to
+// decoded trace driving four clock-varied configurations of each
+// organization in one pass (cpu::System::run_batch), against the same work
+// done as four solo fast-path replays. Results go to
 // BENCH_perf.json at the repo root — the repo's performance trajectory
 // file, diffed by tools/perf_compare.
 //
@@ -152,9 +152,10 @@ ReplayResult bench_replay(cpu::Dl1Organization org, const cpu::Trace& trace,
 
 // ---- Batched replay microbenchmark -----------------------------------
 // Four clock-varied configurations of one organization, replayed (a) as
-// four solo fast-path runs over the decoded trace and (b) as one batched
-// pass over the compressed trace. Both do identical simulation work, so
-// the ratio is the batching speedup the grid layer sees per task.
+// four solo fast-path runs and (b) as one batched pass, both over the
+// decoded trace the grid layer's trace cache holds. Both do identical
+// simulation work, so the ratio is the batching speedup the grid layer sees
+// per task.
 
 struct BatchReplayResult {
   const char* org = "";
@@ -165,7 +166,6 @@ struct BatchReplayResult {
 
 BatchReplayResult bench_batch_replay(cpu::Dl1Organization org,
                                      const cpu::DecodedTrace& decoded,
-                                     const cpu::CompressedTrace& compressed,
                                      unsigned lanes_n, unsigned reps) {
   std::vector<cpu::SystemConfig> cfgs(lanes_n);
   for (unsigned i = 0; i < lanes_n; ++i) {
@@ -184,7 +184,7 @@ BatchReplayResult bench_batch_replay(cpu::Dl1Organization org,
   // Lane-for-lane equality with the solo fast path (every counter, via the
   // flat JSON dump).
   const std::vector<sim::RunStats> batched =
-      cpu::System::run_batch(compressed, lanes);
+      cpu::System::run_batch(decoded, lanes);
   r.identical_stats = true;
   for (unsigned i = 0; i < lanes_n; ++i) {
     cpu::System solo(cfgs[i]);
@@ -205,7 +205,7 @@ BatchReplayResult bench_batch_replay(cpu::Dl1Organization org,
         },
         1);
     const double b =
-        time_replays([&] { cpu::System::run_batch(compressed, lanes); }, 1);
+        time_replays([&] { cpu::System::run_batch(decoded, lanes); }, 1);
     if (i == 0 || s < solo_s) solo_s = s;
     if (i == 0 || b < batch_s) batch_s = b;
   }
@@ -367,7 +367,8 @@ int main(int argc, char** argv) {
   all_identical = all_identical && all_stats_identical;
 
   // Batched replay: K clock-varied lanes per organization over the
-  // compressed trace, vs the same K configurations run solo.
+  // decoded trace, vs the same K configurations run solo. The compressed
+  // size is reported for the trace store, which holds that form on disk.
   const cpu::CompressedTrace replay_compressed = cpu::compress(replay_decoded);
   const unsigned batch_lanes = 4;
   const unsigned batch_reps = quick ? 6 : 24;
@@ -376,8 +377,8 @@ int main(int argc, char** argv) {
   double batch_time_s = 0.0;
   bool batch_identical = true;
   for (const cpu::Dl1Organization org : orgs) {
-    const BatchReplayResult r = bench_batch_replay(
-        org, replay_decoded, replay_compressed, batch_lanes, batch_reps);
+    const BatchReplayResult r =
+        bench_batch_replay(org, replay_decoded, batch_lanes, batch_reps);
     batch_identical = batch_identical && r.identical_stats;
     const double lane_ops =
         static_cast<double>(replay_decoded.size()) * batch_lanes;
@@ -408,10 +409,10 @@ int main(int argc, char** argv) {
   const double batch_agg =
       batch_time_s <= 0.0 ? 0.0 : batch_total_ops / batch_time_s;
   const double compression_ratio =
-      replay_compressed.size() == 0
+      replay_compressed.bytes.empty()
           ? 0.0
           : static_cast<double>(replay_compressed.decoded_bytes()) /
-                static_cast<double>(replay_compressed.size());
+                static_cast<double>(replay_compressed.bytes.size());
   const std::string batch_json = strprintf(
       "{\n    \"trace\": \"gemm_32\", \"lanes\": %u,\n"
       "    \"compressed_bytes\": %llu, \"decoded_bytes\": %llu, "
@@ -419,7 +420,8 @@ int main(int argc, char** argv) {
       "    \"organizations\": [\n%s\n    ],\n"
       "    \"solo_agg_ops_per_sec\": %.0f, \"batch_agg_ops_per_sec\": %.0f, "
       "\"speedup_vs_fast\": %.2f, \"identical_stats\": %s\n  }",
-      batch_lanes, static_cast<unsigned long long>(replay_compressed.size()),
+      batch_lanes,
+      static_cast<unsigned long long>(replay_compressed.bytes.size()),
       static_cast<unsigned long long>(replay_compressed.decoded_bytes()),
       compression_ratio, batch_entries.c_str(), batch_solo_agg, batch_agg,
       batch_solo_agg <= 0.0 ? 0.0 : batch_agg / batch_solo_agg,

@@ -25,16 +25,19 @@ cpu::Trace saxpy_gather(std::uint64_t n) {
   const workloads::Vector x = mem.vector("x", n);
   const workloads::Vector y = mem.vector("y", n);
   // Scalar code; the xform passes will optimize the trace afterwards.
-  workloads::Emitter em(workloads::CodegenOptions::none());
-  Rng rng(7);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    em.loop_iter();
-    em.load(x.at(i));                       // unit-stride
-    em.load(y.at(rng.next_below(n)));       // data-dependent gather
-    em.flop(2);
-    em.store(x.at(i));
-  }
-  return em.take();
+  // synthesize() runs the body twice (a sizing pass, then the fill), so the
+  // body seeds its own generator and emits the same sequence both times.
+  return cpu::reassemble(workloads::synthesize(
+      workloads::CodegenOptions::none(), [&](workloads::Emitter& em) {
+        Rng rng(7);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          em.loop_iter();
+          em.load(x.at(i));                  // unit-stride
+          em.load(y.at(rng.next_below(n)));  // data-dependent gather
+          em.flop(2);
+          em.store(x.at(i));
+        }
+      }));
 }
 
 double run(const cpu::Trace& trace, cpu::Dl1Organization org) {

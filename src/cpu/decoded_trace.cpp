@@ -1,5 +1,7 @@
 #include "sttsim/cpu/decoded_trace.hpp"
 
+#include "sttsim/util/check.hpp"
+
 namespace sttsim::cpu {
 
 DecodedTrace decode(const Trace& trace) {
@@ -35,6 +37,13 @@ Trace reassemble(const DecodedTrace& decoded) {
     out.push_back(op);
   }
   return out;
+}
+
+DecodedTrace DecodedTraceBuilder::take() {
+  STTSIM_CHECK(filling_);
+  STTSIM_CHECK(out_.ops.size() == counts_.ops);
+  STTSIM_CHECK(out_.store_values.size() == counts_.stores);
+  return std::move(out_);
 }
 
 namespace {

@@ -75,54 +75,89 @@ DecodedTrace decode(const Trace& trace);
 /// fast-path tests round-trip through this).
 Trace reassemble(const DecodedTrace& decoded);
 
-/// Direct-to-decoded synthesis sink: workload generators append packed
-/// 16-byte DecodedOps — granule spans precomputed at emission with the same
-/// span_of the decode pass uses — so the cold path never materializes a raw
-/// TraceOp vector or runs a separate decode() pass. The ops produced are
-/// byte-identical to decode(reassemble(·)) on the same emission sequence
-/// (tests/test_simd pins this for every suite kernel × codegen).
+/// Direct-to-decoded synthesis sink, used in two passes over one emission
+/// sequence. A counting builder stores nothing and only tallies the ops and
+/// store payloads it is handed; a filling builder, constructed from that
+/// tally, writes every op once into arrays reserved to their exact final
+/// size, so no op vector ever reallocates. Ops are packed 16-byte
+/// DecodedOps — granule spans precomputed with the same span_of the decode
+/// pass uses — byte-identical to decode(reassemble(·)) on the same emission
+/// sequence (tests/test_simd pins this for every suite kernel × codegen).
 class DecodedTraceBuilder {
  public:
+  /// Exact sizes of one emission sequence: what a counting builder
+  /// measures and a filling builder reserves.
+  struct Counts {
+    std::size_t ops = 0;
+    std::size_t stores = 0;
+  };
+
+  /// A counting builder.
+  DecodedTraceBuilder() = default;
+  /// A filling builder for exactly `counts`.
+  explicit DecodedTraceBuilder(const Counts& counts)
+      : filling_(true), counts_(counts) {
+    out_.ops.reserve(counts.ops);
+    out_.store_values.reserve(counts.stores);
+  }
+
   /// One bundle of `count` back-to-back non-memory instructions (count > 0).
   void exec(std::uint32_t count) {
-    out_.ops.push_back(DecodedOp{0, count, OpKind::kExec, 0, 1, 1});
+    emit(DecodedOp{0, count, OpKind::kExec, 0, 1, 1});
   }
   void load(Addr addr, std::uint8_t size) {
-    out_.ops.push_back(DecodedOp{addr, 1, OpKind::kLoad, size,
-                                 span_of(addr, size, 5),
-                                 span_of(addr, size, 6)});
+    emit(DecodedOp{addr, 1, OpKind::kLoad, size, span_of(addr, size, 5),
+                   span_of(addr, size, 6)});
   }
   void store(Addr addr, std::uint8_t size, std::uint64_t value = 0) {
-    out_.ops.push_back(DecodedOp{addr, 1, OpKind::kStore, size,
-                                 span_of(addr, size, 5),
-                                 span_of(addr, size, 6)});
-    out_.store_values.push_back(value);
+    emit(DecodedOp{addr, 1, OpKind::kStore, size, span_of(addr, size, 5),
+                   span_of(addr, size, 6)});
+    if (filling_) {
+      out_.store_values.push_back(value);
+    } else {
+      ++counts_.stores;
+    }
   }
   /// Prefetch hints carry no size; spans stay 1/1 exactly as decode() leaves
   /// non-memory ops.
   void prefetch(Addr addr) {
-    out_.ops.push_back(DecodedOp{addr, 1, OpKind::kPrefetch, 0, 1, 1});
+    emit(DecodedOp{addr, 1, OpKind::kPrefetch, 0, 1, 1});
   }
 
-  std::size_t size() const { return out_.ops.size(); }
+  bool filling() const { return filling_; }
+  /// A counting builder's tally so far; a filling builder's reservation.
+  const Counts& counts() const { return counts_; }
 
-  /// Finishes emission and yields the decoded trace.
-  DecodedTrace take() { return std::move(out_); }
+  /// Yields the filled trace. Checks that this is a filling builder and
+  /// that the fill ended exactly at the reserved sizes — an emission
+  /// sequence that differed between its two passes is a generator bug.
+  DecodedTrace take();
 
  private:
+  void emit(const DecodedOp& op) {
+    if (filling_) {
+      out_.ops.push_back(op);
+    } else {
+      ++counts_.ops;
+    }
+  }
+
+  bool filling_ = false;
+  Counts counts_;
   DecodedTrace out_;
 };
 
 // ---- Compressed decoded traces ---------------------------------------
 //
 // A decoded op is 16 bytes; a figure-sweep kernel trace is a few hundred
-// thousand ops, so every replay pass streams megabytes through the host
-// cache hierarchy. Accesses in the generated kernels are local — the next
+// thousand ops. Accesses in the generated kernels are local — the next
 // address is usually the previous one plus the access width (the Alif MRAM
 // macro's 16 B sector granularity shows up as short strides) — so a
-// delta/RLE byte stream shrinks the hot stream to ~2 bytes per op and lets
-// whole kernels sit in the host L2 while a batched replay drives many DL1
-// configurations over one pass.
+// delta/RLE byte stream shrinks a trace to ~2 bytes per op. That is the
+// persistent trace store's on-disk form (exec::TraceStore); in memory the
+// experiment engine keeps only the decoded trace. The batched replay engine
+// can also stream this form directly (System::run_batch's CompressedTrace
+// overload).
 //
 // Format (one op at a time; `prev_addr`/`prev_size` carried across ops):
 //   tag & 3 == kind:
@@ -187,9 +222,8 @@ inline std::uint64_t read_varint(const std::uint8_t*& p) {
 }  // namespace detail
 
 /// Streaming expansion of one CompressedTrace: `next()` produces ops in
-/// order without materializing the 16-byte-per-op array. This is what the
-/// batched replay engine iterates, so the hot read stream is the compressed
-/// bytes, not the decoded array.
+/// order without materializing the 16-byte-per-op array (decompress() and
+/// the batched replay engine's compressed-trace overload iterate it).
 class CompressedCursor {
  public:
   explicit CompressedCursor(const CompressedTrace& trace)

@@ -1,14 +1,16 @@
 // Persistent, digest-keyed compressed-trace store: the cold-path
 // memoization layer behind `--trace-store=PATH`.
 //
-// Generating a kernel's memory trace dominates the cold campaign now that
-// replay is batched: the trace is a pure function of (kernel, codegen
-// options, trace format version), so a second campaign — or the same
-// campaign re-run after an unrelated config edit — regenerates bytes it
-// already produced. This store persists each kernel's *compressed* trace
+// A kernel's memory trace is a pure function of (kernel, codegen options,
+// trace format version), so a second campaign — or the same campaign
+// re-run after an unrelated config edit — regenerates bytes it already
+// produced. This store persists each kernel's trace in compressed form
 // (cpu::CompressedTrace serialized to an opaque blob, ~2 bytes/op) in an
 // append-only log keyed by experiments::trace_digest, so a warm run decodes
-// straight from disk and generates zero traces.
+// straight from disk and generates zero traces. The compressed form exists
+// only on the way to and from this store: the trace cache compresses a
+// generated trace just to append it, and keeps only the decompressed trace
+// after a hit.
 //
 // On-disk format: the shared 24-byte AppendLog header (magic "STTTRCS1",
 // kSchemaVersion, an aux word holding the caller's content version — the

@@ -177,7 +177,7 @@ bool TraceCache::KeyLess::less(const KeyView& a, const KeyView& b) {
   return codegen_tuple(*a.opts) < codegen_tuple(*b.opts);
 }
 
-const CachedWorkload& TraceCache::get_workload(
+const cpu::DecodedTrace& TraceCache::get_decoded(
     const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
   const KeyView lookup{kernel.name, &opts};
   return cache_.get_or_generate(
@@ -185,23 +185,24 @@ const CachedWorkload& TraceCache::get_workload(
       [&] {
         exec::Telemetry& telemetry = exec::Telemetry::instance();
         exec::TraceStore* tstore = exec::trace_store();
-        CachedWorkload w;
         if (tstore != nullptr) {
           // Warm path: decode the stored compressed blob — no generation.
+          // The compressed form lives only until it is decompressed.
           const std::uint64_t digest = trace_digest(kernel.name, opts);
           std::vector<std::uint8_t> blob;
           if (tstore->lookup(digest, blob)) {
             const std::uint64_t t0 = now_ns();
+            cpu::CompressedTrace compressed;
             if (cpu::deserialize_compressed(blob.data(), blob.size(),
-                                            w.compressed)) {
-              w.decoded = cpu::decompress(w.compressed);
+                                            compressed)) {
+              blob = {};  // its bytes now live in `compressed`
+              cpu::DecodedTrace decoded = cpu::decompress(compressed);
               telemetry.count_decode_ns(now_ns() - t0);
               telemetry.count_trace_store_hit();
-              return w;
+              return decoded;
             }
             // Malformed blob (should be unreachable behind the store's
             // checksum): fall through and regenerate.
-            w.compressed = cpu::CompressedTrace{};
           }
           telemetry.count_trace_store_miss();
         }
@@ -209,18 +210,17 @@ const CachedWorkload& TraceCache::get_workload(
         const std::uint64_t t0 = now_ns();
         // Direct-to-decoded synthesis; hand-rolled Kernel objects (tests)
         // may only provide the raw generator — decode then.
-        w.decoded = kernel.generate_decoded
-                        ? kernel.generate_decoded(opts)
-                        : cpu::decode(kernel.generate(opts));
-        w.compressed = cpu::compress(w.decoded);
+        cpu::DecodedTrace decoded = kernel.generate_decoded
+                                        ? kernel.generate_decoded(opts)
+                                        : cpu::decode(kernel.generate(opts));
         telemetry.count_generate_ns(now_ns() - t0);
         if (tstore != nullptr) {
           const std::vector<std::uint8_t> blob =
-              cpu::serialize_compressed(w.compressed);
+              cpu::serialize_compressed(cpu::compress(decoded));
           tstore->append(trace_digest(kernel.name, opts), blob.data(),
                          blob.size());
         }
-        return w;
+        return decoded;
       });
 }
 
@@ -229,7 +229,7 @@ const cpu::Trace& TraceCache::get(const workloads::Kernel& kernel,
   const KeyView lookup{kernel.name, &opts};
   return raw_cache_.get_or_generate(
       lookup, [&] { return Key{kernel.name, opts}; },
-      [&] { return cpu::reassemble(get_workload(kernel, opts).decoded); });
+      [&] { return cpu::reassemble(get_decoded(kernel, opts)); });
 }
 
 sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
@@ -246,12 +246,12 @@ sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
     }
     exec::Telemetry::instance().count_memo_miss();
   }
-  const CachedWorkload& workload = cache.get_workload(kernel, opts);
+  const cpu::DecodedTrace& trace = cache.get_decoded(kernel, opts);
   cpu::System system(config);
   const std::uint64_t t0 = now_ns();
-  const sim::RunStats stats = system.run(workload.decoded);
+  const sim::RunStats stats = system.run(trace);
   exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-  exec::Telemetry::instance().count_simulation(workload.decoded.size());
+  exec::Telemetry::instance().count_simulation(trace.size());
   if (store != nullptr) {
     std::uint8_t payload[sim::kRunStatsBytes];
     sim::encode_run_stats(stats, payload);
@@ -333,8 +333,8 @@ void run_points_solo(TraceCache& cache,
 /// lanes of one pass must replay the identical trace — then split into
 /// same-organization-class lane sets of at most `batch` configurations
 /// (cpu::partition_batches). Each task replays one lane set in a single
-/// compressed-trace pass and scatters per-lane results back to the
-/// deterministic out[j][k] positions; per-lane results are bit-identical
+/// pass over the cached decoded trace and scatters per-lane results back to
+/// the deterministic out[j][k] positions; per-lane results are bit-identical
 /// to the solo path regardless of how points are partitioned, so a store-
 /// thinned (miss-only) point set changes the schedule, never the numbers.
 void run_points_batched(TraceCache& cache,
@@ -382,8 +382,8 @@ void run_points_batched(TraceCache& cache,
       pool, exec::default_request(), tasks.size(), [&](std::size_t t) {
         const std::vector<std::size_t>& task = tasks[t];
         const GridPoint& first = points[task.front()];
-        const CachedWorkload& workload =
-            cache.get_workload(kernels[first.k], jobs[first.j].opts);
+        const cpu::DecodedTrace& trace =
+            cache.get_decoded(kernels[first.k], jobs[first.j].opts);
         std::vector<cpu::System> systems;
         systems.reserve(task.size());
         for (const std::size_t i : task) {
@@ -395,10 +395,10 @@ void run_points_batched(TraceCache& cache,
         for (cpu::System& s : systems) lanes.push_back(&s);
         const std::uint64_t t0 = now_ns();
         std::vector<sim::RunStats> stats =
-            cpu::System::run_batch(workload.compressed, lanes);
+            cpu::System::run_batch(trace, lanes);
         exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
         for (std::size_t i = 0; i < task.size(); ++i) {
-          exec::Telemetry::instance().count_simulation(workload.decoded.size());
+          exec::Telemetry::instance().count_simulation(trace.size());
           store_append(store, points[task[i]].digest, stats[i]);
         }
         return stats;

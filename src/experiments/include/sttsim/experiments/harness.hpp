@@ -29,22 +29,13 @@ double penalty_pct(const sim::RunStats& variant,
 double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
 
-/// A memoized workload: the replay-optimized decoded form (synthesized
-/// directly by the generator, or decoded from the persistent trace store)
-/// and the delta/RLE-compressed form the batched replay engine streams
-/// (cpu::compress) — each produced once and shared read-only across every
-/// grid point that replays this (kernel, codegen). The raw TraceOp form is
-/// not part of the cold path any more; TraceCache::get() reassembles it on
-/// demand for the few diagnostics that want it.
-struct CachedWorkload {
-  cpu::DecodedTrace decoded;
-  cpu::CompressedTrace compressed;
-};
-
 /// Memoizes generated traces per (kernel, codegen) so multi-figure bench
-/// binaries do not regenerate identical traces — synthesized straight into
-/// the packed decoded representation (Kernel::generate_decoded), so grid
-/// replays never touch a raw TraceOp vector or a decode() pass.
+/// binaries do not regenerate identical traces. The one in-memory form is
+/// the replay-optimized decoded trace, synthesized straight into exactly
+/// sized packed arrays (Kernel::generate_decoded) and shared read-only by
+/// every grid point that replays this (kernel, codegen) — solo and batched
+/// replay alike — so grid replays never touch a raw TraceOp vector or a
+/// decode() pass.
 /// Concurrency-safe: a shared_mutex guards the index and a per-key
 /// once-latch guarantees each trace is generated exactly once even when many
 /// parallel jobs request it simultaneously. Cache hits allocate nothing
@@ -53,26 +44,19 @@ struct CachedWorkload {
 ///
 /// When a persistent trace store is active (exec::set_trace_store; the
 /// benches' --trace-store=PATH flag), a miss probes the store by
-/// trace_digest first — a hit deserializes the stored CompressedTrace and
-/// decompresses it (no generation at all; Telemetry::traces_generated stays
-/// 0 on a warm run) — and a generated trace is appended for the next run.
+/// trace_digest first — a hit deserializes the stored CompressedTrace,
+/// decompresses it and drops the compressed form (no generation at all;
+/// Telemetry::traces_generated stays 0 on a warm run) — and a generated
+/// trace is compressed (cpu::compress) only to be appended for the next run.
 class TraceCache {
  public:
-  const CachedWorkload& get_workload(const workloads::Kernel& kernel,
-                                     const workloads::CodegenOptions& opts);
+  const cpu::DecodedTrace& get_decoded(const workloads::Kernel& kernel,
+                                       const workloads::CodegenOptions& opts);
   /// Raw TraceOp form, reassembled from the decoded trace on first request
   /// and memoized separately (diagnostics only — lifetime reports, dumps;
   /// the replay paths never call this).
   const cpu::Trace& get(const workloads::Kernel& kernel,
                         const workloads::CodegenOptions& opts);
-  const cpu::DecodedTrace& get_decoded(const workloads::Kernel& kernel,
-                                       const workloads::CodegenOptions& opts) {
-    return get_workload(kernel, opts).decoded;
-  }
-  const cpu::CompressedTrace& get_compressed(
-      const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
-    return get_workload(kernel, opts).compressed;
-  }
 
   std::size_t entries() const { return cache_.entries(); }
 
@@ -96,7 +80,7 @@ class TraceCache {
     }
   };
 
-  exec::ConcurrentMemoCache<Key, CachedWorkload, KeyLess> cache_;
+  exec::ConcurrentMemoCache<Key, cpu::DecodedTrace, KeyLess> cache_;
   /// Raw traces live in their own memo so entries() — the generation count
   /// tests observe — keeps counting workloads, not diagnostic reassemblies.
   exec::ConcurrentMemoCache<Key, cpu::Trace, KeyLess> raw_cache_;
@@ -107,7 +91,7 @@ class TraceCache {
 /// the trace-store schema version, and the hash algorithm version, so a
 /// format change invalidates stored blobs instead of misreading them. This
 /// is the persistent trace store's key (exec::TraceStore): equal digests
-/// certify "the generator would emit a bit-identical compressed trace".
+/// certify "the generator would emit a bit-identical trace".
 std::uint64_t trace_digest(std::string_view kernel_name,
                            const workloads::CodegenOptions& opts);
 
@@ -152,10 +136,10 @@ struct SuiteJob {
 ///
 /// When exec::default_batch() > 1 (the benches' --batch=K flag), grid
 /// points are grouped by (kernel x codegen x organization-class) and each
-/// pool task replays one compressed-trace pass over up to K same-class
-/// configurations at once (cpu::System::run_batch). The batched engine's
-/// per-lane call sequence is identical to the solo replay, so results stay
-/// byte-identical to --batch=1 — only the schedule changes.
+/// pool task replays one pass over the cached decoded trace for up to K
+/// same-class configurations at once (cpu::System::run_batch). The batched
+/// engine's per-lane call sequence is identical to the solo replay, so
+/// results stay byte-identical to --batch=1 — only the schedule changes.
 ///
 /// When a persistent result store is active (exec::set_result_store; the
 /// benches' --store=PATH flag), every point's digest is probed up front:

@@ -26,4 +26,15 @@ std::string pad_right(std::string s, std::size_t width);
 /// Pads `s` on the left (right-aligns) to at least `width` characters.
 std::string pad_left(std::string s, std::size_t width);
 
+/// Strict command-line number parsing, shared by every front end (the
+/// benches' flags and the sttsim CLI): the whole of `s` must be one
+/// non-negative decimal integer that fits `out` — no sign, no leading
+/// space, no trailing characters. Returns false, leaving `out` unchanged,
+/// otherwise.
+bool parse_unsigned(const char* s, std::uint64_t& out);
+bool parse_unsigned(const char* s, unsigned& out);
+
+/// Same for a finite decimal number spanning all of `s`.
+bool parse_finite(const char* s, double& out);
+
 }  // namespace sttsim

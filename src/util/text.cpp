@@ -1,7 +1,11 @@
 #include "sttsim/util/text.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace sttsim {
 
@@ -55,6 +59,33 @@ std::string pad_right(std::string s, std::size_t width) {
 std::string pad_left(std::string s, std::size_t width) {
   if (s.size() < width) s.insert(0, width - s.size(), ' ');
   return s;
+}
+
+bool parse_unsigned(const char* s, std::uint64_t& out) {
+  if (*s < '0' || *s > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+bool parse_unsigned(const char* s, unsigned& out) {
+  std::uint64_t v = 0;
+  if (!parse_unsigned(s, v) || v > std::numeric_limits<unsigned>::max()) {
+    return false;
+  }
+  out = static_cast<unsigned>(v);
+  return true;
+}
+
+bool parse_finite(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
 }
 
 }  // namespace sttsim

@@ -4,13 +4,16 @@
 
 namespace sttsim::workloads {
 
-Emitter::Emitter(const CodegenOptions& opts, std::uint64_t stream_line_bytes)
-    : opts_(opts), stream_line_bytes_(stream_line_bytes) {
-  STTSIM_CHECK(is_pow2(stream_line_bytes));
+Emitter::Emitter(const CodegenOptions& opts) : opts_(opts) {
   if (opts_.vectorize) {
     STTSIM_CHECK(opts_.vector_width >= 2 &&
                  opts_.vector_width * kElem <= 255);
   }
+}
+
+Emitter::Emitter(const CodegenOptions& opts, const Counts& counts)
+    : Emitter(opts) {
+  builder_ = cpu::DecodedTraceBuilder(counts);
 }
 
 void Emitter::flush_exec() {
@@ -46,10 +49,10 @@ void Emitter::store(Addr a, unsigned n_elems) {
   builder_.store(a, static_cast<std::uint8_t>(size));
 }
 
-bool Emitter::first_in_line(Addr a, unsigned bytes) const {
+bool Emitter::first_in_line(Addr a, unsigned bytes) {
   // True when [a, a+bytes) begins a new stream line, i.e. the previous
   // access of a unit-stride walk lived in the preceding line.
-  return (a & (stream_line_bytes_ - 1)) < bytes;
+  return (a & (kStreamLineBytes - 1)) < bytes;
 }
 
 void Emitter::stream_load(Addr a, unsigned n_elems) {
@@ -74,7 +77,11 @@ void Emitter::prefetch(Addr a) {
   builder_.prefetch(a);
 }
 
-cpu::Trace Emitter::take() { return cpu::reassemble(take_decoded()); }
+Emitter::Counts Emitter::counts() {
+  STTSIM_CHECK(!builder_.filling());
+  flush_exec();
+  return builder_.counts();
+}
 
 cpu::DecodedTrace Emitter::take_decoded() {
   flush_exec();

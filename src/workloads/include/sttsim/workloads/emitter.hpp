@@ -13,12 +13,15 @@
 // Consecutive exec cycles are merged into single trace ops to keep traces
 // compact.
 //
-// Emission is direct-to-decoded: ops land in a cpu::DecodedTraceBuilder as
-// packed 16-byte DecodedOps with granule spans precomputed, so the cold
-// campaign path (take_decoded()) never materializes a raw TraceOp vector or
-// runs a separate decode() pass. take() reassembles the raw trace for
-// legacy consumers (trace_io capture, the oracle, direct kernel callers) —
-// byte-identical to what the historical TraceOp-building emitter produced.
+// Emission is direct-to-decoded and runs twice per trace (synthesize()): a
+// counting pass through an Emitter that stores nothing measures the exact
+// op and store-payload counts, then a fill pass writes packed 16-byte
+// DecodedOps — granule spans precomputed — into a cpu::DecodedTrace
+// reserved to exactly that size. The cold campaign path never materializes
+// a raw TraceOp vector, runs a separate decode() pass, or regrows an op
+// vector; legacy consumers (trace_io capture, the oracle, direct kernel
+// callers) reassemble the raw trace from the decoded one, byte-identical to
+// what the historical TraceOp-building emitter produced.
 #pragma once
 
 #include "sttsim/cpu/decoded_trace.hpp"
@@ -30,10 +33,13 @@ namespace sttsim::workloads {
 
 class Emitter {
  public:
-  /// `stream_line_bytes` is the granularity at which streaming prefetches
-  /// are dropped (one hint per new DL1 line entered; 64 B default).
-  explicit Emitter(const CodegenOptions& opts,
-                   std::uint64_t stream_line_bytes = 64);
+  using Counts = cpu::DecodedTraceBuilder::Counts;
+
+  /// A counting emitter: runs an emission body and stores nothing.
+  explicit Emitter(const CodegenOptions& opts);
+  /// A filling emitter: writes an emission body's ops into a trace reserved
+  /// to exactly `counts` — what a counting pass measured for the same body.
+  Emitter(const CodegenOptions& opts, const Counts& counts);
 
   const CodegenOptions& options() const { return opts_; }
 
@@ -67,23 +73,38 @@ class Emitter {
   /// Explicit software prefetch (no-op unless prefetching is enabled).
   void prefetch(Addr a);
 
-  /// Finishes emission and yields the raw trace (reassembled from the
-  /// decoded form; legacy consumers only — the campaign path uses
-  /// take_decoded()).
-  cpu::Trace take();
+  /// Finishes a counting pass and yields the sizes its fill pass reserves.
+  Counts counts();
 
-  /// Finishes emission and yields the packed decoded trace directly — the
-  /// cold campaign path: no TraceOp vector, no decode() pass.
+  /// Finishes a fill pass and yields the packed decoded trace.
   cpu::DecodedTrace take_decoded();
 
  private:
+  /// Granularity at which streaming prefetches are dropped: one hint per
+  /// new 64-byte DL1 line entered.
+  static constexpr std::uint64_t kStreamLineBytes = 64;
+
   void flush_exec();
-  bool first_in_line(Addr a, unsigned bytes) const;
+  static bool first_in_line(Addr a, unsigned bytes);
 
   CodegenOptions opts_;
-  std::uint64_t stream_line_bytes_;
   cpu::DecodedTraceBuilder builder_;
   std::uint32_t pending_exec_ = 0;
 };
+
+/// Synthesizes the trace of one emission body — any callable taking an
+/// Emitter& — by running it twice: a counting pass that stores nothing, then
+/// a fill pass into a trace reserved to the exact op and store-value counts.
+/// Every workload generator produces its trace through here, so no op
+/// vector ever reallocates. The body must emit the same sequence on both
+/// passes (kernel bodies are pure functions of their sizes and `opts`).
+template <typename Body>
+cpu::DecodedTrace synthesize(const CodegenOptions& opts, const Body& body) {
+  Emitter counter(opts);
+  body(counter);
+  Emitter filler(opts, counter.counts());
+  body(filler);
+  return filler.take_decoded();
+}
 
 }  // namespace sttsim::workloads

@@ -121,11 +121,13 @@ cpu::Trace heat_3d(std::uint64_t n, std::uint64_t tsteps,
 // --- Direct-to-decoded emission bodies. -----------------------------------
 //
 // Each kernel's symbolic execution emits into a caller-supplied Emitter
-// (whose CodegenOptions select the code shape); the cpu::Trace wrappers
-// above are thin `Emitter em(o); X_into(em, ...); return em.take();`
-// shells. The suite builds both Kernel::generate and
-// Kernel::generate_decoded from these, so the campaign cold path synthesizes
-// packed DecodedOps directly — no TraceOp vector, no separate decode pass.
+// (whose CodegenOptions select the code shape). Bodies are pure functions of
+// their sizes and options, so synthesize() can run each twice — a counting
+// pass, then a fill pass into an exactly-sized trace. The cpu::Trace
+// wrappers above are thin `reassemble(synthesize(o, X_into...))` shells. The
+// suite builds both Kernel::generate and Kernel::generate_decoded from
+// these, so the campaign cold path synthesizes packed DecodedOps directly —
+// no TraceOp vector, no separate decode pass, no op-vector regrowth.
 
 void atax_into(Emitter& em, std::uint64_t m, std::uint64_t n);
 void bicg_into(Emitter& em, std::uint64_t m, std::uint64_t n);

@@ -20,9 +20,10 @@ struct Kernel {
   std::function<cpu::Trace(const CodegenOptions&)> generate;
   /// Direct-to-decoded synthesis: the same emission sequence as generate,
   /// landing in packed DecodedOps without a TraceOp vector or decode()
-  /// pass. Byte-identical to cpu::decode(generate(o)). May be empty on
-  /// hand-rolled Kernel objects (tests); the trace cache falls back to
-  /// decode(generate(o)) then.
+  /// pass, in arrays sized exactly (workloads::synthesize). Byte-identical
+  /// to cpu::decode(generate(o)). May be empty on hand-rolled Kernel
+  /// objects (tests); the trace cache falls back to decode(generate(o))
+  /// then.
   std::function<cpu::DecodedTrace(const CodegenOptions&)> generate_decoded;
 };
 

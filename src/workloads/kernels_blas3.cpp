@@ -106,9 +106,8 @@ void gemm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk
 }
 
 cpu::Trace gemm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, const CodegenOptions& o) {
-  Emitter em(o);
-  gemm_into(em, ni, nj, nk);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { gemm_into(em, ni, nj, nk); }));
 }
 
 void syrk_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
@@ -144,9 +143,8 @@ void syrk_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
 }
 
 cpu::Trace syrk(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  Emitter em(o);
-  syrk_into(em, n, m);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { syrk_into(em, n, m); }));
 }
 
 void syr2k_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
@@ -186,9 +184,8 @@ void syr2k_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
 }
 
 cpu::Trace syr2k(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  Emitter em(o);
-  syr2k_into(em, n, m);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { syr2k_into(em, n, m); }));
 }
 
 void trmm_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
@@ -261,9 +258,8 @@ void trmm_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
 }
 
 cpu::Trace trmm(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  Emitter em(o);
-  trmm_into(em, n, m);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { trmm_into(em, n, m); }));
 }
 
 void two_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl) {
@@ -278,9 +274,8 @@ void two_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t 
 }
 
 cpu::Trace two_mm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, const CodegenOptions& o) {
-  Emitter em(o);
-  two_mm_into(em, ni, nj, nk, nl);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { two_mm_into(em, ni, nj, nk, nl); }));
 }
 
 void three_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, std::uint64_t nm) {
@@ -298,9 +293,8 @@ void three_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_
 }
 
 cpu::Trace three_mm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, std::uint64_t nm, const CodegenOptions& o) {
-  Emitter em(o);
-  three_mm_into(em, ni, nj, nk, nl, nm);
-  return em.take();
+  return cpu::reassemble(synthesize(
+      o, [&](Emitter& em) { three_mm_into(em, ni, nj, nk, nl, nm); }));
 }
 
 }  // namespace sttsim::workloads

@@ -77,9 +77,8 @@ void cholesky_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace cholesky(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  cholesky_into(em, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { cholesky_into(em, n); }));
 }
 
 void lu_into(Emitter& em, std::uint64_t n) {
@@ -157,9 +156,7 @@ void lu_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace lu(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  lu_into(em, n);
-  return em.take();
+  return cpu::reassemble(synthesize(o, [&](Emitter& em) { lu_into(em, n); }));
 }
 
 void symm_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
@@ -238,9 +235,8 @@ void symm_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
 }
 
 cpu::Trace symm(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  symm_into(em, m, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { symm_into(em, m, n); }));
 }
 
 void doitgen_into(Emitter& em, std::uint64_t nr, std::uint64_t nq, std::uint64_t np) {
@@ -315,9 +311,8 @@ void doitgen_into(Emitter& em, std::uint64_t nr, std::uint64_t nq, std::uint64_t
 }
 
 cpu::Trace doitgen(std::uint64_t nr, std::uint64_t nq, std::uint64_t np, const CodegenOptions& o) {
-  Emitter em(o);
-  doitgen_into(em, nr, nq, np);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { doitgen_into(em, nr, nq, np); }));
 }
 
 void seidel_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
@@ -351,9 +346,8 @@ void seidel_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
 }
 
 cpu::Trace seidel_2d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  seidel_2d_into(em, n, tsteps);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { seidel_2d_into(em, n, tsteps); }));
 }
 
 void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
@@ -514,9 +508,8 @@ void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
 }
 
 cpu::Trace covariance(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  covariance_into(em, m, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { covariance_into(em, m, n); }));
 }
 
 void floyd_warshall_into(Emitter& em, std::uint64_t n) {
@@ -551,9 +544,8 @@ void floyd_warshall_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace floyd_warshall(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  floyd_warshall_into(em, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { floyd_warshall_into(em, n); }));
 }
 
 }  // namespace sttsim::workloads

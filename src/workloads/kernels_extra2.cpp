@@ -89,9 +89,8 @@ void durbin_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace durbin(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  durbin_into(em, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { durbin_into(em, n); }));
 }
 
 void gramschmidt_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
@@ -213,9 +212,8 @@ void gramschmidt_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
 }
 
 cpu::Trace gramschmidt(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  gramschmidt_into(em, m, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { gramschmidt_into(em, m, n); }));
 }
 
 void adi_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
@@ -296,9 +294,8 @@ void adi_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
 }
 
 cpu::Trace adi(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  adi_into(em, n, tsteps);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { adi_into(em, n, tsteps); }));
 }
 
 void fdtd_2d_into(Emitter& em, std::uint64_t nx, std::uint64_t ny, std::uint64_t tsteps) {
@@ -378,9 +375,8 @@ void fdtd_2d_into(Emitter& em, std::uint64_t nx, std::uint64_t ny, std::uint64_t
 }
 
 cpu::Trace fdtd_2d(std::uint64_t nx, std::uint64_t ny, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  fdtd_2d_into(em, nx, ny, tsteps);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { fdtd_2d_into(em, nx, ny, tsteps); }));
 }
 
 void heat_3d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
@@ -435,9 +431,8 @@ void heat_3d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
 }
 
 cpu::Trace heat_3d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  heat_3d_into(em, n, tsteps);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { heat_3d_into(em, n, tsteps); }));
 }
 
 }  // namespace sttsim::workloads

@@ -77,9 +77,8 @@ void atax_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
 }
 
 cpu::Trace atax(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  atax_into(em, m, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { atax_into(em, m, n); }));
 }
 
 void bicg_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
@@ -123,9 +122,8 @@ void bicg_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
 }
 
 cpu::Trace bicg(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  bicg_into(em, m, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { bicg_into(em, m, n); }));
 }
 
 void gemver_into(Emitter& em, std::uint64_t n) {
@@ -243,9 +241,8 @@ void gemver_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace gemver(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  gemver_into(em, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { gemver_into(em, n); }));
 }
 
 void gesummv_into(Emitter& em, std::uint64_t n) {
@@ -280,9 +277,8 @@ void gesummv_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace gesummv(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  gesummv_into(em, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { gesummv_into(em, n); }));
 }
 
 void mvt_into(Emitter& em, std::uint64_t n) {
@@ -352,9 +348,7 @@ void mvt_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace mvt(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  mvt_into(em, n);
-  return em.take();
+  return cpu::reassemble(synthesize(o, [&](Emitter& em) { mvt_into(em, n); }));
 }
 
 void trisolv_into(Emitter& em, std::uint64_t n) {
@@ -387,9 +381,8 @@ void trisolv_into(Emitter& em, std::uint64_t n) {
 }
 
 cpu::Trace trisolv(std::uint64_t n, const CodegenOptions& o) {
-  Emitter em(o);
-  trisolv_into(em, n);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { trisolv_into(em, n); }));
 }
 
 }  // namespace sttsim::workloads

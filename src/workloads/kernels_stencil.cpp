@@ -91,9 +91,8 @@ void jacobi_1d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
 }
 
 cpu::Trace jacobi_1d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  jacobi_1d_into(em, n, tsteps);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { jacobi_1d_into(em, n, tsteps); }));
 }
 
 void jacobi_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
@@ -108,9 +107,8 @@ void jacobi_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
 }
 
 cpu::Trace jacobi_2d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  Emitter em(o);
-  jacobi_2d_into(em, n, tsteps);
-  return em.take();
+  return cpu::reassemble(
+      synthesize(o, [&](Emitter& em) { jacobi_2d_into(em, n, tsteps); }));
 }
 
 }  // namespace sttsim::workloads

@@ -11,9 +11,10 @@ namespace {
 std::vector<Kernel> build_suite() {
   std::vector<Kernel> s;
   // Each suite entry is wired once, as its emission body (X_into); both
-  // trace forms come from the same sequence: generate reassembles the raw
-  // trace for legacy consumers, generate_decoded hands the campaign path
-  // the packed ops directly (no TraceOp vector, no decode pass).
+  // trace forms come from the same synthesize() pass pair: generate
+  // reassembles the raw trace for legacy consumers, generate_decoded hands
+  // the campaign path the exactly-sized packed ops directly (no TraceOp
+  // vector, no decode pass, no regrowth).
   const auto add = [&](std::string name, std::string desc,
                        std::uint64_t footprint,
                        std::function<void(Emitter&)> emit) {
@@ -22,14 +23,10 @@ std::vector<Kernel> build_suite() {
     k.description = std::move(desc);
     k.footprint_bytes = footprint;
     k.generate = [emit](const CodegenOptions& o) {
-      Emitter em(o);
-      emit(em);
-      return em.take();
+      return cpu::reassemble(synthesize(o, emit));
     };
     k.generate_decoded = [emit = std::move(emit)](const CodegenOptions& o) {
-      Emitter em(o);
-      emit(em);
-      return em.take_decoded();
+      return synthesize(o, emit);
     };
     s.push_back(std::move(k));
   };

@@ -130,7 +130,7 @@ TEST(TraceCacheConcurrency, BatchedGridMatchesUnbatchedSerial) {
   // byte-identical to the serial unbatched grid, and its shared-trace
   // fan-out must be race-free — this file is recompiled under
   // ThreadSanitizer (test_exec's tsan preset builds the whole tree), so
-  // the batched tasks' concurrent reads of one compressed trace are
+  // the batched tasks' concurrent reads of one cached trace are
   // checked instrumented. Five same-class clock-varied configurations at
   // width 3 force an uneven split (a 3-lane batch plus a 2-lane one) plus
   // a different-class singleton lane.

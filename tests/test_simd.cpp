@@ -177,6 +177,10 @@ TEST(DirectSynthesis, ByteIdenticalAcrossSuiteAndCodegen) {
                             direct.ops.size() * sizeof(cpu::DecodedOp)),
                 0);
       EXPECT_EQ(direct.store_values, via_decode.store_values);
+      // Sized by the counting pass: each array was allocated once, at its
+      // exact final size, and never regrew.
+      EXPECT_EQ(direct.ops.capacity(), direct.ops.size());
+      EXPECT_EQ(direct.store_values.capacity(), direct.store_values.size());
     }
   }
 }

@@ -545,9 +545,9 @@ TEST(TraceStoreIntegration, WarmRunGeneratesZeroTracesAndStaysIdentical) {
   std::remove(path.c_str());
 }
 
-// The stored blob must reproduce the generated workload bit for bit: the
-// decoded ops, the compressed stream, and the raw-trace reassembly all
-// match a storeless generation.
+// The stored blob must reproduce the generated trace bit for bit: the
+// decoded ops and store payloads the cache keeps after decompressing it,
+// and the raw-trace reassembly, all match a storeless generation.
 TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
   const workloads::Kernel& kernel = workloads::find_kernel("gemm");
   const workloads::CodegenOptions opts = workloads::CodegenOptions::none();

@@ -52,13 +52,19 @@ TEST(CodegenOptions, Labels) {
   EXPECT_EQ(CodegenOptions::only_branch_opts().label(), "br");
 }
 
+/// Raw trace of one emission body, through both synthesize() passes.
+template <typename Body>
+cpu::Trace emit(const CodegenOptions& o, const Body& body) {
+  return cpu::reassemble(synthesize(o, body));
+}
+
 TEST(Emitter, MergesConsecutiveExec) {
-  Emitter em(kBase);
-  em.exec(2);
-  em.flop(3);
-  em.loop_iter();
-  em.load(0x100);
-  const cpu::Trace t = em.take();
+  const cpu::Trace t = emit(kBase, [](Emitter& em) {
+    em.exec(2);
+    em.flop(3);
+    em.loop_iter();
+    em.load(0x100);
+  });
   ASSERT_EQ(t.size(), 2u);
   EXPECT_EQ(t[0].kind, cpu::OpKind::kExec);
   EXPECT_EQ(t[0].count, 2u + 3 + 3);  // loop_iter = 3 without branch opts
@@ -66,14 +72,14 @@ TEST(Emitter, MergesConsecutiveExec) {
 }
 
 TEST(Emitter, BranchOptsShrinkLoopOverhead) {
-  Emitter plain(kBase);
-  plain.loop_iter();
-  plain.loop_setup();
-  Emitter opt(CodegenOptions::only_branch_opts());
-  opt.loop_iter();
-  opt.loop_setup();
-  EXPECT_EQ(summarize(plain.take()).instructions, 6u);  // 3 + 3
-  EXPECT_EQ(summarize(opt.take()).instructions, 2u);    // 1 + 1
+  const auto body = [](Emitter& em) {
+    em.loop_iter();
+    em.loop_setup();
+  };
+  EXPECT_EQ(summarize(emit(kBase, body)).instructions, 6u);  // 3 + 3
+  EXPECT_EQ(summarize(emit(CodegenOptions::only_branch_opts(), body))
+                .instructions,
+            2u);  // 1 + 1
 }
 
 TEST(Emitter, WidthFollowsVectorization) {
@@ -82,28 +88,42 @@ TEST(Emitter, WidthFollowsVectorization) {
 }
 
 TEST(Emitter, StreamLoadDropsPrefetchAtLineBoundary) {
-  CodegenOptions o = CodegenOptions::only_prefetch();
-  Emitter em(o);
-  for (Addr a = 0; a < 128; a += 8) em.stream_load(a);
-  const TraceSummary s = summarize(em.take());
+  const TraceSummary s =
+      summarize(emit(CodegenOptions::only_prefetch(), [](Emitter& em) {
+        for (Addr a = 0; a < 128; a += 8) em.stream_load(a);
+      }));
   EXPECT_EQ(s.loads, 16u);
   EXPECT_EQ(s.prefetches, 2u);  // one per 64 B line entered
 }
 
 TEST(Emitter, StreamLoadEmitsNoPrefetchWhenDisabled) {
-  Emitter em(kBase);
-  for (Addr a = 0; a < 128; a += 8) em.stream_load(a);
-  EXPECT_EQ(summarize(em.take()).prefetches, 0u);
+  const cpu::Trace t = emit(kBase, [](Emitter& em) {
+    for (Addr a = 0; a < 128; a += 8) em.stream_load(a);
+  });
+  EXPECT_EQ(summarize(t).prefetches, 0u);
 }
 
 TEST(Emitter, PrefetchTargetsAheadOfTheStream) {
-  CodegenOptions o = CodegenOptions::only_prefetch();
-  Emitter em(o);
-  em.stream_load(0);  // first in line 0 -> prefetch 0 + distance
-  const cpu::Trace t = em.take();
+  const CodegenOptions o = CodegenOptions::only_prefetch();
+  const cpu::Trace t = emit(o, [](Emitter& em) {
+    em.stream_load(0);  // first in line 0 -> prefetch 0 + distance
+  });
   ASSERT_EQ(t.size(), 2u);
   EXPECT_EQ(t[0].kind, cpu::OpKind::kPrefetch);
   EXPECT_EQ(t[0].addr, o.prefetch_distance_bytes);
+}
+
+TEST(EmitterDeathTest, FillPassThatOutgrowsItsCountAborts) {
+  // A body that emits more on its second run than the counting pass saw is
+  // a generator bug; the fill refuses to hand back a regrown trace.
+  const auto grows = [] {
+    int runs = 0;
+    synthesize(kBase, [&runs](Emitter& em) {
+      for (int i = 0; i <= runs; ++i) em.load(0x100);
+      ++runs;
+    });
+  };
+  EXPECT_DEATH(grows(), "check failed");
 }
 
 // ---- Closed-form scalar memory-op counts. ----
