@@ -1,16 +1,12 @@
 // Shared command-line handling for the figure benches.
 //
 // Usage of every fig binary:
-//   figN [--csv] [--kernels=a,b,c] [--jobs=N] [--batch=K]
-//        [--store=PATH] [--no-store] [--trace-store=PATH]
-//        [--no-trace-store] [--deadline=SECS]
+//   figN [--csv] [--kernels=a,b,c] [--jobs=N] [--store=PATH] [--no-store]
+//        [--trace-store=PATH] [--no-trace-store] [--deadline=SECS]
 // With no arguments the full 14-kernel suite is run and a fixed-width table
 // (matching the paper figure's bars, plus the AVERAGE bar) is printed.
 // --jobs sets the worker-pool width of the parallel experiment engine
 // (default: one per hardware thread; --jobs=1 is the serial path).
-// --batch sets the config-parallel batch width: each pool task replays one
-// compressed-trace pass over up to K same-class DL1 configurations
-// (default: 1 — the unbatched path; results are identical either way).
 // --store=PATH opens (creating if absent) the persistent result store:
 // previously simulated grid points are read back instead of re-simulated,
 // new points are appended. The STTSIM_RESULT_STORE environment variable
@@ -28,9 +24,9 @@
 // graceful SIGINT handler: after the first Ctrl-C, in-flight points finish
 // (and stay persisted in the store, so a re-run resumes where it left off)
 // and the rest are skipped; a second Ctrl-C kills the process.
-// --jobs, --batch and --deadline take numbers, read by the strict parsers
-// the sttsim CLI shares (util/text.hpp); a malformed value, like an unknown
-// flag, prints the usage line and exits 2.
+// --jobs and --deadline take numbers, read by the strict parsers the sttsim
+// CLI shares (util/text.hpp); a malformed value, like an unknown flag,
+// prints the usage line and exits 2.
 #pragma once
 
 #include <cstdio>
@@ -55,7 +51,6 @@ struct Options {
   bool csv = false;
   std::vector<std::string> kernels;
   unsigned jobs = 0;   ///< 0 = hardware_concurrency
-  unsigned batch = 1;  ///< config-parallel lanes per grid task; 1 = unbatched
   std::string store;   ///< result-store path; "" = memoization disabled
   std::string trace_store;  ///< trace-store path; "" = persistence disabled
   double deadline_s = 0.0;  ///< wall-clock budget per grid; 0 = none
@@ -82,7 +77,7 @@ inline void open_trace_store(const std::string& path) {
 [[noreturn]] inline void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--csv] [--kernels=a,b,c] [--jobs=N] "
-               "[--batch=K] [--store=PATH] [--no-store] "
+               "[--store=PATH] [--no-store] "
                "[--trace-store=PATH] [--no-trace-store] "
                "[--deadline=SECS]\n",
                argv0);
@@ -107,8 +102,6 @@ inline Options parse(int argc, char** argv) {
       o.trace_store = arg.substr(14);
     } else if (arg.rfind("--jobs=", 0) == 0) {
       if (!parse_unsigned(arg.c_str() + 7, o.jobs)) usage(argv[0]);
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      if (!parse_unsigned(arg.c_str() + 8, o.batch)) usage(argv[0]);
     } else if (arg.rfind("--deadline=", 0) == 0) {
       if (!parse_finite(arg.c_str() + 11, o.deadline_s)) usage(argv[0]);
     } else if (arg.rfind("--kernels=", 0) == 0) {
@@ -140,7 +133,6 @@ inline Options parse(int argc, char** argv) {
   }
   if (no_trace_store) o.trace_store.clear();
   exec::set_default_jobs(o.jobs);
-  exec::set_default_batch(o.batch);
   exec::set_default_request(exec::CampaignRequest{o.deadline_s});
   exec::install_interrupt_handler();
   if (!o.store.empty()) open_result_store(o.store);

@@ -67,13 +67,14 @@ BENCHMARK(BM_SimulateKernel)
     ->Arg(static_cast<int>(cpu::Dl1Organization::kNvmEmshr))
     ->Arg(static_cast<int>(cpu::Dl1Organization::kNvmWriteBuf));
 
-// The same replay through InOrderCore's generic virtual-dispatch loop — the
-// devirtualized fast path's reference. The ratio of the two benchmarks is
-// the hot-path overhaul's speedup.
+// The same replay loop instantiated over the virtual core::Dl1System
+// interface (System::run_reference) — the reference of the per-class
+// instantiations. The ratio of the two benchmarks is what static dispatch
+// and the single-granule entries buy.
 void BM_SimulateKernelReference(benchmark::State& state) {
   const auto org = static_cast<cpu::Dl1Organization>(state.range(0));
-  const auto trace =
-      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none());
+  const cpu::DecodedTrace trace = cpu::decode(
+      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none()));
   cpu::SystemConfig cfg;
   cfg.organization = org;
   cpu::System system(cfg);

@@ -3,17 +3,15 @@
 // experiment engine. Prints throughput and exits nonzero on the first
 // divergence (after ddmin minimization, writing a replayable reproducer).
 //
-//   oracle_campaign [--seeds=N] [--ops=N] [--jobs=N] [--batch=K]
+//   oracle_campaign [--seeds=N] [--ops=N] [--jobs=N]
 //
-// With --batch=K each (organization, region, seed) probe additionally runs
-// the config-parallel batched replay stack — K clock-varied lanes of the
-// organization over the compressed trace — against an independent oracle
-// replay per lane (check::run_batch_differential).
+// --seeds and --ops must be positive and --jobs non-negative decimal
+// integers (util/text.hpp's strict parser); anything else prints usage and
+// exits 2, so a soak that would run nothing is never reported clean.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <mutex>
 #include <string>
@@ -23,6 +21,7 @@
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/util/rng.hpp"
+#include "sttsim/util/text.hpp"
 
 // The same generator the test tier uses, so a soak failure is replayable
 // as a test case by seed alone.
@@ -44,29 +43,30 @@ struct Job {
   Addr region;
 };
 
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--seeds=N] [--ops=N] [--jobs=N]\n", argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::uint64_t seeds = 500;
-  std::size_t ops = 2000;
-  unsigned batch = 0;
+  std::uint64_t ops = 2000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::strtoull(arg.c_str() + 8, nullptr, 10);
+      if (!parse_unsigned(arg.c_str() + 8, seeds) || seeds == 0) {
+        usage(argv[0]);
+      }
     } else if (arg.rfind("--ops=", 0) == 0) {
-      ops = std::strtoull(arg.c_str() + 6, nullptr, 10);
+      if (!parse_unsigned(arg.c_str() + 6, ops) || ops == 0) usage(argv[0]);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      exec::set_default_jobs(
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10)));
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      batch =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 8, nullptr, 10));
+      unsigned jobs = 0;
+      if (!parse_unsigned(arg.c_str() + 7, jobs)) usage(argv[0]);
+      exec::set_default_jobs(jobs);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--seeds=N] [--ops=N] [--jobs=N] [--batch=K]\n",
-                   argv[0]);
-      return 2;
+      usage(argv[0]);
     }
   }
 
@@ -96,16 +96,7 @@ int main(int argc, char** argv) {
       cpu::SystemConfig cfg;
       cfg.organization = job.org;
       const cpu::Trace trace = testutil::random_trace(job.seed, ops, job.region);
-      check::Divergence div = check::run_differential(cfg, trace);
-      if (!div.diverged && batch > 1) {
-        // Same probe through the batched stack: K clock-varied lanes of
-        // this organization, each checked against its own oracle replay.
-        std::vector<cpu::SystemConfig> lanes(batch, cfg);
-        for (unsigned l = 0; l < batch; ++l) {
-          lanes[l].clock_ghz = 1.0 + 0.25 * l;
-        }
-        div = check::run_batch_differential(lanes, trace);
-      }
+      const check::Divergence div = check::run_differential(cfg, trace);
       done.fetch_add(1, std::memory_order_relaxed);
       if (!div.diverged) return;
       std::lock_guard<std::mutex> lock(fail_mutex);
@@ -130,9 +121,10 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   const std::uint64_t n = done.load();
-  std::printf("oracle campaign: %llu differential runs (%zu ops each), "
+  std::printf("oracle campaign: %llu differential runs (%llu ops each), "
               "%.1f s, %.0f runs/s — %s\n",
-              static_cast<unsigned long long>(n), ops, secs,
+              static_cast<unsigned long long>(n),
+              static_cast<unsigned long long>(ops), secs,
               secs > 0 ? n / secs : 0.0, failed ? "DIVERGED" : "clean");
   return failed ? 1 : 0;
 }

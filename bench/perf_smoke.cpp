@@ -2,13 +2,11 @@
 // regenerated serially (--jobs=1) and on the full worker pool, checking the
 // outputs are byte-identical, (b) the single-thread replay microbenchmark —
 // every DL1 organization replaying one decoded gemm trace through the
-// devirtualized fast path and through the generic virtual-dispatch
-// reference loop — and (c) the batched-replay microbenchmark: the same
-// decoded trace driving four clock-varied configurations of each
-// organization in one pass (cpu::System::run_batch), against the same work
-// done as four solo fast-path replays. Results go to
-// BENCH_perf.json at the repo root — the repo's performance trajectory
-// file, diffed by tools/perf_compare.
+// replay loop instantiated over its concrete class and over the virtual
+// core::Dl1System interface (System::run_reference) — and (c) result-store
+// and trace-store cold/warm passes. Results go to BENCH_perf.json at the
+// repo root — the repo's performance trajectory file, diffed by
+// tools/perf_compare.
 //
 // Usage: perf_smoke [--jobs=N] [--kernels=a,b,c] [--out=FILE] [--quick]
 //   --jobs=N     pool width for the parallel pass (default: hardware)
@@ -25,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
@@ -125,7 +122,7 @@ double time_replays(const std::function<void()>& run, unsigned reps) {
   return best;
 }
 
-ReplayResult bench_replay(cpu::Dl1Organization org, const cpu::Trace& trace,
+ReplayResult bench_replay(cpu::Dl1Organization org,
                           const cpu::DecodedTrace& decoded, unsigned fast_reps,
                           unsigned ref_reps) {
   cpu::SystemConfig cfg;
@@ -137,80 +134,16 @@ ReplayResult bench_replay(cpu::Dl1Organization org, const cpu::Trace& trace,
   // Field-for-field equality of the two loops (the flat JSON dump covers
   // every core and memory counter).
   const sim::RunStats fast = system.run(decoded);
-  const sim::RunStats ref = system.run_reference(trace);
+  const sim::RunStats ref = system.run_reference(decoded);
   r.identical_stats = sim::to_json(fast) == sim::to_json(ref);
 
   const double ops = static_cast<double>(decoded.size());
   const double fast_s =
       time_replays([&] { system.run(decoded); }, fast_reps);
   const double ref_s =
-      time_replays([&] { system.run_reference(trace); }, ref_reps);
+      time_replays([&] { system.run_reference(decoded); }, ref_reps);
   r.fast_ops_per_sec = fast_s <= 0.0 ? 0.0 : ops / fast_s;
   r.ref_ops_per_sec = ref_s <= 0.0 ? 0.0 : ops / ref_s;
-  return r;
-}
-
-// ---- Batched replay microbenchmark -----------------------------------
-// Four clock-varied configurations of one organization, replayed (a) as
-// four solo fast-path runs and (b) as one batched pass, both over the
-// decoded trace the grid layer's trace cache holds. Both do identical
-// simulation work, so the ratio is the batching speedup the grid layer sees
-// per task.
-
-struct BatchReplayResult {
-  const char* org = "";
-  double solo_ops_per_sec = 0.0;   ///< aggregate lane-ops/s, solo runs
-  double batch_ops_per_sec = 0.0;  ///< aggregate lane-ops/s, batched pass
-  bool identical_stats = false;    ///< batched lane i == solo run i
-};
-
-BatchReplayResult bench_batch_replay(cpu::Dl1Organization org,
-                                     const cpu::DecodedTrace& decoded,
-                                     unsigned lanes_n, unsigned reps) {
-  std::vector<cpu::SystemConfig> cfgs(lanes_n);
-  for (unsigned i = 0; i < lanes_n; ++i) {
-    cfgs[i].organization = org;
-    cfgs[i].clock_ghz = 1.0 + 0.25 * i;  // distinct timing per lane
-  }
-  std::vector<cpu::System> systems;
-  systems.reserve(lanes_n);
-  for (const cpu::SystemConfig& cfg : cfgs) systems.emplace_back(cfg);
-  std::vector<cpu::System*> lanes;
-  for (cpu::System& s : systems) lanes.push_back(&s);
-
-  BatchReplayResult r;
-  r.org = cpu::to_string(org);
-
-  // Lane-for-lane equality with the solo fast path (every counter, via the
-  // flat JSON dump).
-  const std::vector<sim::RunStats> batched =
-      cpu::System::run_batch(decoded, lanes);
-  r.identical_stats = true;
-  for (unsigned i = 0; i < lanes_n; ++i) {
-    cpu::System solo(cfgs[i]);
-    r.identical_stats = r.identical_stats &&
-                        sim::to_json(batched[i]) == sim::to_json(solo.run(decoded));
-  }
-
-  // The two sides are timed in alternation (solo rep, batch rep, ...) so a
-  // burst of host contention degrades both mins equally instead of skewing
-  // whichever side's rep block it landed in.
-  const double lane_ops = static_cast<double>(decoded.size()) * lanes_n;
-  double solo_s = 0.0;
-  double batch_s = 0.0;
-  for (unsigned i = 0; i < reps; ++i) {
-    const double s = time_replays(
-        [&] {
-          for (cpu::System& s2 : systems) s2.run(decoded);
-        },
-        1);
-    const double b =
-        time_replays([&] { cpu::System::run_batch(decoded, lanes); }, 1);
-    if (i == 0 || s < solo_s) solo_s = s;
-    if (i == 0 || b < batch_s) batch_s = b;
-  }
-  r.solo_ops_per_sec = solo_s <= 0.0 ? 0.0 : lane_ops / solo_s;
-  r.batch_ops_per_sec = batch_s <= 0.0 ? 0.0 : lane_ops / batch_s;
   return r;
 }
 
@@ -317,9 +250,8 @@ int main(int argc, char** argv) {
 
   // Replay microbenchmark: all six organizations over one shared decoded
   // trace. Rep counts are fixed (not adaptive) so runs stay comparable.
-  const auto replay_trace =
-      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none());
-  const cpu::DecodedTrace replay_decoded = cpu::decode(replay_trace);
+  const cpu::DecodedTrace gemm_decoded = cpu::decode(
+      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none()));
   const unsigned fast_reps = quick ? 24 : 96;
   const unsigned ref_reps = quick ? 8 : 24;
   const cpu::Dl1Organization orgs[] = {
@@ -332,9 +264,9 @@ int main(int argc, char** argv) {
   bool all_stats_identical = true;
   for (const cpu::Dl1Organization org : orgs) {
     const ReplayResult r =
-        bench_replay(org, replay_trace, replay_decoded, fast_reps, ref_reps);
+        bench_replay(org, gemm_decoded, fast_reps, ref_reps);
     all_stats_identical = all_stats_identical && r.identical_stats;
-    const double ops = static_cast<double>(replay_decoded.size());
+    const double ops = static_cast<double>(gemm_decoded.size());
     fast_time_s += r.fast_ops_per_sec <= 0.0 ? 0.0 : ops / r.fast_ops_per_sec;
     ref_time_s += r.ref_ops_per_sec <= 0.0 ? 0.0 : ops / r.ref_ops_per_sec;
     const double speedup =
@@ -351,7 +283,7 @@ int main(int argc, char** argv) {
                 r.org, r.fast_ops_per_sec, r.ref_ops_per_sec, speedup,
                 r.identical_stats ? "" : "  [STATS MISMATCH]");
   }
-  const double agg_ops = static_cast<double>(replay_decoded.size()) *
+  const double agg_ops = static_cast<double>(gemm_decoded.size()) *
                          static_cast<double>(std::size(orgs));
   const double fast_agg = fast_time_s <= 0.0 ? 0.0 : agg_ops / fast_time_s;
   const double ref_agg = ref_time_s <= 0.0 ? 0.0 : agg_ops / ref_time_s;
@@ -360,73 +292,11 @@ int main(int argc, char** argv) {
       "    \"organizations\": [\n%s\n    ],\n"
       "    \"fast_agg_ops_per_sec\": %.0f, \"reference_agg_ops_per_sec\": "
       "%.0f, \"speedup\": %.2f, \"identical_stats\": %s\n  }",
-      static_cast<unsigned long long>(replay_decoded.size()),
+      static_cast<unsigned long long>(gemm_decoded.size()),
       replay_entries.c_str(), fast_agg, ref_agg,
       ref_agg <= 0.0 ? 0.0 : fast_agg / ref_agg,
       all_stats_identical ? "true" : "false");
   all_identical = all_identical && all_stats_identical;
-
-  // Batched replay: K clock-varied lanes per organization over the
-  // decoded trace, vs the same K configurations run solo. The compressed
-  // size is reported for the trace store, which holds that form on disk.
-  const cpu::CompressedTrace replay_compressed = cpu::compress(replay_decoded);
-  const unsigned batch_lanes = 4;
-  const unsigned batch_reps = quick ? 6 : 24;
-  std::string batch_entries;
-  double batch_solo_time_s = 0.0;
-  double batch_time_s = 0.0;
-  bool batch_identical = true;
-  for (const cpu::Dl1Organization org : orgs) {
-    const BatchReplayResult r =
-        bench_batch_replay(org, replay_decoded, batch_lanes, batch_reps);
-    batch_identical = batch_identical && r.identical_stats;
-    const double lane_ops =
-        static_cast<double>(replay_decoded.size()) * batch_lanes;
-    batch_solo_time_s +=
-        r.solo_ops_per_sec <= 0.0 ? 0.0 : lane_ops / r.solo_ops_per_sec;
-    batch_time_s +=
-        r.batch_ops_per_sec <= 0.0 ? 0.0 : lane_ops / r.batch_ops_per_sec;
-    const double speedup = r.solo_ops_per_sec <= 0.0
-                               ? 0.0
-                               : r.batch_ops_per_sec / r.solo_ops_per_sec;
-    if (!batch_entries.empty()) batch_entries += ",\n";
-    batch_entries += strprintf(
-        "      {\"org\": \"%s\", \"solo_ops_per_sec\": %.0f, "
-        "\"batch_ops_per_sec\": %.0f, \"speedup_vs_fast\": %.2f, "
-        "\"identical_stats\": %s}",
-        r.org, r.solo_ops_per_sec, r.batch_ops_per_sec, speedup,
-        r.identical_stats ? "true" : "false");
-    std::printf("batch  %-14s solo %8.3g ops/s | batched(x%u) %8.3g ops/s | "
-                "x%.2f%s\n",
-                r.org, r.solo_ops_per_sec, batch_lanes, r.batch_ops_per_sec,
-                speedup, r.identical_stats ? "" : "  [STATS MISMATCH]");
-  }
-  const double batch_total_ops = static_cast<double>(replay_decoded.size()) *
-                                 batch_lanes *
-                                 static_cast<double>(std::size(orgs));
-  const double batch_solo_agg =
-      batch_solo_time_s <= 0.0 ? 0.0 : batch_total_ops / batch_solo_time_s;
-  const double batch_agg =
-      batch_time_s <= 0.0 ? 0.0 : batch_total_ops / batch_time_s;
-  const double compression_ratio =
-      replay_compressed.bytes.empty()
-          ? 0.0
-          : static_cast<double>(replay_compressed.decoded_bytes()) /
-                static_cast<double>(replay_compressed.bytes.size());
-  const std::string batch_json = strprintf(
-      "{\n    \"trace\": \"gemm_32\", \"lanes\": %u,\n"
-      "    \"compressed_bytes\": %llu, \"decoded_bytes\": %llu, "
-      "\"compression_ratio\": %.2f,\n"
-      "    \"organizations\": [\n%s\n    ],\n"
-      "    \"solo_agg_ops_per_sec\": %.0f, \"batch_agg_ops_per_sec\": %.0f, "
-      "\"speedup_vs_fast\": %.2f, \"identical_stats\": %s\n  }",
-      batch_lanes,
-      static_cast<unsigned long long>(replay_compressed.bytes.size()),
-      static_cast<unsigned long long>(replay_compressed.decoded_bytes()),
-      compression_ratio, batch_entries.c_str(), batch_solo_agg, batch_agg,
-      batch_solo_agg <= 0.0 ? 0.0 : batch_agg / batch_solo_agg,
-      batch_identical ? "true" : "false");
-  all_identical = all_identical && batch_identical;
 
   // ---- Result-store cold/warm section --------------------------------
   // One figure regenerated twice against a fresh on-disk result store: the
@@ -527,13 +397,12 @@ int main(int argc, char** argv) {
       "{\n  \"bench\": \"perf_smoke\",\n  \"hardware_jobs\": %u,\n"
       "  \"parallel_jobs\": %u,\n  \"figures\": [\n%s\n  ],\n"
       "  \"replay\": %s,\n"
-      "  \"batch\": %s,\n"
       "  \"store\": %s,\n"
       "  \"trace_store\": %s,\n"
       "  \"total\": {\"serial_wall_ms\": %.2f, \"parallel_wall_ms\": %.2f, "
       "\"speedup\": %.2f, \"identical_output\": %s}\n}\n",
       exec::hardware_jobs(), jobs, entries.c_str(), replay_json.c_str(),
-      batch_json.c_str(), store_json.c_str(), tstore_json.c_str(),
+      store_json.c_str(), tstore_json.c_str(),
       serial_total_ms, parallel_total_ms, total_speedup,
       all_identical ? "true" : "false");
 

@@ -3,12 +3,10 @@
 //   tag-match   scalar reference mask loop vs util::simd::match_mask_u64
 //               over packed tag arrays at the associativities the sweeps
 //               exercise (8/16/32/64 ways)
-//   lane-adv    scalar clock-advance loop vs util::simd::add_u64 at the
-//               batch widths run_points_batched uses (K = 4/8/16/64)
 //   vwb-probe   VeryWideBuffer::probe over a resident/absent address mix
 //               (the L0/EMSHR front's per-access tag scan)
 //   cursor      CompressedCursor streaming decode of the compressed gemm
-//               trace (the batched replay's per-pass op source)
+//               trace (the trace store's decode path)
 //
 // Every SIMD result is compared against the scalar reference in the same
 // run — a mismatch prints the offending probe and exits 1, so the `perf`
@@ -24,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <vector>
 
@@ -59,11 +56,6 @@ double best_seconds(int reps, Fn&& fn) {
     mask |= static_cast<std::uint64_t>(values[i] == key) << i;
   }
   return mask;
-}
-
-[[gnu::noinline]] void scalar_add(std::uint64_t* values, unsigned n,
-                                  std::uint64_t delta) {
-  for (unsigned i = 0; i < n; ++i) values[i] += delta;
 }
 
 // Accumulator the timed loops feed so their work cannot be optimized away;
@@ -115,39 +107,6 @@ bool bench_tag_match(std::mt19937_64& rng, int reps, std::size_t probes) {
         "%.2fx\n",
         assoc, ts / static_cast<double>(probes) * 1e9,
         tv / static_cast<double>(probes) * 1e9, ts / tv);
-  }
-  return ok;
-}
-
-bool bench_lane_advance(int reps, std::size_t steps) {
-  std::printf("-- lane-adv: batched clock advance, %zu steps\n", steps);
-  bool ok = true;
-  for (unsigned lanes : {4u, 8u, 16u, 64u}) {
-    std::vector<std::uint64_t> a(lanes), b(lanes);
-    for (unsigned i = 0; i < lanes; ++i) a[i] = b[i] = i * 977u;
-    scalar_add(a.data(), lanes, 3);
-    sttsim::util::simd::add_u64(b.data(), lanes, 3);
-    if (std::memcmp(a.data(), b.data(), lanes * sizeof(std::uint64_t)) != 0) {
-      std::fprintf(stderr, "lane-adv MISMATCH lanes=%u\n", lanes);
-      ok = false;
-    }
-    const double ts = best_seconds(reps, [&] {
-      for (std::size_t s = 0; s < steps; ++s) {
-        scalar_add(a.data(), lanes, s & 7);
-      }
-      g_sink += a[0];
-    });
-    const double tv = best_seconds(reps, [&] {
-      for (std::size_t s = 0; s < steps; ++s) {
-        sttsim::util::simd::add_u64(b.data(), lanes, s & 7);
-      }
-      g_sink += b[0];
-    });
-    std::printf(
-        "   lanes %2u   scalar %6.2f ns/step    simd %6.2f ns/step    "
-        "%.2fx\n",
-        lanes, ts / static_cast<double>(steps) * 1e9,
-        tv / static_cast<double>(steps) * 1e9, ts / tv);
   }
   return ok;
 }
@@ -222,14 +181,12 @@ bool bench_cursor_decode(int reps) {
 int main(int argc, char** argv) {
   int reps = 5;
   std::size_t probes = 1u << 16;
-  std::size_t steps = 1u << 20;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--reps=", 0) == 0) {
       reps = std::atoi(arg.c_str() + 7);
     } else if (arg == "--quick") {
       probes = 1u << 12;
-      steps = 1u << 16;
       reps = std::min(reps, 3);
     } else {
       std::fprintf(stderr, "usage: %s [--reps=N] [--quick]\n", argv[0]);
@@ -241,7 +198,6 @@ int main(int argc, char** argv) {
   std::mt19937_64 rng(0x5eed);
   bool ok = true;
   ok &= bench_tag_match(rng, reps, probes);
-  ok &= bench_lane_advance(reps, steps);
   bench_vwb_probe(rng, reps, probes);
   ok &= bench_cursor_decode(reps);
   std::printf("sink %#" PRIx64 "  %s\n", g_sink, ok ? "OK" : "MISMATCH");

@@ -64,7 +64,7 @@ class NarrowFrontDl1System final : public core::Dl1System {
   /// log2 of the access granularity (one front entry).
   unsigned granule_shift() const { return log2_exact(cfg_.entry_bytes); }
 
-  /// Single-granule entries for the replay fast path (cpu::replay_decoded).
+  /// Single-granule entries for the replay loop (cpu::replay).
   /// Precondition: the access lies within one front entry.
   sim::Cycle load_single(Addr addr, sim::Cycle now) {
     stats_.loads += 1;

@@ -5,8 +5,7 @@
 #include <fstream>
 #include <utility>
 
-#include "sttsim/cpu/batch_replay.hpp"
-#include "sttsim/cpu/in_order_core.hpp"
+#include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/util/text.hpp"
 
@@ -69,10 +68,11 @@ Divergence run_differential(const cpu::SystemConfig& config,
 
   Divergence div;
   std::size_t shadow_seen = 0;
-  cpu::InOrderCore core;
-  core.run_observed(trace, system.dl1(), [&](const cpu::OpEvent& ev) {
+  // The oracle reads each op, store payload included, from the raw trace
+  // by index (the decoded form keeps payloads in a store-ordinal sidecar).
+  system.run_observed(cpu::decode(trace), [&](const cpu::OpEvent& ev) {
     if (div.diverged) return;  // oracle stops at the first divergence
-    const cpu::TraceOp& op = *ev.op;
+    const cpu::TraceOp& op = trace[ev.index];
 
     sim::Cycle predicted = 0;
     switch (op.kind) {
@@ -136,145 +136,6 @@ Divergence run_differential(const cpu::SystemConfig& config,
           static_cast<unsigned>(v.expected), static_cast<unsigned>(v.observed));
     }
   });
-  return div;
-}
-
-Divergence run_batch_differential(const std::vector<cpu::SystemConfig>& configs,
-                                  const cpu::Trace& trace,
-                                  const OracleFaults& faults) {
-  Divergence div;
-  if (configs.empty()) return div;
-  for (const cpu::SystemConfig& c : configs) c.validate();
-
-  // The production side: the full batched stack — decode, delta/RLE
-  // compression, class-homogeneous lane partitioning, one replay pass per
-  // partition — exactly as the grid layer schedules it.
-  const cpu::DecodedTrace decoded = cpu::decode(trace);
-  const cpu::CompressedTrace compressed = cpu::compress(decoded);
-  std::vector<sim::RunStats> batched(configs.size());
-  for (const std::vector<std::size_t>& part :
-       cpu::partition_batches(configs, cpu::kMaxBatchLanes)) {
-    std::vector<cpu::System> systems;
-    systems.reserve(part.size());
-    for (const std::size_t i : part) {
-      systems.emplace_back(configs[i], cpu::System::kPrevalidated);
-    }
-    std::vector<cpu::System*> lanes;
-    lanes.reserve(systems.size());
-    for (cpu::System& s : systems) lanes.push_back(&s);
-    const std::vector<sim::RunStats> stats =
-        cpu::System::run_batch(compressed, lanes);
-    for (std::size_t i = 0; i < part.size(); ++i) batched[part[i]] = stats[i];
-  }
-
-  // The oracle side: replay the raw trace over a fresh reference DL1 per
-  // configuration with the replay loop's timing semantics, then compare
-  // final states lane by lane.
-  for (std::size_t lane = 0; lane < configs.size(); ++lane) {
-    std::unique_ptr<ReferenceDl1> oracle =
-        make_reference_dl1(configs[lane], faults);
-    sim::RunStats want;
-    sim::Cycle now = 0;
-    for (const cpu::TraceOp& op : trace) {
-      switch (op.kind) {
-        case cpu::OpKind::kExec:
-          want.core.instructions += op.count;
-          want.core.exec_cycles += op.count;
-          now += op.count;
-          break;
-        case cpu::OpKind::kLoad: {
-          want.core.instructions += 1;
-          want.core.mem_instructions += 1;
-          want.core.exec_cycles += 1;
-          const sim::Cycle issue_done = now + 1;
-          const sim::Cycle done = std::max<sim::Cycle>(
-              issue_done, oracle->load(op.addr, op.size, now));
-          want.core.read_stall_cycles += done - issue_done;
-          now = done;
-          break;
-        }
-        case cpu::OpKind::kStore: {
-          want.core.instructions += 1;
-          want.core.mem_instructions += 1;
-          want.core.exec_cycles += 1;
-          const sim::Cycle issue_done = now + 1;
-          const sim::Cycle done = std::max<sim::Cycle>(
-              issue_done, oracle->store(op.addr, op.size, op.value, now));
-          want.core.write_stall_cycles += done - issue_done;
-          now = done;
-          break;
-        }
-        case cpu::OpKind::kPrefetch:
-          want.core.instructions += 1;
-          want.core.exec_cycles += 1;
-          oracle->prefetch(op.addr, now);
-          now += 1;
-          break;
-      }
-    }
-    want.core.total_cycles = now;
-    want.mem = oracle->stats();
-
-    const auto flag = [&](const char* field, std::uint64_t expected,
-                          std::uint64_t observed) {
-      div.diverged = true;
-      div.lane = lane;
-      div.field = field;
-      div.expected = expected;
-      div.observed = observed;
-      div.detail = strprintf(
-          "batch lane %zu (%s): %s oracle=%llu batched=%llu", lane,
-          cpu::to_string(configs[lane].organization), field,
-          static_cast<unsigned long long>(expected),
-          static_cast<unsigned long long>(observed));
-    };
-
-    const sim::RunStats& got = batched[lane];
-    if (want.core.total_cycles != got.core.total_cycles) {
-      flag("total_cycles", want.core.total_cycles, got.core.total_cycles);
-      return div;
-    }
-    if (want.core.instructions != got.core.instructions) {
-      flag("instructions", want.core.instructions, got.core.instructions);
-      return div;
-    }
-    if (want.core.mem_instructions != got.core.mem_instructions) {
-      flag("mem_instructions", want.core.mem_instructions,
-           got.core.mem_instructions);
-      return div;
-    }
-    if (want.core.exec_cycles != got.core.exec_cycles) {
-      flag("exec_cycles", want.core.exec_cycles, got.core.exec_cycles);
-      return div;
-    }
-    if (want.core.read_stall_cycles != got.core.read_stall_cycles) {
-      flag("read_stall_cycles", want.core.read_stall_cycles,
-           got.core.read_stall_cycles);
-      return div;
-    }
-    if (want.core.write_stall_cycles != got.core.write_stall_cycles) {
-      flag("write_stall_cycles", want.core.write_stall_cycles,
-           got.core.write_stall_cycles);
-      return div;
-    }
-    for (const StatField& f : kMemStatFields) {
-      if (want.mem.*(f.member) != got.mem.*(f.member)) {
-        flag(f.name, want.mem.*(f.member), got.mem.*(f.member));
-        return div;
-      }
-    }
-    if (!oracle->shadow_violations().empty()) {
-      const ShadowViolation& v = oracle->shadow_violations().front();
-      flag("shadow", v.expected, v.observed);
-      div.detail = strprintf(
-          "batch lane %zu (%s): shadow at 0x%llx level=%s expected=0x%02x "
-          "observed=0x%02x",
-          lane, cpu::to_string(configs[lane].organization),
-          static_cast<unsigned long long>(v.addr), v.level.c_str(),
-          static_cast<unsigned>(v.expected), static_cast<unsigned>(v.observed));
-      return div;
-    }
-  }
   return div;
 }
 

@@ -18,7 +18,6 @@ namespace sttsim::check {
 struct Divergence {
   bool diverged = false;
   std::size_t op_index = 0;  ///< index of the offending op in the trace
-  std::size_t lane = 0;      ///< batch lane (run_batch_differential only)
   std::string field;  ///< "cycle", a sim::MemStats field name, or "shadow"
   std::uint64_t expected = 0;  ///< oracle-side value
   std::uint64_t observed = 0;  ///< simulator-side value
@@ -26,26 +25,15 @@ struct Divergence {
 };
 
 /// Runs `trace` through a freshly built cpu::System for `config` and through
-/// the reference oracle in lockstep. After every op the returned completion
-/// cycle, every sim::MemStats counter, and the data-content shadow log are
-/// compared; the first mismatch is returned. `faults` injects deliberate
-/// oracle bugs (checker-sensitivity tests).
+/// the reference oracle in lockstep. The simulator side is
+/// cpu::System::run_observed: the replay loop over the same DL1 class, with
+/// the same dispatch, that System::run and so every figure use. After every
+/// op the returned completion cycle, every sim::MemStats counter, and the
+/// data-content shadow log are compared; the first mismatch is returned.
+/// `faults` injects deliberate oracle bugs (checker-sensitivity tests).
 Divergence run_differential(const cpu::SystemConfig& config,
                             const cpu::Trace& trace,
                             const OracleFaults& faults = {});
-
-/// Batched-path oracle check: runs `trace` through the config-parallel
-/// batched replay engine (cpu::System::run_batch over the compressed trace,
-/// lanes grouped by concrete class exactly like the grid layer), then
-/// replays the trace over a fresh reference oracle per configuration with
-/// the replay loop's timing semantics. Every lane's final core counters,
-/// all sim::MemStats fields, and the oracle's data-content shadow are
-/// compared; the first mismatch is returned with its lane index.
-/// Unlike run_differential this compares end states, not per-op states —
-/// it is the oracle closure over the batching + trace-compression layers.
-Divergence run_batch_differential(const std::vector<cpu::SystemConfig>& configs,
-                                  const cpu::Trace& trace,
-                                  const OracleFaults& faults = {});
 
 /// Result of delta-debugging minimization.
 struct MinimizeResult {

@@ -39,7 +39,7 @@ class PlainDl1System final : public Dl1System {
   const Dl1Config& config() const { return cfg_; }
 
   /// log2 of the access granularity (one DL1 line) — the granule the
-  /// devirtualized replay loop (cpu::replay_decoded) spans accesses over.
+  /// replay loop (cpu::replay) spans accesses over.
   unsigned granule_shift() const { return log2_exact(cfg_.geometry.line_bytes); }
 
   /// Single-granule entries for the replay fast path. Precondition: the

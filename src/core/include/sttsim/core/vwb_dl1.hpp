@@ -55,7 +55,7 @@ class VwbDl1System final : public Dl1System {
   /// log2 of the access granularity (one VWB sector == one DL1 line).
   unsigned granule_shift() const { return log2_exact(cfg_.vwb.sector_bytes); }
 
-  /// Single-granule entries for the replay fast path (cpu::replay_decoded).
+  /// Single-granule entries for the replay loop (cpu::replay).
   /// Precondition: the access lies within one sector.
   sim::Cycle load_single(Addr addr, sim::Cycle now) {
     stats_.loads += 1;

@@ -154,10 +154,9 @@ class DecodedTraceBuilder {
 // address is usually the previous one plus the access width (the Alif MRAM
 // macro's 16 B sector granularity shows up as short strides) — so a
 // delta/RLE byte stream shrinks a trace to ~2 bytes per op. That is the
-// persistent trace store's on-disk form (exec::TraceStore); in memory the
-// experiment engine keeps only the decoded trace. The batched replay engine
-// can also stream this form directly (System::run_batch's CompressedTrace
-// overload).
+// persistent trace store's on-disk form (exec::TraceStore), and the store
+// is its only reader; in memory the experiment engine keeps only the
+// decoded trace.
 //
 // Format (one op at a time; `prev_addr`/`prev_size` carried across ops):
 //   tag & 3 == kind:
@@ -222,8 +221,8 @@ inline std::uint64_t read_varint(const std::uint8_t*& p) {
 }  // namespace detail
 
 /// Streaming expansion of one CompressedTrace: `next()` produces ops in
-/// order without materializing the 16-byte-per-op array (decompress() and
-/// the batched replay engine's compressed-trace overload iterate it).
+/// order without materializing the 16-byte-per-op array (decompress()
+/// iterates it).
 class CompressedCursor {
  public:
   explicit CompressedCursor(const CompressedTrace& trace)

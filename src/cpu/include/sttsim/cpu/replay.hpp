@@ -1,23 +1,35 @@
-// Devirtualized replay loop — the simulator's single-thread hot path.
+// In-order, single-issue core model (ARM Cortex-A9-like, 1 GHz), and the
+// simulator's one core timing loop.
 //
-// InOrderCore::run drives a Dl1System through its virtual interface: correct,
-// observable, and the differential oracle's reference — but every load/store
-// pays an indirect call plus per-access span arithmetic. A grid run replays
-// millions of ops per configuration, so cpu::System selects, once at build
-// time, an instantiation of this template over the *concrete* organization
-// class instead. All six organizations map onto three `final` classes
-// (PlainDl1System, VwbDl1System, NarrowFrontDl1System), so the member calls
-// below resolve statically and inline.
+// The paper's system: loads are blocking (the next instruction waits for the
+// data — load-to-use distance of one, the conservative case for read
+// latency); stores retire through the DL1's store buffer and stall the core
+// only when the buffer backs up; prefetches issue in one cycle and never
+// block. The instruction side (32 KB SRAM IL1, identical in every
+// configuration) is folded into the exec stream.
 //
-// The loop semantics are exactly InOrderCore::run's (see in_order_core.cpp —
-// tests/test_fastpath holds the two equal field-for-field); the differences
-// are mechanical:
-//  * ops come pre-decoded (DecodedOp, 16 bytes, spans precomputed);
-//  * single-granule accesses — the overwhelming majority — take the
-//    organization's load_single/store_single entry, skipping the
-//    first/last-granule loop setup;
-//  * there is no observer hook (use InOrderCore::run_observed to watch a run).
+// Every stall cycle is attributed to its cause so that Fig. 4's
+// read-vs-write decomposition is measured rather than estimated.
+//
+// replay<Dl1, Observe> is the only loop that advances the core clock, and
+// every caller instantiates it:
+//  * cpu::System's figure runs, over the three `final` organization classes
+//    (PlainDl1System, VwbDl1System, NarrowFrontDl1System). Member calls
+//    resolve statically and inline, and single-granule accesses — the
+//    overwhelming majority — take the class's load_single/store_single
+//    entry, skipping the first/last-granule loop setup.
+//  * Fault-injecting systems and System::run_reference, over the abstract
+//    core::Dl1System: every access takes the full virtual load/store.
+//    tests/test_fastpath holds the two dispatch modes equal.
+//  * The differential oracle, through System::run_observed: the loop over
+//    the same DL1 class, with the same dispatch, that the figures run, plus
+//    an observer called after every retired op. The default observer does
+//    nothing and compiles away, so the figure runs pay nothing for the
+//    hook.
 #pragma once
+
+#include <concepts>
+#include <functional>
 
 #include "sttsim/core/dl1_system.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
@@ -25,22 +37,50 @@
 
 namespace sttsim::cpu {
 
-/// One resumable stretch of the replay loop: applies `[ops, ops + n)` to
-/// `dl1`, carrying the core timing state in `core`/`now`. replay_decoded is
-/// one call over the whole trace; the batched engine (cpu/batch_replay.hpp)
-/// calls it once per lane per L1-resident trace segment — both walk the
-/// exact same loop, so a segmented replay is bit-identical to a solo one.
+/// One retired op, as a replay observer sees it: its index in the trace,
+/// the cycle it issued at and the cycle the core could proceed past it.
+struct OpEvent {
+  std::size_t index = 0;
+  sim::Cycle issue = 0;     ///< core time when the op issued
+  sim::Cycle complete = 0;  ///< core time after the op retired
+};
+
+/// Replay hook (System::run_observed). The differential oracle (src/check)
+/// follows a run in lockstep through it.
+using OpObserver = std::function<void(const OpEvent&)>;
+
+/// The default observer: does nothing.
+struct NoObserver {
+  void operator()(const OpEvent&) const {}
+};
+
+/// A concrete organization class with single-granule entries.
 template <class Dl1>
-void replay_segment(const DecodedOp* ops, std::size_t n, Dl1& dl1,
-                    unsigned shift, sim::CoreStats& core_io,
-                    sim::Cycle& now_io) {
-  // Locals, not the caller's references: the counters and the clock must
-  // stay in registers across the loop, and through a reference the compiler
-  // would have to assume every dl1 stats write might alias them.
-  sim::CoreStats core = core_io;
-  sim::Cycle now = now_io;
+concept SingleGranuleDl1 = requires(Dl1& dl1, Addr addr, sim::Cycle now) {
+  { dl1.granule_shift() } -> std::convertible_to<unsigned>;
+  { dl1.load_single(addr, now) } -> std::same_as<sim::Cycle>;
+  { dl1.store_single(addr, now) } -> std::same_as<sim::Cycle>;
+};
+
+/// Runs `trace` to completion against `dl1` (which accumulates MemStats),
+/// calling `observe` after every op, and returns the run statistics. The
+/// DL1 is NOT reset first: callers compose warm-up and measured phases if
+/// they need to.
+template <class Dl1, class Observe = NoObserver>
+sim::RunStats replay(const DecodedTrace& trace, Dl1& dl1,
+                     Observe observe = {}) {
+  // Locals, not references: the counters and the clock must stay in
+  // registers across the loop, and through a reference the compiler would
+  // have to assume every dl1 stats write might alias them.
+  sim::CoreStats core;
+  sim::Cycle now = 0;
+  unsigned shift = 0;
+  if constexpr (SingleGranuleDl1<Dl1>) shift = dl1.granule_shift();
+  const DecodedOp* const ops = trace.ops.data();
+  const std::size_t n = trace.ops.size();
   for (std::size_t i = 0; i < n; ++i) {
     const DecodedOp& op = ops[i];
+    const sim::Cycle issue = now;
     switch (op.kind) {
       case OpKind::kExec: {
         now += op.count;
@@ -52,9 +92,14 @@ void replay_segment(const DecodedOp* ops, std::size_t n, Dl1& dl1,
         core.instructions += 1;
         core.mem_instructions += 1;
         const sim::Cycle issue_done = now + 1;
-        const sim::Cycle data = decoded_span(op, shift) == 1
-                                    ? dl1.load_single(op.addr, now)
-                                    : dl1.load(op.addr, op.size, now);
+        sim::Cycle data;
+        if constexpr (SingleGranuleDl1<Dl1>) {
+          data = decoded_span(op, shift) == 1
+                     ? dl1.load_single(op.addr, now)
+                     : dl1.load(op.addr, op.size, now);
+        } else {
+          data = dl1.load(op.addr, op.size, now);
+        }
         const sim::Cycle done = data > issue_done ? data : issue_done;
         core.read_stall_cycles += done - issue_done;
         core.exec_cycles += 1;  // the issue cycle itself
@@ -65,9 +110,14 @@ void replay_segment(const DecodedOp* ops, std::size_t n, Dl1& dl1,
         core.instructions += 1;
         core.mem_instructions += 1;
         const sim::Cycle issue_done = now + 1;
-        const sim::Cycle accepted = decoded_span(op, shift) == 1
-                                        ? dl1.store_single(op.addr, now)
-                                        : dl1.store(op.addr, op.size, now);
+        sim::Cycle accepted;
+        if constexpr (SingleGranuleDl1<Dl1>) {
+          accepted = decoded_span(op, shift) == 1
+                         ? dl1.store_single(op.addr, now)
+                         : dl1.store(op.addr, op.size, now);
+        } else {
+          accepted = dl1.store(op.addr, op.size, now);
+        }
         const sim::Cycle done = accepted > issue_done ? accepted : issue_done;
         core.write_stall_cycles += done - issue_done;
         core.exec_cycles += 1;
@@ -82,17 +132,8 @@ void replay_segment(const DecodedOp* ops, std::size_t n, Dl1& dl1,
         break;
       }
     }
+    observe(OpEvent{i, issue, now});
   }
-  core_io = core;
-  now_io = now;
-}
-
-template <class Dl1>
-sim::RunStats replay_decoded(const DecodedTrace& trace, Dl1& dl1) {
-  sim::CoreStats core;
-  sim::Cycle now = 0;
-  replay_segment(trace.ops.data(), trace.ops.size(), dl1, dl1.granule_shift(),
-                 core, now);
   core.total_cycles = now;
   sim::RunStats out;
   out.core = core;

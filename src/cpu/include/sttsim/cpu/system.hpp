@@ -7,12 +7,11 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sttsim/core/dl1_system.hpp"
 #include "sttsim/core/vwb.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
-#include "sttsim/cpu/in_order_core.hpp"
+#include "sttsim/cpu/replay.hpp"
 #include "sttsim/cpu/trace.hpp"
 #include "sttsim/mem/l2_system.hpp"
 #include "sttsim/reliability/fault.hpp"
@@ -36,9 +35,8 @@ enum class Dl1Organization {
 const char* to_string(Dl1Organization org);
 
 /// The concrete implementation class a SystemConfig maps onto. All six
-/// organizations resolve to one of three `final` classes; the batched
-/// replay engine may only co-schedule configurations of the same class
-/// (homogeneous batches share one template specialization of the loop).
+/// organizations resolve to one of three `final` classes, and each class
+/// has its own instantiation of the replay loop (cpu/replay.hpp).
 enum class Dl1ConcreteClass {
   kPlain,        ///< core::PlainDl1System
   kVwb,          ///< core::VwbDl1System
@@ -78,8 +76,8 @@ struct SystemConfig {
 
   /// Whether this configuration actually injects faults: enabled AND an
   /// STT-MRAM data array. Every layer keys off this — build() wraps the
-  /// DL1, the oracle wraps its reference, simulation_digest folds the
-  /// fault/ECC parameters, and the batch partitioner segregates lanes.
+  /// DL1, the oracle wraps its reference, and simulation_digest folds the
+  /// fault/ECC parameters.
   bool faults_active() const {
     return faults.enabled && organization != Dl1Organization::kSramBaseline;
   }
@@ -111,7 +109,8 @@ class System {
   System(const SystemConfig& config, Prevalidated);
 
   /// Runs a trace on a *fresh* system state (cold caches) and returns stats.
-  /// Replays through the devirtualized fast path (replay.hpp), decoding the
+  /// Replays through cpu::replay instantiated over the concrete organization
+  /// class (a fault-injecting system: over core::Dl1System), decoding the
   /// trace on the fly; callers replaying the same trace repeatedly should
   /// decode once and use the DecodedTrace overload.
   sim::RunStats run(const Trace& trace);
@@ -121,22 +120,18 @@ class System {
   sim::RunStats run_warm(const Trace& trace);
   sim::RunStats run_warm(const DecodedTrace& trace);
 
-  /// Runs on a fresh state through InOrderCore's generic virtual-dispatch
-  /// loop — the reference the fast path is held byte-identical to
-  /// (tests/test_fastpath) and the fallback oracle for debugging.
-  sim::RunStats run_reference(const Trace& trace);
+  /// run(trace) with `observer` called after every retired op: the replay
+  /// loop over the same DL1 class, with the same dispatch, so the
+  /// differential oracle (check::run_differential) checks the code path
+  /// the figures run. `observer` must not be empty.
+  sim::RunStats run_observed(const DecodedTrace& trace,
+                             const OpObserver& observer);
 
-  /// Config-parallel batched replay: one pass over `trace` drives every
-  /// system in `lanes` (each on a fresh state), returning stats in lane
-  /// order — bit-identical to lanes[i]->run(trace) for every i. All lanes
-  /// must share one concrete organization class (cpu::concrete_class;
-  /// cpu::partition_batches groups arbitrary config sets accordingly) and
-  /// there may be at most kMaxBatchLanes of them.
-  static std::vector<sim::RunStats> run_batch(const DecodedTrace& trace,
-                                              const std::vector<System*>& lanes);
-  /// Same, streaming the delta/RLE-compressed trace form.
-  static std::vector<sim::RunStats> run_batch(const CompressedTrace& trace,
-                                              const std::vector<System*>& lanes);
+  /// Runs on a fresh state through cpu::replay instantiated over the
+  /// abstract core::Dl1System: every access takes the full virtual
+  /// load/store. The reference run() is held byte-identical to
+  /// (tests/test_fastpath), and the fallback for debugging.
+  sim::RunStats run_reference(const DecodedTrace& trace);
 
   const SystemConfig& config() const { return cfg_; }
   core::Dl1System& dl1() { return *dl1_; }
@@ -146,29 +141,20 @@ class System {
   void reset();
 
  private:
-  /// Replays a decoded trace via the organization-specialized loop selected
-  /// at build() time (compile-time dispatch, one indirect call per run).
-  using FastRunFn = sim::RunStats (*)(const DecodedTrace&, core::Dl1System&);
-  /// Batched equivalents (one per trace form), likewise selected at build()
-  /// time; equal batch_run_ pointers certify class-homogeneous lanes.
-  using BatchRunFn = std::vector<sim::RunStats> (*)(
-      const DecodedTrace&, const std::vector<core::Dl1System*>&);
-  using BatchRunCompressedFn = std::vector<sim::RunStats> (*)(
-      const CompressedTrace&, const std::vector<core::Dl1System*>&);
+  /// Replays a decoded trace through the loop instantiation selected at
+  /// build() time (compile-time dispatch, one indirect call per run).
+  using RunFn = sim::RunStats (*)(const DecodedTrace&, core::Dl1System&);
+  using ObservedRunFn = sim::RunStats (*)(const DecodedTrace&,
+                                          core::Dl1System&,
+                                          const OpObserver&);
 
   void build();
-
-  template <class TraceT>
-  static std::vector<sim::RunStats> run_batch_impl(
-      const TraceT& trace, const std::vector<System*>& lanes);
 
   SystemConfig cfg_;
   std::unique_ptr<mem::L2System> l2_;
   std::unique_ptr<core::Dl1System> dl1_;
-  FastRunFn fast_run_ = nullptr;
-  BatchRunFn batch_run_ = nullptr;
-  BatchRunCompressedFn batch_run_compressed_ = nullptr;
-  InOrderCore core_;
+  RunFn fast_run_ = nullptr;
+  ObservedRunFn observed_run_ = nullptr;
 };
 
 }  // namespace sttsim::cpu

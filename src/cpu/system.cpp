@@ -1,118 +1,37 @@
 #include "sttsim/cpu/system.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "sttsim/alt/narrow_front_dl1.hpp"
 #include "sttsim/core/plain_dl1.hpp"
 #include "sttsim/core/vwb_dl1.hpp"
-#include "sttsim/cpu/batch_replay.hpp"
-#include "sttsim/cpu/replay.hpp"
 #include "sttsim/util/check.hpp"
 
 namespace sttsim::cpu {
 
 namespace {
 
-// One fast-run instantiation per concrete organization class. The cast is
-// safe by construction: build() pairs each dl1_ with the matching function.
-template <class Concrete>
-sim::RunStats fast_run_impl(const DecodedTrace& trace, core::Dl1System& dl1) {
-  return replay_decoded(trace, static_cast<Concrete&>(dl1));
+// The single-granule entries are what make the concrete instantiations
+// fast; a signature drift would silently route them through the full
+// load/store instead.
+static_assert(SingleGranuleDl1<core::PlainDl1System>);
+static_assert(SingleGranuleDl1<core::VwbDl1System>);
+static_assert(SingleGranuleDl1<alt::NarrowFrontDl1System>);
+static_assert(!SingleGranuleDl1<core::Dl1System>);
+
+// The replay instantiations build() picks from, one per DL1 class. The cast
+// is safe by construction: build() pairs each dl1_ with its own class, and
+// Dl1 = core::Dl1System (fault-injecting systems) is the identity.
+template <class Dl1>
+sim::RunStats run_as(const DecodedTrace& trace, core::Dl1System& dl1) {
+  return replay(trace, static_cast<Dl1&>(dl1));
 }
 
-// Batched counterpart: downcasts the lane set once, then hands the typed
-// lanes to the config-parallel loop. Same safety argument — build() pairs
-// each dl1_ with its class's function, and run_batch() requires every lane
-// to carry the same pair.
-template <class Concrete, class TraceT>
-std::vector<sim::RunStats> batch_run_impl(
-    const TraceT& trace, const std::vector<core::Dl1System*>& dl1s) {
-  std::vector<Concrete*> lanes;
-  lanes.reserve(dl1s.size());
-  for (core::Dl1System* d : dl1s) {
-    lanes.push_back(static_cast<Concrete*>(d));
-  }
-  return replay_batch(trace, lanes);
-}
-
-// Fault-injecting configurations replay through the virtual interface: the
-// FaultyDl1System decorator is organization-agnostic, and the virtual loop
-// is InOrderCore::run's exact semantics (always the full load/store entry
-// — test_fastpath holds that equal to the specialized loop). Fault
-// campaigns trade the devirtualized hot path for the ECC read path; the
-// fault-free grid keeps its specialized loops untouched.
-sim::RunStats faulted_fast_run(const DecodedTrace& trace,
-                               core::Dl1System& dl1) {
-  sim::CoreStats core;
-  sim::Cycle now = 0;
-  for (const DecodedOp& op : trace.ops) {
-    switch (op.kind) {
-      case OpKind::kExec: {
-        now += op.count;
-        core.instructions += op.count;
-        core.exec_cycles += op.count;
-        break;
-      }
-      case OpKind::kLoad: {
-        core.instructions += 1;
-        core.mem_instructions += 1;
-        const sim::Cycle issue_done = now + 1;
-        const sim::Cycle data = dl1.load(op.addr, op.size, now);
-        const sim::Cycle done = std::max(issue_done, data);
-        core.read_stall_cycles += done - issue_done;
-        core.exec_cycles += 1;
-        now = done;
-        break;
-      }
-      case OpKind::kStore: {
-        core.instructions += 1;
-        core.mem_instructions += 1;
-        const sim::Cycle issue_done = now + 1;
-        const sim::Cycle accepted = dl1.store(op.addr, op.size, now);
-        const sim::Cycle done = std::max(issue_done, accepted);
-        core.write_stall_cycles += done - issue_done;
-        core.exec_cycles += 1;
-        now = done;
-        break;
-      }
-      case OpKind::kPrefetch: {
-        core.instructions += 1;
-        dl1.prefetch(op.addr, now);
-        core.exec_cycles += 1;
-        now += 1;
-        break;
-      }
-    }
-  }
-  core.total_cycles = now;
-  sim::RunStats out;
-  out.core = core;
-  out.mem = dl1.stats();
-  ::sttsim::core::finalize_wear(out.mem, dl1.array());
-  return out;
-}
-
-// Batched faulted lanes replay independently (per-lane injector state makes
-// op-major interleaving pointless); results are bit-identical to solo runs
-// by construction — it is the same loop.
-template <class TraceT>
-std::vector<sim::RunStats> faulted_batch_run(
-    const TraceT& trace, const std::vector<core::Dl1System*>& dl1s) {
-  const DecodedTrace* decoded = nullptr;
-  DecodedTrace storage;
-  if constexpr (std::is_same_v<TraceT, DecodedTrace>) {
-    decoded = &trace;
-  } else {
-    storage = decompress(trace);
-    decoded = &storage;
-  }
-  std::vector<sim::RunStats> out;
-  out.reserve(dl1s.size());
-  for (core::Dl1System* d : dl1s) {
-    out.push_back(faulted_fast_run(*decoded, *d));
-  }
-  return out;
+template <class Dl1>
+sim::RunStats run_observed_as(const DecodedTrace& trace, core::Dl1System& dl1,
+                              const OpObserver& observer) {
+  return replay(trace, static_cast<Dl1&>(dl1),
+                [&observer](const OpEvent& ev) { observer(ev); });
 }
 
 }  // namespace
@@ -136,8 +55,7 @@ const char* to_string(Dl1Organization org) {
 }
 
 Dl1ConcreteClass concrete_class(const SystemConfig& config) {
-  // Mirrors the dispatch in System::build (which pins the pairing; the
-  // batch grid layer uses this to group configurations without building).
+  // Mirrors the dispatch in System::build, without building anything.
   switch (config.organization) {
     case Dl1Organization::kSramBaseline:
     case Dl1Organization::kNvmDropIn:
@@ -231,12 +149,10 @@ System::System(const SystemConfig& config, Prevalidated) : cfg_(config) {
 void System::build() {
   l2_ = std::make_unique<mem::L2System>(cfg_.l2);
   const core::Dl1Config dl1 = cfg_.dl1_config();
-  // Pins the (dl1_, replay specialization) pairing for the solo fast path
-  // and both batched trace forms.
-  const auto select = [this]<class Concrete>() {
-    fast_run_ = &fast_run_impl<Concrete>;
-    batch_run_ = &batch_run_impl<Concrete, DecodedTrace>;
-    batch_run_compressed_ = &batch_run_impl<Concrete, CompressedTrace>;
+  // Pins the (dl1_, replay instantiation) pairing for run and run_observed.
+  const auto select = [this]<class Dl1>() {
+    fast_run_ = &run_as<Dl1>;
+    observed_run_ = &run_observed_as<Dl1>;
   };
   switch (cfg_.organization) {
     case Dl1Organization::kSramBaseline:
@@ -292,49 +208,14 @@ void System::build() {
     }
   }
   if (cfg_.faults_active()) {
-    // Decorate the organization with the ECC read path and swap in the
-    // virtual-dispatch loops (the specialized loops assume the concrete
-    // class). cfg_.faults_active() is the single switch every layer keys
-    // off, so a faulted lane can never share a batch with a clean one:
-    // their batch_run_ pointers differ.
+    // Decorate the organization with the ECC read path. The decorator is
+    // organization-agnostic, so the loop goes through the virtual
+    // interface: every access takes the full load/store entry.
     dl1_ = std::make_unique<reliability::FaultyDl1System>(
         std::move(dl1_), cfg_.faults, cfg_.ecc, dl1.geometry.line_bytes);
-    fast_run_ = &faulted_fast_run;
-    batch_run_ = &faulted_batch_run<DecodedTrace>;
-    batch_run_compressed_ = &faulted_batch_run<CompressedTrace>;
+    select.operator()<core::Dl1System>();
   }
-  STTSIM_CHECK(fast_run_ != nullptr);
-}
-
-template <class TraceT>
-std::vector<sim::RunStats> System::run_batch_impl(
-    const TraceT& trace, const std::vector<System*>& lanes) {
-  STTSIM_CHECK(!lanes.empty());
-  std::vector<core::Dl1System*> dl1s;
-  dl1s.reserve(lanes.size());
-  for (System* s : lanes) {
-    STTSIM_CHECK(s != nullptr);
-    // Equal batch pointers <=> same concrete class <=> one specialization
-    // serves every lane.
-    STTSIM_CHECK(s->batch_run_ == lanes.front()->batch_run_);
-    s->reset();
-    dl1s.push_back(s->dl1_.get());
-  }
-  if constexpr (std::is_same_v<TraceT, DecodedTrace>) {
-    return lanes.front()->batch_run_(trace, dl1s);
-  } else {
-    return lanes.front()->batch_run_compressed_(trace, dl1s);
-  }
-}
-
-std::vector<sim::RunStats> System::run_batch(const DecodedTrace& trace,
-                                             const std::vector<System*>& lanes) {
-  return run_batch_impl(trace, lanes);
-}
-
-std::vector<sim::RunStats> System::run_batch(const CompressedTrace& trace,
-                                             const std::vector<System*>& lanes) {
-  return run_batch_impl(trace, lanes);
+  STTSIM_CHECK(fast_run_ != nullptr && observed_run_ != nullptr);
 }
 
 sim::RunStats System::run(const Trace& trace) {
@@ -355,9 +236,16 @@ sim::RunStats System::run_warm(const DecodedTrace& trace) {
   return fast_run_(trace, *dl1_);
 }
 
-sim::RunStats System::run_reference(const Trace& trace) {
+sim::RunStats System::run_observed(const DecodedTrace& trace,
+                                   const OpObserver& observer) {
+  STTSIM_CHECK(static_cast<bool>(observer));
   reset();
-  return core_.run(trace, *dl1_);
+  return observed_run_(trace, *dl1_, observer);
+}
+
+sim::RunStats System::run_reference(const DecodedTrace& trace) {
+  reset();
+  return run_as<core::Dl1System>(trace, *dl1_);
 }
 
 void System::reset() {

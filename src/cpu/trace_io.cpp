@@ -74,9 +74,11 @@ Trace read_trace(std::istream& in) {
   if (version != kVersionNoValue && version != kVersion) {
     throw TraceIoError(strprintf("unsupported trace version %u", version));
   }
+  // The header's op count is untrusted until the ops behind it have been
+  // read: reserving it up front would let a corrupt or hostile count
+  // exhaust memory instead of failing as a truncated stream.
   const auto count = get<std::uint64_t>(in);
   Trace trace;
-  trace.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto p = get<PackedOp>(in);
     // Version 1 traces predate store payloads; their value field reads as 0.

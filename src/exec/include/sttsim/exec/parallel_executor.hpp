@@ -32,13 +32,10 @@ unsigned hardware_jobs();
 void set_default_jobs(unsigned jobs);
 unsigned default_jobs();
 
-/// Process-wide config-parallel batch width (the benches' `--batch=K`
-/// flag): how many same-class DL1 configurations one grid task replays per
-/// decoded-trace pass (experiments::run_grid). 1 — the default — is the
-/// unbatched PR 5 path, bit-identical by construction; values are clamped
-/// to the engine's lane limit (cpu::kMaxBatchLanes) at use.
+/// Does nothing. Grid replay has one schedule, one point per task; this
+/// entry point stays only because the benchmark driver (perfbench/) still
+/// calls it, and goes when that driver drops the call.
 void set_default_batch(unsigned batch);
-unsigned default_batch();
 
 class ParallelExecutor {
  public:

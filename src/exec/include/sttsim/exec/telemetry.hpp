@@ -29,8 +29,7 @@ struct TelemetrySnapshot {
                                       ///< trace-store append adds
   std::uint64_t decode_ns = 0;        ///< wall ns deserializing/decompressing
                                       ///< stored traces (warm path)
-  std::uint64_t replay_ns = 0;        ///< wall ns inside System::run /
-                                      ///< run_batch replay
+  std::uint64_t replay_ns = 0;        ///< wall ns inside System::run
 
   TelemetrySnapshot operator-(const TelemetrySnapshot& rhs) const {
     return {simulations - rhs.simulations, trace_ops - rhs.trace_ops,

@@ -5,8 +5,7 @@
 namespace sttsim::exec {
 namespace {
 
-std::atomic<unsigned> g_default_jobs{0};   // 0 = hardware_jobs()
-std::atomic<unsigned> g_default_batch{1};  // 1 = unbatched replay
+std::atomic<unsigned> g_default_jobs{0};  // 0 = hardware_jobs()
 
 }  // namespace
 
@@ -22,11 +21,7 @@ unsigned default_jobs() {
   return n == 0 ? hardware_jobs() : n;
 }
 
-void set_default_batch(unsigned batch) {
-  g_default_batch.store(batch == 0 ? 1u : batch);
-}
-
-unsigned default_batch() { return g_default_batch.load(); }
+void set_default_batch(unsigned /*batch*/) {}
 
 ParallelExecutor::ParallelExecutor(unsigned jobs)
     : jobs_(jobs == 0 ? default_jobs() : jobs) {

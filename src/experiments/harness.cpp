@@ -5,7 +5,6 @@
 #include <limits>
 #include <tuple>
 
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
@@ -278,16 +277,16 @@ void store_append(exec::ResultStore* store, std::uint64_t digest,
   store->append(digest, payload);
 }
 
-/// Post-request policy shared by the solo and batched paths. Points the
-/// request skipped (timed-out or cancelled) keep default RunStats in their
-/// result slots; the telemetry counters and the grid summary carry the
-/// tally. A failed point rethrows its exception — the lowest-index one —
-/// once every task has finished, and an interrupt (SIGINT) surfaces as
-/// CampaignInterrupted after the in-flight points finished and appended
-/// their records, so a re-run resumes from the store.
-template <typename T>
-void finish_request(const std::vector<exec::TaskResult<T>>& tasks) {
-  for (const exec::TaskResult<T>& t : tasks) {
+/// Post-request policy of a grid. Points the request skipped (timed-out or
+/// cancelled) keep default RunStats in their result slots; the telemetry
+/// counters and the grid summary carry the tally. A failed point rethrows
+/// its exception — the lowest-index one — once every task has finished,
+/// and an interrupt (SIGINT) surfaces as CampaignInterrupted after the
+/// in-flight points finished and appended their records, so a re-run
+/// resumes from the store.
+void finish_request(
+    const std::vector<exec::TaskResult<sim::RunStats>>& tasks) {
+  for (const exec::TaskResult<sim::RunStats>& t : tasks) {
     if (t.error) std::rethrow_exception(t.error);
   }
   if (exec::interrupt_source().cancelled()) {
@@ -297,17 +296,15 @@ void finish_request(const std::vector<exec::TaskResult<T>>& tasks) {
   }
 }
 
-/// Runs `points` as one request task each (the unbatched replay path, in
-/// the given order — j-major for a full grid, matching the historical
-/// serial loops) and scatters results into out[j][k]. Completed
-/// misses append to the store from inside their task, so an interrupted
-/// campaign keeps every point it finished.
-void run_points_solo(TraceCache& cache,
-                     const std::vector<workloads::Kernel>& kernels,
-                     const std::vector<SuiteJob>& jobs,
-                     const std::vector<GridPoint>& points,
-                     exec::ResultStore* store,
-                     std::vector<std::vector<sim::RunStats>>& out) {
+/// Runs `points` as one request task each, in the given order (j-major for
+/// a full grid, matching the historical serial loops), and scatters results
+/// into out[j][k]. Completed misses append to the store from inside their
+/// task, so an interrupted campaign keeps every point it finished.
+void run_points(TraceCache& cache,
+                const std::vector<workloads::Kernel>& kernels,
+                const std::vector<SuiteJob>& jobs,
+                const std::vector<GridPoint>& points, exec::ResultStore* store,
+                std::vector<std::vector<sim::RunStats>>& out) {
   exec::ParallelExecutor pool;
   const auto result = exec::run_request(
       pool, exec::default_request(), points.size(), [&](std::size_t i) {
@@ -325,92 +322,6 @@ void run_points_solo(TraceCache& cache,
       });
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (result[i].value) out[points[i].j][points[i].k] = *result[i].value;
-  }
-  finish_request(result);
-}
-
-/// The batched grid schedule: `points` grouped by (kernel x codegen) — all
-/// lanes of one pass must replay the identical trace — then split into
-/// same-organization-class lane sets of at most `batch` configurations
-/// (cpu::partition_batches). Each task replays one lane set in a single
-/// pass over the cached decoded trace and scatters per-lane results back to
-/// the deterministic out[j][k] positions; per-lane results are bit-identical
-/// to the solo path regardless of how points are partitioned, so a store-
-/// thinned (miss-only) point set changes the schedule, never the numbers.
-void run_points_batched(TraceCache& cache,
-                        const std::vector<workloads::Kernel>& kernels,
-                        const std::vector<SuiteJob>& jobs,
-                        const std::vector<GridPoint>& points, unsigned batch,
-                        exec::ResultStore* store,
-                        std::vector<std::vector<sim::RunStats>>& out) {
-  // Codegen group of every job (first-appearance order).
-  std::vector<const workloads::CodegenOptions*> group_opts;
-  std::vector<std::size_t> job_group(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    std::size_t g = 0;
-    while (g < group_opts.size() &&
-           codegen_tuple(*group_opts[g]) != codegen_tuple(jobs[j].opts)) {
-      ++g;
-    }
-    if (g == group_opts.size()) group_opts.push_back(&jobs[j].opts);
-    job_group[j] = g;
-  }
-
-  // Bucket point indices by (kernel, codegen group), preserving order.
-  const std::size_t n_groups = group_opts.size();
-  std::vector<std::vector<std::size_t>> buckets(kernels.size() * n_groups);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    buckets[points[i].k * n_groups + job_group[points[i].j]].push_back(i);
-  }
-
-  // Split every bucket into same-class lane sets of at most `batch` lanes.
-  std::vector<std::vector<std::size_t>> tasks;  // indices into `points`
-  for (const std::vector<std::size_t>& bucket : buckets) {
-    if (bucket.empty()) continue;
-    std::vector<cpu::SystemConfig> configs;
-    configs.reserve(bucket.size());
-    for (const std::size_t i : bucket) configs.push_back(jobs[points[i].j].config);
-    for (std::vector<std::size_t>& part :
-         cpu::partition_batches(configs, batch)) {
-      for (std::size_t& local : part) local = bucket[local];
-      tasks.push_back(std::move(part));
-    }
-  }
-
-  exec::ParallelExecutor pool;
-  const auto result = exec::run_request(
-      pool, exec::default_request(), tasks.size(), [&](std::size_t t) {
-        const std::vector<std::size_t>& task = tasks[t];
-        const GridPoint& first = points[task.front()];
-        const cpu::DecodedTrace& trace =
-            cache.get_decoded(kernels[first.k], jobs[first.j].opts);
-        std::vector<cpu::System> systems;
-        systems.reserve(task.size());
-        for (const std::size_t i : task) {
-          systems.emplace_back(jobs[points[i].j].config,
-                               cpu::System::kPrevalidated);
-        }
-        std::vector<cpu::System*> lanes;
-        lanes.reserve(systems.size());
-        for (cpu::System& s : systems) lanes.push_back(&s);
-        const std::uint64_t t0 = now_ns();
-        std::vector<sim::RunStats> stats =
-            cpu::System::run_batch(trace, lanes);
-        exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-        for (std::size_t i = 0; i < task.size(); ++i) {
-          exec::Telemetry::instance().count_simulation(trace.size());
-          store_append(store, points[task[i]].digest, stats[i]);
-        }
-        return stats;
-      });
-
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (!result[t].value) continue;
-    const std::vector<sim::RunStats>& stats = *result[t].value;
-    for (std::size_t i = 0; i < tasks[t].size(); ++i) {
-      const GridPoint& p = points[tasks[t][i]];
-      out[p.j][p.k] = stats[i];
-    }
   }
   finish_request(result);
 }
@@ -468,13 +379,7 @@ std::vector<std::vector<sim::RunStats>> run_grid(
     }
   }
 
-  if (!points.empty()) {
-    if (const unsigned batch = exec::default_batch(); batch > 1) {
-      run_points_batched(cache, kernels, jobs, points, batch, store, out);
-    } else {
-      run_points_solo(cache, kernels, jobs, points, store, out);
-    }
-  }
+  if (!points.empty()) run_points(cache, kernels, jobs, points, store, out);
   // Lifecycle tally for this grid (delta over the run). The happy path —
   // no deadline, nothing cancelled — prints exactly the historical line,
   // byte for byte.

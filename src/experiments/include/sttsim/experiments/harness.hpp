@@ -33,9 +33,8 @@ double gain_pct(const sim::RunStats& unoptimized,
 /// binaries do not regenerate identical traces. The one in-memory form is
 /// the replay-optimized decoded trace, synthesized straight into exactly
 /// sized packed arrays (Kernel::generate_decoded) and shared read-only by
-/// every grid point that replays this (kernel, codegen) — solo and batched
-/// replay alike — so grid replays never touch a raw TraceOp vector or a
-/// decode() pass.
+/// every grid point that replays this (kernel, codegen), so grid replays
+/// never touch a raw TraceOp vector or a decode() pass.
 /// Concurrency-safe: a shared_mutex guards the index and a per-key
 /// once-latch guarantees each trace is generated exactly once even when many
 /// parallel jobs request it simultaneously. Cache hits allocate nothing
@@ -134,25 +133,17 @@ struct SuiteJob {
 /// come back in deterministic input order — result[j][k] is jobs[j] on
 /// kernels[k] — byte-identical to the historical serial loops.
 ///
-/// When exec::default_batch() > 1 (the benches' --batch=K flag), grid
-/// points are grouped by (kernel x codegen x organization-class) and each
-/// pool task replays one pass over the cached decoded trace for up to K
-/// same-class configurations at once (cpu::System::run_batch). The batched
-/// engine's per-lane call sequence is identical to the solo replay, so
-/// results stay byte-identical to --batch=1 — only the schedule changes.
-///
 /// When a persistent result store is active (exec::set_result_store; the
 /// benches' --store=PATH flag), every point's digest is probed up front:
 /// hits are filled into the deterministic result positions immediately
 /// (bypassing trace generation and simulation; counted as memo_hits) and
-/// only the misses are partitioned into pool tasks (counted as
-/// memo_misses), so a mostly-warm grid spends no pool time on already-known
-/// results and a one-parameter edit recomputes only the dirty slice. Each
-/// miss appends its record as its task completes. Warm results decode to
-/// bit-identical RunStats, so figure outputs are byte-identical cold vs
-/// warm at any --jobs/--batch combination. The store is refreshed before
-/// probing, so records appended by concurrent processes sharing the file
-/// count as hits too.
+/// only the misses become pool tasks (counted as memo_misses), so a
+/// mostly-warm grid spends no pool time on already-known results and a
+/// one-parameter edit recomputes only the dirty slice. Each miss appends
+/// its record as its task completes. Warm results decode to bit-identical
+/// RunStats, so figure outputs are byte-identical cold vs warm at any
+/// --jobs width. The store is refreshed before probing, so records
+/// appended by concurrent processes sharing the file count as hits too.
 ///
 /// The whole grid runs as one exec::run_request() under
 /// exec::default_request() (the benches' --deadline flag). Each point

@@ -29,8 +29,8 @@
 // path; writes re-encode check bits as a side effect of the write itself)
 // and are keyed by the access stream rather than by probing array
 // residency — a deliberate simplification that keeps the schedule
-// identical across the fast replay loop, the batched lanes, and the
-// oracle's observed path.
+// identical between the simulator's replay and the oracle's independently
+// seeded reference.
 #pragma once
 
 #include <cstdint>

@@ -51,10 +51,11 @@ constexpr std::uint64_t kMiB = 1024 * kKiB;
 }  // namespace sttsim
 
 /// Marks the following loop as dependence-free so the compiler vectorizes
-/// it without a runtime alias check. Used on the branchless tag-compare and
-/// lane-advance loops (mem::SetAssocCache, core::VeryWideBuffer,
-/// cpu::replay_batch): plain arrays of uint64 compared elementwise — the
-/// portable SIMD idiom; correctness never depends on the hint.
+/// it without a runtime alias check. Used on the branchless tag-compare
+/// loops (core::VeryWideBuffer, and the scalar tail of
+/// util::simd::match_mask_u64 that mem::SetAssocCache calls): plain arrays
+/// of uint64 compared elementwise — the portable SIMD idiom; correctness
+/// never depends on the hint.
 #if defined(__clang__)
 #define STTSIM_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
 #elif defined(__GNUC__)

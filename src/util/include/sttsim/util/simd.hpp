@@ -1,15 +1,14 @@
-// Portable explicit-SIMD lane vector for the replay hot loops.
+// Portable explicit-SIMD tag match for the replay hot loop.
 //
-// The replay engine has two integer-lane patterns the autovectorizer is
-// trusted with today (STTSIM_VEC_LOOP): the set-associative tag-match mask
-// and the op-major batch lanes' clock advance. Both are exact integer
-// operations, so an explicit vector lowering is bit-identical to the scalar
-// loop by construction — the wrapper below just removes the dependence on
-// the compiler's cost model at the two hottest sites.
+// The set-associative tag-match mask is an integer-lane pattern the
+// autovectorizer would otherwise be trusted with (STTSIM_VEC_LOOP). It is
+// an exact integer operation, so an explicit vector lowering is
+// bit-identical to the scalar loop by construction — the wrapper below just
+// removes the dependence on the compiler's cost model at that hot site.
 //
 // Dispatch is compile-time only: AVX2 when the TU is compiled with it,
 // else SSE2 (baseline on every x86-64 target), else NEON, else the same
-// STTSIM_VEC_LOOP scalar loop the sites used before. No runtime detection —
+// STTSIM_VEC_LOOP scalar loop the site used before. No runtime detection —
 // the binary never executes an instruction the compiler was not told the
 // target has, and every backend computes the identical result (the SIMD ≡
 // scalar property tests hold on whichever backend the build selected).
@@ -98,32 +97,6 @@ inline std::uint64_t match_mask_u64(const std::uint64_t* values, unsigned n,
     mask |= static_cast<std::uint64_t>(values[w] == key) << w;
   }
   return mask;
-}
-
-/// values[i] += delta for i in [0, n) — the op-major batch lanes' clock
-/// advance (unsigned 64-bit adds; wrap-around identical to scalar).
-inline void add_u64(std::uint64_t* values, unsigned n, std::uint64_t delta) {
-  unsigned i = 0;
-#if defined(STTSIM_SIMD_AVX2)
-  const __m256i d4 = _mm256_set1_epi64x(static_cast<long long>(delta));
-  for (; i + 4 <= n; i += 4) {
-    __m256i* p = reinterpret_cast<__m256i*>(values + i);
-    _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), d4));
-  }
-#elif defined(STTSIM_SIMD_SSE2)
-  const __m128i d2 = _mm_set1_epi64x(static_cast<long long>(delta));
-  for (; i + 2 <= n; i += 2) {
-    __m128i* p = reinterpret_cast<__m128i*>(values + i);
-    _mm_storeu_si128(p, _mm_add_epi64(_mm_loadu_si128(p), d2));
-  }
-#elif defined(STTSIM_SIMD_NEON)
-  const uint64x2_t d2 = vdupq_n_u64(delta);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(values + i, vaddq_u64(vld1q_u64(values + i), d2));
-  }
-#endif
-  STTSIM_VEC_LOOP
-  for (; i < n; ++i) values[i] += delta;
 }
 
 }  // namespace sttsim::util::simd

@@ -95,7 +95,6 @@ class CampaignTest : public ::testing::Test {
     exec::set_default_request(exec::CampaignRequest{});
     exec::set_result_store(nullptr);
     exec::set_default_jobs(0);
-    exec::set_default_batch(1);
   }
 };
 
@@ -349,8 +348,7 @@ TEST_F(CampaignTest, DisjointTwoProcessCampaignsBothStayWarm) {
 }
 
 // The scheduler plumbing must not perturb the happy path: a grid with
-// default request settings equals the reference at several pool widths and
-// on the batched path.
+// default request settings equals the reference at several pool widths.
 TEST_F(CampaignTest, DefaultLifecycleIsInvisibleAtAnyWidth) {
   const auto kernels = experiments::select_kernels({"atax"});
   const auto jobs = small_grid();
@@ -365,11 +363,6 @@ TEST_F(CampaignTest, DefaultLifecycleIsInvisibleAtAnyWidth) {
         << "lifecycle changed results at --jobs=" << width;
   }
   exec::set_default_jobs(0);
-  exec::set_default_batch(4);
-  experiments::TraceCache cache;
-  EXPECT_EQ(grid_fingerprint(experiments::run_grid(cache, kernels, jobs)),
-            reference)
-      << "lifecycle changed results on the batched path";
 }
 
 }  // namespace

@@ -1,17 +1,16 @@
 // Differential oracle campaign: every DL1 organization, simulated by the
-// production cpu::System, must agree op-for-op with the independently written
-// reference model (src/check) — completion cycles, every stats counter, and
-// the data-content shadow. The checker itself is validated by fault
+// production cpu::System — the replay path the figures run — must
+// agree op-for-op with the independently written reference model
+// (src/check): completion cycles, every stats counter, and the
+// data-content shadow. The checker itself is validated by fault
 // injection: a deliberately wrong oracle must be caught, and the ddmin
 // minimizer must shrink the offending trace to a handful of ops.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <vector>
 
 #include "sttsim/check/differential.hpp"
 #include "sttsim/cpu/system.hpp"
@@ -55,32 +54,6 @@ TEST_P(DifferentialCampaign, SimulatorMatchesOracleOnRandomTraces) {
       ASSERT_FALSE(div.diverged)
           << cpu::to_string(GetParam()) << " region " << region << " seed "
           << seed << ": " << div.detail;
-    }
-  }
-}
-
-TEST(BatchDifferentialCampaign, BatchedReplayMatchesOracleOnRandomTraces) {
-  // The batched engine's closure: every organization rides in one config
-  // list (clock-varied so lanes genuinely differ), the batched stack —
-  // compression, class partitioning, one pass per partition — runs it, and
-  // each lane's end state must match an independent oracle replay. Seeds
-  // are scaled down vs the per-op campaign: each probe covers 12 lanes.
-  std::vector<cpu::SystemConfig> configs;
-  for (const Dl1Organization org : kAllOrgs) {
-    for (unsigned rep = 0; rep < 2; ++rep) {
-      cpu::SystemConfig cfg;
-      cfg.organization = org;
-      cfg.clock_ghz = 1.0 + 0.4 * rep;
-      configs.push_back(cfg);
-    }
-  }
-  const std::uint64_t seeds = std::max<std::uint64_t>(1, campaign_seeds() / 8);
-  for (const Addr region : {4 * kKiB, 96 * kKiB, 512 * kKiB}) {
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const cpu::Trace trace = random_trace(seed, 600, region);
-      const check::Divergence div = check::run_batch_differential(configs, trace);
-      ASSERT_FALSE(div.diverged) << "region " << region << " seed " << seed
-                                 << ": " << div.detail;
     }
   }
 }
@@ -145,25 +118,6 @@ INSTANTIATE_TEST_SUITE_P(AllOrgs, FaultedDifferentialCampaign,
                            return n;
                          });
 
-TEST(BatchDifferentialCampaign, FaultedLanesMatchOracleInBatchedReplay) {
-  // Faulted and clean lanes of every organization ride one config list:
-  // the partitioner must keep them apart and each faulted lane's end state
-  // must match its oracle.
-  std::vector<cpu::SystemConfig> configs;
-  for (const Dl1Organization org : kAllOrgs) {
-    cpu::SystemConfig clean;
-    clean.organization = org;
-    configs.push_back(clean);
-    configs.push_back(faulted_campaign_config(org, 11));
-  }
-  const std::uint64_t seeds = std::max<std::uint64_t>(1, campaign_seeds() / 16);
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    const cpu::Trace trace = random_trace(seed, 600, 96 * kKiB);
-    const check::Divergence div = check::run_batch_differential(configs, trace);
-    ASSERT_FALSE(div.diverged) << "seed " << seed << ": " << div.detail;
-  }
-}
-
 /// Adversarial trace for inclusion bugs: addresses confined to two L1 sets
 /// with four conflicting way-stride lines each (64 KiB 2-way DL1 → 32 KiB
 /// way stride), so lines are constantly evicted while their sectors are
@@ -201,30 +155,6 @@ cpu::Trace find_diverging_trace(const cpu::SystemConfig& cfg,
     if (check::run_differential(cfg, trace, faults).diverged) return trace;
   }
   return {};
-}
-
-TEST(BatchDifferentialCampaign, FlagsInjectedFaultWithLane) {
-  // Checker sensitivity: a faulty oracle must be reported, and the lane
-  // index must point at a configuration of the affected organization.
-  std::vector<cpu::SystemConfig> configs;
-  for (const Dl1Organization org : kAllOrgs) {
-    cpu::SystemConfig cfg;
-    cfg.organization = org;
-    configs.push_back(cfg);
-  }
-  check::OracleFaults faults;
-  faults.drop_front_invalidate_on_l1_evict = true;
-  bool caught = false;
-  for (std::uint64_t seed = 1; seed <= 50 && !caught; ++seed) {
-    const check::Divergence div = check::run_batch_differential(
-        configs, conflict_trace(seed, 400), faults);
-    if (div.diverged) {
-      caught = true;
-      EXPECT_LT(div.lane, configs.size());
-      EXPECT_FALSE(div.field.empty());
-    }
-  }
-  EXPECT_TRUE(caught) << "batched differential never exposed the fault";
 }
 
 TEST(FaultInjection, DroppedFrontInvalidateIsCaughtAndMinimized) {

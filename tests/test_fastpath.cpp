@@ -1,9 +1,11 @@
-// The devirtualized replay fast path (cpu/replay.hpp + decoded traces) must
-// be observationally identical to InOrderCore's generic virtual-dispatch
-// loop: same cycles, same stall breakdown, same memory-hierarchy counters,
-// for every DL1 organization. These tests pin that equivalence on randomized
-// trace campaigns, and pin the decoded-trace representation itself
-// (decode/reassemble round trip, precomputed spans).
+// The replay loop (cpu/replay.hpp) instantiated over the concrete DL1
+// classes — static dispatch, single-granule entries — must be
+// observationally identical to the same loop over the virtual
+// core::Dl1System interface (System::run_reference), and System::run_observed
+// to System::run: same cycles, same stall breakdown, same memory-hierarchy
+// counters, for every DL1 organization. These tests pin those equivalences
+// on randomized trace campaigns, and pin the decoded-trace representation
+// itself (decode/reassemble round trip, precomputed spans).
 #include <gtest/gtest.h>
 
 #include "sttsim/cpu/decoded_trace.hpp"
@@ -66,8 +68,9 @@ TEST(FastPath, MatchesReferenceOnRandomTraces) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       // Region sweeps from cache-resident to thrashing the 64 KiB DL1.
       const Addr region = Addr{8} << (10 + 2 * (seed % 4));
-      const cpu::Trace trace = testutil::random_trace(seed, 4000, region);
-      const sim::RunStats fast = system.run(cpu::decode(trace));
+      const cpu::DecodedTrace trace =
+          cpu::decode(testutil::random_trace(seed, 4000, region));
+      const sim::RunStats fast = system.run(trace);
       const sim::RunStats ref = system.run_reference(trace);
       expect_identical(fast, ref,
                        std::string(cpu::to_string(org)) + " seed " +
@@ -86,7 +89,7 @@ TEST(FastPath, MatchesReferenceOnKernelTrace) {
     cpu::System system(cfg);
     // The same decoded trace is shared (read-only) across organizations,
     // exactly as the grid's trace cache shares it across workers.
-    expect_identical(system.run(decoded), system.run_reference(trace),
+    expect_identical(system.run(decoded), system.run_reference(decoded),
                      cpu::to_string(org));
   }
 }
@@ -96,8 +99,48 @@ TEST(FastPath, RawTraceOverloadDecodesOnTheFly) {
   cpu::SystemConfig cfg;
   cfg.organization = cpu::Dl1Organization::kNvmVwb;
   cpu::System system(cfg);
-  expect_identical(system.run(trace), system.run_reference(trace),
+  expect_identical(system.run(trace), system.run_reference(cpu::decode(trace)),
                    "run(Trace) overload");
+}
+
+TEST(FastPath, ObservedRunMatchesRunWithAndWithoutFaults) {
+  // The oracle's entry point must replay exactly what run() replays, fault
+  // decorator included, and report every op once, in order: each op issues
+  // when the previous one retired, so completion cycles never decrease.
+  const cpu::DecodedTrace decoded =
+      cpu::decode(testutil::random_trace(7, 3000, 96 * kKiB));
+  for (const cpu::Dl1Organization org : kAllOrgs) {
+    for (const bool faulted : {false, true}) {
+      cpu::SystemConfig cfg;
+      cfg.organization = org;
+      cfg.faults.enabled = faulted;
+      cfg.faults.seed = 5;
+      cfg.faults.fail_ppm = 300'000;
+      cfg.faults.double_fault_pct = 25;
+      cfg.faults.retention_window_log2 = 10;
+      SCOPED_TRACE(std::string(cpu::to_string(org)) +
+                   (faulted ? " faulted" : " clean"));
+      cpu::System system(cfg);
+      const sim::RunStats plain = system.run(decoded);
+      std::size_t events = 0;
+      sim::Cycle last = 0;
+      bool in_order = true;
+      const sim::RunStats observed =
+          system.run_observed(decoded, [&](const cpu::OpEvent& ev) {
+            in_order = in_order && ev.index == events &&
+                       ev.issue == last && ev.complete >= ev.issue;
+            last = ev.complete;
+            ++events;
+          });
+      EXPECT_EQ(sim::to_json(observed), sim::to_json(plain));
+      EXPECT_EQ(events, decoded.size());
+      EXPECT_TRUE(in_order);
+      EXPECT_EQ(last, plain.core.total_cycles);
+      if (cfg.faults_active()) {
+        EXPECT_GT(plain.mem.ecc_corrections + plain.mem.ecc_refills, 0u);
+      }
+    }
+  }
 }
 
 TEST(DecodedTrace, RoundTripsExactly) {

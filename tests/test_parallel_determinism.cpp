@@ -125,44 +125,5 @@ TEST(TraceCacheConcurrency, GridMatchesPerCallRuns) {
   }
 }
 
-TEST(TraceCacheConcurrency, BatchedGridMatchesUnbatchedSerial) {
-  // The batched schedule (--batch=K) under a full worker pool must stay
-  // byte-identical to the serial unbatched grid, and its shared-trace
-  // fan-out must be race-free — this file is recompiled under
-  // ThreadSanitizer (test_exec's tsan preset builds the whole tree), so
-  // the batched tasks' concurrent reads of one cached trace are
-  // checked instrumented. Five same-class clock-varied configurations at
-  // width 3 force an uneven split (a 3-lane batch plus a 2-lane one) plus
-  // a different-class singleton lane.
-  const auto kernels = select_kernels({"trisolv", "gesummv"});
-  const workloads::CodegenOptions base = workloads::CodegenOptions::none();
-  std::vector<SuiteJob> jobs;
-  for (unsigned i = 0; i < 5; ++i) {
-    auto cfg = make_config(cpu::Dl1Organization::kNvmDropIn);
-    cfg.clock_ghz = 1.0 + 0.25 * i;
-    jobs.push_back({cfg, base});
-  }
-  jobs.push_back({make_config(cpu::Dl1Organization::kNvmVwb), base});
-
-  TraceCache ref_cache;
-  const auto ref =
-      at_jobs(1, [&] { return run_grid(ref_cache, kernels, jobs); });
-
-  exec::set_default_batch(3);
-  TraceCache batched_cache;
-  const auto batched =
-      at_jobs(8, [&] { return run_grid(batched_cache, kernels, jobs); });
-  exec::set_default_batch(1);
-
-  ASSERT_EQ(batched.size(), ref.size());
-  for (std::size_t j = 0; j < ref.size(); ++j) {
-    ASSERT_EQ(batched[j].size(), ref[j].size());
-    for (std::size_t k = 0; k < ref[j].size(); ++k) {
-      EXPECT_EQ(sim::to_json(batched[j][k]), sim::to_json(ref[j][k]))
-          << "job " << j << " kernel " << k;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace sttsim::experiments

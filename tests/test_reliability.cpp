@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/mem/set_assoc_cache.hpp"
 #include "sttsim/reliability/endurance.hpp"
@@ -405,37 +404,6 @@ TEST(FaultyDl1, SramBaselineIgnoresFaultConfig) {
   const auto stats = sys.run(trace);
   EXPECT_EQ(stats.mem.ecc_corrections, 0u);
   EXPECT_EQ(stats.mem.ecc_refills, 0u);
-}
-
-TEST(FaultyDl1, BatchedFaultedLanesMatchSoloRuns) {
-  // run_batch over faulted lanes routes through the virtual replay loop;
-  // each lane must still be bit-identical to its solo run, and the wear
-  // counters must be populated on both paths.
-  cpu::SystemConfig cfg;
-  cfg.organization = cpu::Dl1Organization::kNvmDropIn;
-  cfg.faults = test_faults(300'000, 10);
-  std::vector<cpu::SystemConfig> cfgs;
-  for (unsigned i = 0; i < 3; ++i) {
-    cfg.faults.seed = 100 + i;
-    cfgs.push_back(cfg);
-  }
-  const auto trace =
-      workloads::jacobi_1d(2048, 3, workloads::CodegenOptions::none());
-  const cpu::DecodedTrace decoded = cpu::decode(trace);
-
-  std::vector<cpu::System> systems;
-  systems.reserve(cfgs.size());
-  for (const auto& c : cfgs) systems.emplace_back(c);
-  std::vector<cpu::System*> lanes;
-  for (auto& s : systems) lanes.push_back(&s);
-  const auto batched = cpu::System::run_batch(cpu::compress(decoded), lanes);
-  ASSERT_EQ(batched.size(), cfgs.size());
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    cpu::System solo(cfgs[i]);
-    const auto expect = solo.run(decoded);
-    EXPECT_EQ(sim::to_json(batched[i]), sim::to_json(expect)) << "lane " << i;
-    EXPECT_GT(batched[i].mem.l1_frame_writes_total, 0u);
-  }
 }
 
 TEST(FaultyDl1, WearCountersPopulatedOnEveryReplayPath) {

@@ -635,42 +635,6 @@ TEST(IncrementalGrid, WarmRerunIsByteIdenticalAtAnyPoolWidth) {
   exec::set_default_jobs(0);
 }
 
-TEST(IncrementalGrid, BatchedPathHitsStoreAndStaysIdentical) {
-  const auto kernels = experiments::select_kernels({"atax"});
-  const auto jobs = small_grid();
-  const std::size_t n_points = jobs.size() * kernels.size();
-  const std::string path = temp_store_path("batchgrid");
-  std::remove(path.c_str());
-
-  exec::set_result_store(nullptr);
-  experiments::TraceCache ref_cache;
-  const std::string reference =
-      grid_fingerprint(experiments::run_grid(ref_cache, kernels, jobs));
-
-  exec::set_default_batch(4);
-  auto& telemetry = exec::Telemetry::instance();
-  std::string cold;
-  {
-    ScopedStore store(path);
-    experiments::TraceCache cache;
-    cold = grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
-    EXPECT_EQ(store.get().entries(), n_points);
-  }
-  {
-    ScopedStore store(path);
-    const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
-    const std::string warm =
-        grid_fingerprint(experiments::run_grid(cache, kernels, jobs));
-    const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-    EXPECT_EQ(delta.memo_hits, n_points);
-    EXPECT_EQ(warm, cold);
-  }
-  exec::set_default_batch(1);
-  EXPECT_EQ(cold, reference);
-  std::remove(path.c_str());
-}
-
 // The incremental-recomputation acceptance case: edit ONE grid parameter
 // and re-run — only that job's points (one per kernel) may simulate; every
 // other point must be a store hit.

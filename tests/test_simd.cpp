@@ -1,15 +1,11 @@
-// The explicit-SIMD replay primitives (util/simd.hpp) must be bit-identical
-// to the scalar loops they replaced, on whichever backend the build
-// selected. Three layers are pinned here:
+// The explicit-SIMD tag match (util/simd.hpp) must be bit-identical to the
+// scalar loop it replaced, on whichever backend the build selected. Two
+// layers are pinned here:
 //
-//   1. The primitives themselves — match_mask_u64 / add_u64 against scalar
-//      references over adversarial inputs (all lengths through the widest
-//      set, sentinel tags, wrap-around adds).
-//   2. The replay engine built on them — batched replay (SIMD lane-clock
-//      advance, SIMD tag match) vs per-lane solo replay (the scalar
-//      reference path), every RunStats counter, across all six DL1
-//      organizations × batch widths × random and kernel traces.
-//   3. Direct-to-decoded synthesis — every suite kernel × codegen variant
+//   1. The primitive itself — match_mask_u64 against a scalar reference
+//      over adversarial inputs (all lengths through the widest set,
+//      sentinel tags).
+//   2. Direct-to-decoded synthesis — every suite kernel × codegen variant
 //      emits packed DecodedOps byte-identical to decode(generate(·)).
 #include <gtest/gtest.h>
 
@@ -19,19 +15,15 @@
 #include <string>
 #include <vector>
 
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
-#include "sttsim/cpu/system.hpp"
-#include "sttsim/sim/stats.hpp"
 #include "sttsim/util/simd.hpp"
 #include "sttsim/workloads/suite.hpp"
-#include "trace_util.hpp"
 
 namespace {
 
 using namespace sttsim;
 
-// ---- 1. Primitives vs scalar references ------------------------------
+// ---- 1. Primitive vs scalar reference --------------------------------
 
 std::uint64_t ref_mask(const std::uint64_t* v, unsigned n, std::uint64_t key) {
   std::uint64_t mask = 0;
@@ -74,88 +66,7 @@ TEST(SimdPrimitives, MatchMaskFindsPlantedUniqueHit) {
   }
 }
 
-TEST(SimdPrimitives, AddMatchesScalarReference) {
-  std::mt19937_64 rng(0xBEEF);
-  for (unsigned n = 0; n <= 70; ++n) {
-    std::vector<std::uint64_t> a(n), b(n);
-    for (unsigned i = 0; i < n; ++i) a[i] = b[i] = rng();
-    // Include a near-overflow lane so wrap-around is exercised.
-    if (n > 0) a[n / 2] = b[n / 2] = ~std::uint64_t{0} - 1;
-    const std::uint64_t deltas[] = {0, 1, 3, ~std::uint64_t{0}, rng()};
-    for (const std::uint64_t d : deltas) {
-      for (unsigned i = 0; i < n; ++i) a[i] += d;
-      util::simd::add_u64(b.data(), n, d);
-      ASSERT_EQ(a, b) << "n=" << n << " delta=" << d;
-    }
-  }
-}
-
-// ---- 2. Batched (SIMD) replay == solo (scalar) replay ----------------
-
-const cpu::Dl1Organization kAllOrgs[] = {
-    cpu::Dl1Organization::kSramBaseline, cpu::Dl1Organization::kNvmDropIn,
-    cpu::Dl1Organization::kNvmVwb,       cpu::Dl1Organization::kNvmL0,
-    cpu::Dl1Organization::kNvmEmshr,     cpu::Dl1Organization::kNvmWriteBuf};
-
-std::vector<cpu::SystemConfig> lane_configs(cpu::Dl1Organization org,
-                                            unsigned k) {
-  std::vector<cpu::SystemConfig> cfgs(k);
-  for (unsigned i = 0; i < k; ++i) {
-    cfgs[i].organization = org;
-    cfgs[i].clock_ghz = 1.0 + 0.25 * i;
-  }
-  return cfgs;
-}
-
-/// Full-counter equality via the JSON rendering: one comparison covers
-/// every RunStats field (including ones added later) and a failure prints
-/// both complete counter sets.
-void expect_stats_identical(const std::vector<cpu::SystemConfig>& cfgs,
-                            const cpu::DecodedTrace& decoded,
-                            const std::string& context) {
-  std::vector<cpu::System> systems;
-  systems.reserve(cfgs.size());
-  for (const cpu::SystemConfig& cfg : cfgs) systems.emplace_back(cfg);
-  std::vector<cpu::System*> lanes;
-  for (cpu::System& s : systems) lanes.push_back(&s);
-  const std::vector<sim::RunStats> batched =
-      cpu::System::run_batch(cpu::compress(decoded), lanes);
-  ASSERT_EQ(batched.size(), cfgs.size());
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    cpu::System solo(cfgs[i]);
-    EXPECT_EQ(sim::to_json(batched[i]), sim::to_json(solo.run(decoded)))
-        << context << " lane " << i;
-  }
-}
-
-TEST(SimdScalarEquivalence, BatchedCountersIdenticalOnRandomTraces) {
-  const unsigned widths[] = {1, 2, 4, 8};
-  const cpu::DecodedTrace decoded =
-      cpu::decode(testutil::random_trace(21, 2500, 1 << 15));
-  for (const cpu::Dl1Organization org : kAllOrgs) {
-    for (const unsigned k : widths) {
-      expect_stats_identical(lane_configs(org, k), decoded,
-                             std::string(cpu::to_string(org)) +
-                                 " random k=" + std::to_string(k));
-    }
-  }
-}
-
-TEST(SimdScalarEquivalence, BatchedCountersIdenticalOnKernelTraces) {
-  const unsigned widths[] = {1, 2, 4, 8};
-  const workloads::Kernel& k = workloads::find_kernel("gemm");
-  const cpu::DecodedTrace decoded =
-      k.generate_decoded(workloads::CodegenOptions::all());
-  for (const cpu::Dl1Organization org : kAllOrgs) {
-    for (const unsigned width : widths) {
-      expect_stats_identical(lane_configs(org, width), decoded,
-                             std::string(cpu::to_string(org)) +
-                                 " gemm k=" + std::to_string(width));
-    }
-  }
-}
-
-// ---- 3. Direct synthesis == generate-then-decode ---------------------
+// ---- 2. Direct synthesis == generate-then-decode ---------------------
 
 TEST(DirectSynthesis, ByteIdenticalAcrossSuiteAndCodegen) {
   workloads::CodegenOptions vec_only;

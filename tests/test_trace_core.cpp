@@ -1,10 +1,10 @@
-// Unit tests: trace ops, the in-order core's timing/stall attribution, and
-// the System builder.
+// Unit tests: trace ops, the in-order core's timing/stall attribution (the
+// replay loop over a fake DL1), and the System builder.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "sttsim/cpu/in_order_core.hpp"
+#include "sttsim/cpu/replay.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/util/check.hpp"
 
@@ -69,57 +69,57 @@ class FakeDl1 final : public core::Dl1System {
   mem::SetAssocCache array_{mem::CacheGeometry{1024, 2, 64}};
 };
 
-TEST(InOrderCore, ExecAdvancesOneCyclePerInstruction) {
+/// The replay loop over `trace`; FakeDl1 has no single-granule entries, so
+/// every access takes its full load/store.
+sim::RunStats replay_trace(const Trace& trace, FakeDl1& dl1) {
+  return replay(decode(trace), dl1);
+}
+
+TEST(CoreReplay, ExecAdvancesOneCyclePerInstruction) {
   FakeDl1 dl1;
-  InOrderCore core;
-  const auto s = core.run({make_exec(100)}, dl1);
+  const auto s = replay_trace({make_exec(100)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 100u);
   EXPECT_EQ(s.core.instructions, 100u);
   EXPECT_EQ(s.core.stall_cycles(), 0u);
 }
 
-TEST(InOrderCore, OneCycleLoadDoesNotStall) {
+TEST(CoreReplay, OneCycleLoadDoesNotStall) {
   FakeDl1 dl1;
-  InOrderCore core;
-  const auto s = core.run({make_load(0, 8), make_load(8, 8)}, dl1);
+  const auto s = replay_trace({make_load(0, 8), make_load(8, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 2u);
   EXPECT_EQ(s.core.read_stall_cycles, 0u);
 }
 
-TEST(InOrderCore, SlowLoadChargesReadStalls) {
+TEST(CoreReplay, SlowLoadChargesReadStalls) {
   FakeDl1 dl1;
   dl1.load_latency = 4;  // the NVM read
-  InOrderCore core;
-  const auto s = core.run({make_load(0, 8)}, dl1);
+  const auto s = replay_trace({make_load(0, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 4u);
   EXPECT_EQ(s.core.read_stall_cycles, 3u);
   EXPECT_EQ(s.core.write_stall_cycles, 0u);
 }
 
-TEST(InOrderCore, StoreBackpressureChargesWriteStalls) {
+TEST(CoreReplay, StoreBackpressureChargesWriteStalls) {
   FakeDl1 dl1;
   dl1.store_delay = 5;
-  InOrderCore core;
-  const auto s = core.run({make_store(0, 8)}, dl1);
+  const auto s = replay_trace({make_store(0, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 5u);
   EXPECT_EQ(s.core.write_stall_cycles, 4u);
 }
 
-TEST(InOrderCore, PrefetchTakesOneCycle) {
+TEST(CoreReplay, PrefetchTakesOneCycle) {
   FakeDl1 dl1;
-  InOrderCore core;
-  const auto s = core.run({make_prefetch(0), make_prefetch(64)}, dl1);
+  const auto s = replay_trace({make_prefetch(0), make_prefetch(64)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 2u);
   EXPECT_EQ(s.core.instructions, 2u);
   EXPECT_EQ(dl1.stats().prefetches, 2u);
 }
 
-TEST(InOrderCore, MixedSequenceAddsUp) {
+TEST(CoreReplay, MixedSequenceAddsUp) {
   FakeDl1 dl1;
   dl1.load_latency = 4;
-  InOrderCore core;
   // exec(3) -> 3; load -> 1 issue + 3 stall; exec(2) -> 2; store -> 1.
-  const auto s = core.run(
+  const auto s = replay_trace(
       {make_exec(3), make_load(0, 8), make_exec(2), make_store(0, 8)}, dl1);
   EXPECT_EQ(s.core.total_cycles, 3u + 4 + 2 + 1);
   EXPECT_EQ(s.core.instructions, 7u);

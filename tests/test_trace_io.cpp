@@ -1,6 +1,8 @@
 // Unit tests: binary trace serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "sttsim/cpu/trace_io.hpp"
@@ -78,6 +80,19 @@ TEST(TraceIo, RejectsTruncatedStream) {
   const std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() - 5));
   EXPECT_THROW(read_trace(cut), TraceIoError);
+}
+
+TEST(TraceIo, RejectsOversizedOpCount) {
+  // A bare 20-byte header claiming 2^50 ops: the reader must report a
+  // truncated stream, not try to allocate the claimed ops first.
+  std::stringstream ss;
+  write_trace(ss, {});
+  std::string bytes = ss.str();
+  ASSERT_EQ(bytes.size(), 20u);
+  const std::uint64_t huge = std::uint64_t{1} << 50;
+  std::memcpy(bytes.data() + 8 + 4, &huge, sizeof huge);
+  std::stringstream corrupt(bytes);
+  EXPECT_THROW(read_trace(corrupt), TraceIoError);
 }
 
 TEST(TraceIo, RejectsBadOpKind) {

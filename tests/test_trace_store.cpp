@@ -3,9 +3,11 @@
 // payloads, corrupted lengths that would desync framing, wrong
 // schema/content version), concurrency, cross-process sharing (forked
 // second writers, first-write-wins across processes, recovery from a
-// writer killed mid-append), open-failure diagnostics, the blob codec, the
-// trace-digest key, and the engine-level invariant that a warm trace store
-// serves byte-identical results while generating zero traces.
+// writer killed mid-append), open-failure diagnostics, the compressed trace
+// form the store holds (exact round trip, escape fallback, cursor,
+// adversarial streams), the blob codec, the trace-digest key, and the
+// engine-level invariant that a warm trace store serves byte-identical
+// results while generating zero traces.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -29,6 +31,7 @@
 #include "sttsim/exec/trace_store.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/sim/stats.hpp"
+#include "sttsim/workloads/kernels.hpp"
 #include "sttsim/workloads/suite.hpp"
 #include "trace_util.hpp"
 
@@ -435,6 +438,239 @@ TEST(TraceStoreOpenErrors, MissingParentDirectory) {
     EXPECT_NE(what.find(path), std::string::npos) << what;
     EXPECT_NE(what.find("parent directory does not exist"), std::string::npos)
         << what;
+  }
+}
+
+// ---- Compressed trace representation ---------------------------------
+
+void expect_ops_equal(const cpu::DecodedTrace& a, const cpu::DecodedTrace& b) {
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    EXPECT_EQ(a.ops[i].addr, b.ops[i].addr);
+    EXPECT_EQ(a.ops[i].count, b.ops[i].count);
+    EXPECT_EQ(a.ops[i].kind, b.ops[i].kind);
+    EXPECT_EQ(a.ops[i].size, b.ops[i].size);
+    EXPECT_EQ(a.ops[i].span32, b.ops[i].span32);
+    EXPECT_EQ(a.ops[i].span64, b.ops[i].span64);
+  }
+  EXPECT_EQ(a.store_values, b.store_values);
+}
+
+TEST(CompressedTrace, ExactRoundTripOnGeneratedTraces) {
+  // Random fuzz mix and a kernel trace with store payloads: compress must
+  // invert exactly, and the stream must actually be smaller.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    cpu::Trace trace = testutil::random_trace(seed, 5000, 1 << 18);
+    cpu::assign_store_values(trace, seed);
+    const cpu::DecodedTrace decoded = cpu::decode(trace);
+    const cpu::CompressedTrace compressed = cpu::compress(decoded);
+    EXPECT_EQ(compressed.size(), decoded.size());
+    EXPECT_LT(compressed.bytes.size(), compressed.decoded_bytes() / 2)
+        << "compression should at least halve the op stream";
+    expect_ops_equal(cpu::decompress(compressed), decoded);
+  }
+  const cpu::Trace kernel =
+      workloads::gemm(16, 16, 16, workloads::CodegenOptions::all());
+  const cpu::DecodedTrace decoded = cpu::decode(kernel);
+  expect_ops_equal(cpu::decompress(cpu::compress(decoded)), decoded);
+}
+
+TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
+  // Ops the compact form cannot carry must survive via the 0xFF escape:
+  // exec with a nonzero addr, memory ops with count != 1, ops whose stored
+  // spans disagree with recomputation, zero-count exec.
+  cpu::DecodedTrace weird;
+  cpu::DecodedOp exec_addr;
+  exec_addr.kind = cpu::OpKind::kExec;
+  exec_addr.addr = 0xdead;
+  exec_addr.count = 5;
+  weird.ops.push_back(exec_addr);
+
+  cpu::DecodedOp multi_load;
+  multi_load.kind = cpu::OpKind::kLoad;
+  multi_load.addr = 0x1000;
+  multi_load.size = 8;
+  multi_load.count = 3;  // decode() never emits this
+  multi_load.span32 = 1;
+  multi_load.span64 = 1;
+  weird.ops.push_back(multi_load);
+
+  cpu::DecodedOp bad_span;
+  bad_span.kind = cpu::OpKind::kStore;
+  bad_span.addr = 0x2000;
+  bad_span.size = 16;
+  bad_span.span32 = 7;  // disagrees with span_of(0x2000, 16, 5)
+  bad_span.span64 = 1;
+  weird.ops.push_back(bad_span);
+
+  cpu::DecodedOp zero_exec;
+  zero_exec.kind = cpu::OpKind::kExec;
+  zero_exec.count = 0;
+  weird.ops.push_back(zero_exec);
+
+  // A normal op after the escapes: prev_addr/prev_size tracking must have
+  // stayed consistent across the escape path.
+  cpu::DecodedOp normal;
+  normal.kind = cpu::OpKind::kLoad;
+  normal.addr = 0x2008;
+  normal.size = 16;
+  normal.span32 = cpu::span_of(0x2008, 16, 5);
+  normal.span64 = cpu::span_of(0x2008, 16, 6);
+  weird.ops.push_back(normal);
+
+  expect_ops_equal(cpu::decompress(cpu::compress(weird)), weird);
+}
+
+TEST(CompressedTrace, CursorMatchesDecompress) {
+  cpu::Trace trace = testutil::random_trace(11, 2000, 1 << 14);
+  const cpu::DecodedTrace decoded = cpu::decode(trace);
+  const cpu::CompressedTrace compressed = cpu::compress(decoded);
+  const cpu::DecodedTrace expanded = cpu::decompress(compressed);
+
+  cpu::CompressedCursor cursor(compressed);
+  cpu::DecodedOp op;
+  std::size_t i = 0;
+  while (cursor.next(op)) {
+    ASSERT_LT(i, expanded.ops.size());
+    SCOPED_TRACE("op " + std::to_string(i));
+    EXPECT_EQ(op.addr, expanded.ops[i].addr);
+    EXPECT_EQ(op.count, expanded.ops[i].count);
+    EXPECT_EQ(op.kind, expanded.ops[i].kind);
+    EXPECT_EQ(op.size, expanded.ops[i].size);
+    EXPECT_EQ(op.span32, expanded.ops[i].span32);
+    EXPECT_EQ(op.span64, expanded.ops[i].span64);
+    ++i;
+  }
+  EXPECT_EQ(i, expanded.ops.size());
+}
+
+// ---- Adversarial round-trip properties -------------------------------
+//
+// compress()/decompress() claim to be exact inverses for ANY op stream.
+// The generated-trace tests above only reach the friendly encodings, so
+// these drive the worst corners of the format head-on: address deltas of
+// maximal magnitude in both directions (10-byte zigzag varints, wraparound
+// through 2^64), the prefetch+size+varint tag whose bit pattern collides
+// with the 0xFF escape, and zero-length exec runs.
+
+cpu::DecodedOp mem_op(cpu::OpKind kind, Addr addr, std::uint8_t size) {
+  cpu::DecodedOp op;
+  op.kind = kind;
+  op.addr = addr;
+  op.size = size;
+  const bool mem = kind != cpu::OpKind::kPrefetch;
+  op.span32 = mem ? cpu::span_of(addr, size, 5) : std::uint8_t{1};
+  op.span64 = mem ? cpu::span_of(addr, size, 6) : std::uint8_t{1};
+  return op;
+}
+
+cpu::DecodedOp exec_op(std::uint32_t count) {
+  cpu::DecodedOp op;
+  op.kind = cpu::OpKind::kExec;
+  op.count = count;
+  op.size = 0;
+  return op;
+}
+
+TEST(CompressedTrace, MaxMagnitudeDeltasRoundTrip) {
+  // Consecutive addresses chosen so the deltas hit INT64_MIN, INT64_MAX,
+  // -1, +1, and full wraparound — the zigzag/varint stack's extremes.
+  const Addr extremes[] = {
+      0x0ULL,
+      0x8000000000000000ULL,  // delta INT64_MIN
+      0x0ULL,                 // delta INT64_MIN again (wraps the other way)
+      0x7fffffffffffffffULL,  // delta INT64_MAX
+      0xffffffffffffffffULL,  // delta INT64_MIN (as int64)
+      0xfffffffffffffffeULL,  // delta -1
+      0xffffffffffffffffULL,  // delta +1
+      0x1ULL,                 // delta +2 (wraps through zero)
+  };
+  cpu::DecodedTrace t;
+  for (const Addr a : extremes) {
+    t.ops.push_back(mem_op(cpu::OpKind::kLoad, a, 8));
+  }
+  expect_ops_equal(cpu::decompress(cpu::compress(t)), t);
+}
+
+TEST(CompressedTrace, EscapeCollisionTagRoundTrips) {
+  // A prefetch with a changed size byte and a >= 31 zigzag delta encodes
+  // tag 0b11111111 — exactly the escape marker. The compressor must detect
+  // the collision and fall back to the verbatim form, and prev_addr /
+  // prev_size tracking must stay consistent so the *next* delta-coded op
+  // still expands correctly.
+  cpu::DecodedTrace t;
+  t.ops.push_back(mem_op(cpu::OpKind::kLoad, 0x1000, 8));  // prev = (0x1000, 8)
+  cpu::DecodedOp collide = mem_op(cpu::OpKind::kPrefetch, 0x1400, 0);
+  t.ops.push_back(collide);  // delta 0x400, size 0 != 8 -> tag would be 0xFF
+  t.ops.push_back(mem_op(cpu::OpKind::kLoad, 0x1408, 8));  // delta vs 0x1400
+  const cpu::CompressedTrace c = cpu::compress(t);
+  // The collision op must have taken the 17-byte escape.
+  std::size_t escapes = 0;
+  for (std::size_t i = 0; i < c.bytes.size();) {
+    if (c.bytes[i] == 0xFFu) {
+      ++escapes;
+      i += 1 + sizeof(cpu::DecodedOp);
+    } else {
+      ++i;
+    }
+  }
+  EXPECT_EQ(escapes, 1u);
+  expect_ops_equal(cpu::decompress(c), t);
+}
+
+TEST(CompressedTrace, AdversarialPropertyFuzz) {
+  // Property: for 64 seeded random streams mixing every nasty shape —
+  // extreme addresses, every kind, size changes on every op, zero-length
+  // exec runs, and the 62/63/64 inline-count boundary — decompress is the
+  // exact inverse and the cursor agrees op-for-op.
+  const Addr hot_spots[] = {0x0ULL,
+                            0x1ULL,
+                            0x7fffffffffffffffULL,
+                            0x8000000000000000ULL,
+                            0x8000000000000001ULL,
+                            0xffffffffffffffffULL,
+                            0x1000ULL,
+                            0x1008ULL};
+  const std::uint8_t sizes[] = {0, 1, 2, 4, 8, 16, 32, 64, 255};
+  const std::uint32_t counts[] = {0, 1, 2, 62, 63, 64, 100000};
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng rng(seed);
+    cpu::DecodedTrace t;
+    for (unsigned i = 0; i < 200; ++i) {
+      switch (rng.next_below(4)) {
+        case 0:
+          t.ops.push_back(exec_op(counts[rng.next_below(std::size(counts))]));
+          break;
+        case 1:
+          t.ops.push_back(mem_op(cpu::OpKind::kLoad,
+                                 hot_spots[rng.next_below(std::size(hot_spots))],
+                                 sizes[rng.next_below(std::size(sizes))]));
+          break;
+        case 2: {
+          t.ops.push_back(
+              mem_op(cpu::OpKind::kStore,
+                     hot_spots[rng.next_below(std::size(hot_spots))],
+                     sizes[rng.next_below(std::size(sizes))]));
+          t.store_values.push_back(rng.next_u64());
+          break;
+        }
+        default:
+          t.ops.push_back(
+              mem_op(cpu::OpKind::kPrefetch,
+                     hot_spots[rng.next_below(std::size(hot_spots))],
+                     sizes[rng.next_below(std::size(sizes))]));
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const cpu::CompressedTrace c = cpu::compress(t);
+    EXPECT_EQ(c.size(), t.ops.size());
+    expect_ops_equal(cpu::decompress(c), t);
+    cpu::CompressedCursor cursor(c);
+    cpu::DecodedOp op;
+    std::size_t n = 0;
+    while (cursor.next(op)) ++n;
+    EXPECT_EQ(n, t.ops.size());
   }
 }
 

@@ -8,13 +8,11 @@
 //   * per-figure serial replay throughput  (figures[].serial.trace_ops_per_sec)
 //   * per-organization fast-path replay    (replay.organizations[].fast_ops_per_sec)
 //   * aggregate fast-path replay           (replay.fast_agg_ops_per_sec)
-//   * per-organization batched replay      (batch.organizations[].batch_ops_per_sec)
-//   * aggregate batched replay             (batch.batch_agg_ops_per_sec)
 //   * result-store warm-replay speedups    (store.runs[].warm_speedup, one
 //     metric per pool width: store:warm_speedup@jN)
 //
 // Every comparison prints its delta — within tolerance or not — plus one
-// summary line per section (figure / replay / batch / store), so a run's
+// summary line per section (figure / replay / store), so a run's
 // drift is visible before it crosses the regression threshold.
 //
 // Exit codes: 0 all good, 1 regression(s), 2 usage / unreadable current
@@ -99,18 +97,19 @@ std::vector<Metric> extract(const std::string& text) {
     }
     pos = entry;
   }
-  // Replay organizations (bounded by the batch section, which reuses the
-  // per-org entry shape).
-  const std::size_t batch = text.find("\"batch\"");
+  // Replay organizations, bounded by the store section that follows. (Older
+  // files carry a "batch" section in between; its per-org entries have no
+  // fast_ops_per_sec key, so they contribute nothing.)
+  const std::size_t store = text.find("\"store\"");
   pos = replay;
   while (pos != std::string::npos) {
     const std::size_t entry = text.find("{\"org\": \"", pos + 1);
     if (entry == std::string::npos ||
-        (batch != std::string::npos && entry >= batch)) {
+        (store != std::string::npos && entry >= store)) {
       break;
     }
     const std::string org = string_after(text, "org", entry);
-    const double v = number_after(text, "fast_ops_per_sec", entry, batch);
+    const double v = number_after(text, "fast_ops_per_sec", entry, store);
     if (!org.empty() && v >= 0.0) {
       out.push_back(Metric{"replay:" + org, v});
     }
@@ -118,29 +117,12 @@ std::vector<Metric> extract(const std::string& text) {
   }
   if (replay != std::string::npos) {
     const double agg =
-        number_after(text, "fast_agg_ops_per_sec", replay, batch);
+        number_after(text, "fast_agg_ops_per_sec", replay, store);
     if (agg >= 0.0) out.push_back(Metric{"replay:aggregate", agg});
-  }
-  // Batched-replay organizations and aggregate.
-  pos = batch;
-  while (pos != std::string::npos) {
-    const std::size_t entry = text.find("{\"org\": \"", pos + 1);
-    if (entry == std::string::npos) break;
-    const std::string org = string_after(text, "org", entry);
-    const double v = number_after(text, "batch_ops_per_sec", entry);
-    if (!org.empty() && v >= 0.0) {
-      out.push_back(Metric{"batch:" + org, v});
-    }
-    pos = entry;
-  }
-  if (batch != std::string::npos) {
-    const double agg = number_after(text, "batch_agg_ops_per_sec", batch);
-    if (agg >= 0.0) out.push_back(Metric{"batch:aggregate", agg});
   }
   // Result-store warm-replay speedups, one per pool width. A speedup is a
   // ratio, not ops/s, but regresses the same way: smaller = slower warm
   // path. Bounded by the trailing "total" section.
-  const std::size_t store = text.find("\"store\"");
   const std::size_t total = text.find("\"total\"");
   pos = store;
   while (pos != std::string::npos) {

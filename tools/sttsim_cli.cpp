@@ -8,17 +8,16 @@
 //   sttsim --trace-in=foo.trc --org=nvm-drop-in
 //   sttsim --kernel=mvt --trace-out=mvt.trc      (capture, no simulation)
 //   sttsim --trace-in=repro.trace --org=nvm-vwb --check-oracle
-//   sttsim --kernel=gemm --org=nvm-vwb,nvm-l0,nvm-emshr   (batched compare)
+//   sttsim --kernel=gemm --org=nvm-vwb,nvm-l0,nvm-emshr   (side by side)
 //   sttsim --list
 //
-// --org accepts a comma-separated list: all named organizations are
-// simulated in one batched pass over the decoded trace per organization
-// class (cpu::System::run_batch) and reported side by side. --batch=K caps
-// the lane count per pass.
+// --org accepts a comma-separated list: the named organizations replay the
+// decoded trace one after another (cpu::System::run each) and are reported
+// side by side, in the order given.
 //
-// Numeric flags (--jobs, --batch, --deadline, --vwb-kbit, --vwb-lines,
-// --banks, --clock-ghz, --faults, --ecc) must be well-formed numbers; a
-// malformed value, like an unknown flag, prints usage and exits 2.
+// Numeric flags (--jobs, --deadline, --vwb-kbit, --vwb-lines, --banks,
+// --clock-ghz, --faults, --ecc) must be well-formed numbers; a malformed
+// value, like an unknown flag, prints usage and exits 2.
 //
 // Options: --vwb-kbit=N --vwb-lines=N --banks=N --clock-ghz=F --csv
 //          --store=PATH (persistent result store: repeated identical runs
@@ -39,7 +38,6 @@
 #include <string>
 
 #include "sttsim/check/differential.hpp"
-#include "sttsim/cpu/batch_replay.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
@@ -84,16 +82,15 @@ struct CliOptions {
       "          [--opts=vec,pf,br] [--vwb-kbit=N] [--vwb-lines=N]\n"
       "          [--banks=N] [--clock-ghz=F] [--trace-out=FILE]\n"
       "          [--faults=SEED[:PPM[:DOUBLEPCT]]] [--ecc=CORR[:REFILL]]\n"
-      "          [--baseline-penalty] [--check-oracle] [--jobs=N] "
-      "[--batch=K]\n"
+      "          [--baseline-penalty] [--check-oracle] [--jobs=N]\n"
       "          [--store=PATH] [--no-store] [--trace-store=PATH]\n"
       "          [--no-trace-store] [--deadline=SECS] [--csv|--json]\n"
-      "(a comma-separated --org list runs all of them in one batched\n"
-      " replay pass per organization class and reports them side by side;\n"
-      " --faults enables deterministic retention-fault injection on NVM\n"
-      " organizations — SEED keys the schedule, PPM the per-window failure\n"
-      " odds, DOUBLEPCT the double-bit share; --ecc sets the SEC-DED\n"
-      " correction / line-refill penalty cycles)\n",
+      "(a comma-separated --org list runs each organization in turn and\n"
+      " reports them side by side; --faults enables deterministic\n"
+      " retention-fault injection on NVM organizations — SEED keys the\n"
+      " schedule, PPM the per-window failure odds, DOUBLEPCT the\n"
+      " double-bit share; --ecc sets the SEC-DED correction / line-refill\n"
+      " penalty cycles)\n",
       argv0);
   std::exit(2);
 }
@@ -235,10 +232,6 @@ CliOptions parse_args(int argc, char** argv) {
       unsigned jobs = 0;
       number(val, jobs);
       exec::set_default_jobs(jobs);
-    } else if (take("--batch=")) {
-      unsigned batch = 0;
-      number(val, batch);
-      exec::set_default_batch(batch);
     } else if (take("--deadline=")) {
       if (!parse_finite(val.c_str(), request.deadline_s)) usage(argv[0]);
     } else if (take("--store=")) {
@@ -338,35 +331,17 @@ int run(const CliOptions& o) {
                    "--check-oracle/--baseline-penalty/--json\n");
       return 2;
     }
-    // Batched comparison: one replay pass over the decoded trace per
-    // organization class drives every requested configuration of that class
-    // at once. --batch caps lanes per pass; unset, whole class groups ride
-    // together.
+    // Side-by-side comparison: every organization replays the decoded
+    // trace in turn. All of them run before anything prints, so a
+    // configuration error still leaves stdout empty.
     const cpu::DecodedTrace decoded = cpu::decode(trace);
-    std::vector<cpu::SystemConfig> cfgs;
-    cfgs.reserve(o.orgs.size());
+    std::vector<sim::RunStats> all;
+    all.reserve(o.orgs.size());
     for (const cpu::Dl1Organization org : o.orgs) {
       cpu::SystemConfig cfg = o.system;
       cfg.organization = org;
-      cfg.validate();
-      cfgs.push_back(cfg);
-    }
-    const unsigned width = exec::default_batch() > 1 ? exec::default_batch()
-                                                     : cpu::kMaxBatchLanes;
-    std::vector<sim::RunStats> all(cfgs.size());
-    for (const std::vector<std::size_t>& part :
-         cpu::partition_batches(cfgs, width)) {
-      std::vector<cpu::System> systems;
-      systems.reserve(part.size());
-      for (const std::size_t i : part) {
-        systems.emplace_back(cfgs[i], cpu::System::kPrevalidated);
-      }
-      std::vector<cpu::System*> lanes;
-      lanes.reserve(systems.size());
-      for (cpu::System& s : systems) lanes.push_back(&s);
-      const std::vector<sim::RunStats> stats =
-          cpu::System::run_batch(decoded, lanes);
-      for (std::size_t i = 0; i < part.size(); ++i) all[part[i]] = stats[i];
+      cpu::System system(cfg);
+      all.push_back(system.run(decoded));
     }
     for (std::size_t i = 0; i < o.orgs.size(); ++i) {
       if (!o.csv) {
