@@ -152,13 +152,15 @@ std::string run_json(const TimedRun& r) {
   // threads — it can exceed wall_ms on a pool) separates trace synthesis
   // cost from store-decode cost from replay cost, so the trajectory file
   // shows where a cold or warm campaign actually spends its time.
+  // trace_wait_ns is the time grid points blocked on a trace another
+  // worker was still generating.
   return strprintf(
       "{\"wall_ms\": %.2f, \"simulations\": %llu, \"sims_per_sec\": %.2f, "
       "\"trace_ops\": %llu, \"trace_ops_per_sec\": %.0f, "
       "\"traces_generated\": %llu, \"generate_ms\": %.2f, "
       "\"decode_ms\": %.2f, \"replay_ms\": %.2f, \"memo_hits\": %llu, "
       "\"memo_misses\": %llu, \"tasks_timed_out\": %llu, "
-      "\"tasks_cancelled\": %llu}",
+      "\"tasks_cancelled\": %llu, \"trace_wait_ns\": %llu}",
       r.wall_ms, static_cast<unsigned long long>(r.counts.simulations),
       per_sec(r.counts.simulations, r.wall_ms),
       static_cast<unsigned long long>(r.counts.trace_ops),
@@ -170,7 +172,8 @@ std::string run_json(const TimedRun& r) {
       static_cast<unsigned long long>(r.counts.memo_hits),
       static_cast<unsigned long long>(r.counts.memo_misses),
       static_cast<unsigned long long>(r.counts.tasks_timed_out),
-      static_cast<unsigned long long>(r.counts.tasks_cancelled));
+      static_cast<unsigned long long>(r.counts.tasks_cancelled),
+      static_cast<unsigned long long>(r.counts.trace_wait_ns));
 }
 
 }  // namespace

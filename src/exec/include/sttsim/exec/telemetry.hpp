@@ -1,15 +1,25 @@
 // Process-wide throughput counters for the experiment engine: how many
 // simulations ran, how many trace operations they replayed, how many traces
-// were generated (vs served from the trace store), and how long each cold
-// phase — generate / decode / replay — took. The perf_smoke bench snapshots
-// these around each figure to derive simulations/sec, trace-ops/sec and the
-// per-phase timing breakdown for BENCH_perf.json.
+// were generated (vs served from the trace store), how long each cold
+// phase — generate / decode / replay — took, and how long grid points
+// waited for a trace another worker was generating. The perf_smoke bench
+// snapshots these around each figure to derive simulations/sec,
+// trace-ops/sec and the per-phase timing breakdown for BENCH_perf.json.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 namespace sttsim::exec {
+
+/// Steady-clock nanoseconds: the time base of the phase timers below.
+inline std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 struct TelemetrySnapshot {
   std::uint64_t simulations = 0;      ///< completed System::run calls
@@ -30,6 +40,9 @@ struct TelemetrySnapshot {
   std::uint64_t decode_ns = 0;        ///< wall ns deserializing/decompressing
                                       ///< stored traces (warm path)
   std::uint64_t replay_ns = 0;        ///< wall ns inside System::run
+  std::uint64_t trace_wait_ns = 0;    ///< wall ns requesters blocked on
+                                      ///< another worker's generation of
+                                      ///< the same trace
 
   TelemetrySnapshot operator-(const TelemetrySnapshot& rhs) const {
     return {simulations - rhs.simulations, trace_ops - rhs.trace_ops,
@@ -40,7 +53,7 @@ struct TelemetrySnapshot {
             trace_store_hits - rhs.trace_store_hits,
             trace_store_misses - rhs.trace_store_misses,
             generate_ns - rhs.generate_ns, decode_ns - rhs.decode_ns,
-            replay_ns - rhs.replay_ns};
+            replay_ns - rhs.replay_ns, trace_wait_ns - rhs.trace_wait_ns};
   }
 };
 
@@ -81,6 +94,9 @@ class Telemetry {
   void count_replay_ns(std::uint64_t ns) {
     replay_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
+  void count_trace_wait_ns(std::uint64_t ns) {
+    trace_wait_ns_.fetch_add(ns, std::memory_order_relaxed);
+  }
 
   TelemetrySnapshot snapshot() const {
     return {simulations_.load(std::memory_order_relaxed),
@@ -94,7 +110,8 @@ class Telemetry {
             trace_store_misses_.load(std::memory_order_relaxed),
             generate_ns_.load(std::memory_order_relaxed),
             decode_ns_.load(std::memory_order_relaxed),
-            replay_ns_.load(std::memory_order_relaxed)};
+            replay_ns_.load(std::memory_order_relaxed),
+            trace_wait_ns_.load(std::memory_order_relaxed)};
   }
 
   void reset() {
@@ -110,6 +127,7 @@ class Telemetry {
     generate_ns_.store(0, std::memory_order_relaxed);
     decode_ns_.store(0, std::memory_order_relaxed);
     replay_ns_.store(0, std::memory_order_relaxed);
+    trace_wait_ns_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -125,6 +143,7 @@ class Telemetry {
   std::atomic<std::uint64_t> generate_ns_{0};
   std::atomic<std::uint64_t> decode_ns_{0};
   std::atomic<std::uint64_t> replay_ns_{0};
+  std::atomic<std::uint64_t> trace_wait_ns_{0};
 };
 
 }  // namespace sttsim::exec

@@ -187,7 +187,7 @@ void TraceStore::append(std::uint64_t digest, const void* payload,
   std::vector<std::uint8_t> rec(kRecordHeadBytes + len + kRecordTailBytes);
   put_u64(rec.data(), digest);
   put_u32(rec.data() + 8, static_cast<std::uint32_t>(len));
-  std::memcpy(rec.data() + kRecordHeadBytes, payload, len);
+  if (len != 0) std::memcpy(rec.data() + kRecordHeadBytes, payload, len);
   put_u64(rec.data() + kRecordHeadBytes + len,
           util::hash_bytes(rec.data(), kRecordHeadBytes + len));
   std::fseek(file, static_cast<long>(scan_end_), SEEK_SET);

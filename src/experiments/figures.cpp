@@ -419,15 +419,19 @@ std::string lifetime_report(const KernelFilter& filter) {
   cfg.validate();
   // Wear profiling needs the System's DL1 array after the run, so this
   // report fans whole per-kernel jobs (run + profile + row formatting)
-  // across the pool rather than going through run_grid.
+  // across the pool rather than going through run_grid. Each trace has
+  // this one replay, so it is dropped right after it.
   exec::ParallelExecutor pool;
   const std::vector<std::vector<std::string>> rows =
       pool.map(kernels.size(), [&](std::size_t i) {
         const Kernel& k = kernels[i];
-        const cpu::DecodedTrace& trace = cache.get_decoded(k, base);
+        const TraceCache::Handle trace = cache.acquire(k, base);
         cpu::System system(cfg, cpu::System::kPrevalidated);
-        const sim::RunStats stats = system.run(trace);
-        exec::Telemetry::instance().count_simulation(trace.size());
+        const std::uint64_t t0 = exec::now_ns();
+        const sim::RunStats stats = system.run(*trace);
+        exec::Telemetry::instance().count_replay_ns(exec::now_ns() - t0);
+        cache.drop(k, base);
+        exec::Telemetry::instance().count_simulation(trace->size());
         const auto wear = reliability::profile_wear(
             system.dl1().array(), stats.core.total_cycles, 1.0);
         return std::vector<std::string>{

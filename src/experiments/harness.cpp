@@ -1,6 +1,6 @@
 #include "sttsim/experiments/harness.hpp"
 
-#include <chrono>
+#include <atomic>
 #include <cstdio>
 #include <limits>
 #include <tuple>
@@ -18,12 +18,7 @@
 namespace sttsim::experiments {
 namespace {
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using exec::now_ns;
 
 auto codegen_tuple(const workloads::CodegenOptions& o) {
   return std::make_tuple(o.vectorize, o.vector_width, o.prefetch,
@@ -176,59 +171,73 @@ bool TraceCache::KeyLess::less(const KeyView& a, const KeyView& b) {
   return codegen_tuple(*a.opts) < codegen_tuple(*b.opts);
 }
 
+cpu::DecodedTrace TraceCache::load(const workloads::Kernel& kernel,
+                                   const workloads::CodegenOptions& opts) {
+  exec::Telemetry& telemetry = exec::Telemetry::instance();
+  exec::TraceStore* tstore = exec::trace_store();
+  if (tstore != nullptr) {
+    // Warm path: decode the stored compressed blob — no generation.
+    // The compressed form lives only until it is decompressed.
+    const std::uint64_t digest = trace_digest(kernel.name, opts);
+    std::vector<std::uint8_t> blob;
+    if (tstore->lookup(digest, blob)) {
+      const std::uint64_t t0 = now_ns();
+      cpu::CompressedTrace compressed;
+      if (cpu::deserialize_compressed(blob.data(), blob.size(), compressed)) {
+        blob = {};  // its bytes now live in `compressed`
+        cpu::DecodedTrace decoded = cpu::decompress(compressed);
+        telemetry.count_decode_ns(now_ns() - t0);
+        telemetry.count_trace_store_hit();
+        return decoded;
+      }
+      // Malformed blob (should be unreachable behind the store's
+      // checksum): fall through and regenerate.
+    }
+    telemetry.count_trace_store_miss();
+  }
+  telemetry.count_trace_generated();
+  const std::uint64_t t0 = now_ns();
+  // Direct-to-decoded synthesis; hand-rolled Kernel objects (tests) may
+  // only provide the raw generator — decode then.
+  cpu::DecodedTrace decoded = kernel.generate_decoded
+                                  ? kernel.generate_decoded(opts)
+                                  : cpu::decode(kernel.generate(opts));
+  telemetry.count_generate_ns(now_ns() - t0);
+  if (tstore != nullptr) {
+    const std::vector<std::uint8_t> blob =
+        cpu::serialize_compressed(cpu::compress(decoded));
+    tstore->append(trace_digest(kernel.name, opts), blob.data(), blob.size());
+  }
+  return decoded;
+}
+
+TraceCache::Handle TraceCache::acquire(const workloads::Kernel& kernel,
+                                       const workloads::CodegenOptions& opts) {
+  std::uint64_t wait_ns = 0;
+  Handle trace = cache_.acquire(
+      KeyView{kernel.name, &opts}, [&] { return Key{kernel.name, opts}; },
+      [&] { return load(kernel, opts); }, &wait_ns);
+  if (wait_ns != 0) exec::Telemetry::instance().count_trace_wait_ns(wait_ns);
+  return trace;
+}
+
+void TraceCache::drop(const workloads::Kernel& kernel,
+                      const workloads::CodegenOptions& opts) {
+  cache_.drop(KeyView{kernel.name, &opts});
+}
+
 const cpu::DecodedTrace& TraceCache::get_decoded(
     const workloads::Kernel& kernel, const workloads::CodegenOptions& opts) {
-  const KeyView lookup{kernel.name, &opts};
   return cache_.get_or_generate(
-      lookup, [&] { return Key{kernel.name, opts}; },
-      [&] {
-        exec::Telemetry& telemetry = exec::Telemetry::instance();
-        exec::TraceStore* tstore = exec::trace_store();
-        if (tstore != nullptr) {
-          // Warm path: decode the stored compressed blob — no generation.
-          // The compressed form lives only until it is decompressed.
-          const std::uint64_t digest = trace_digest(kernel.name, opts);
-          std::vector<std::uint8_t> blob;
-          if (tstore->lookup(digest, blob)) {
-            const std::uint64_t t0 = now_ns();
-            cpu::CompressedTrace compressed;
-            if (cpu::deserialize_compressed(blob.data(), blob.size(),
-                                            compressed)) {
-              blob = {};  // its bytes now live in `compressed`
-              cpu::DecodedTrace decoded = cpu::decompress(compressed);
-              telemetry.count_decode_ns(now_ns() - t0);
-              telemetry.count_trace_store_hit();
-              return decoded;
-            }
-            // Malformed blob (should be unreachable behind the store's
-            // checksum): fall through and regenerate.
-          }
-          telemetry.count_trace_store_miss();
-        }
-        telemetry.count_trace_generated();
-        const std::uint64_t t0 = now_ns();
-        // Direct-to-decoded synthesis; hand-rolled Kernel objects (tests)
-        // may only provide the raw generator — decode then.
-        cpu::DecodedTrace decoded = kernel.generate_decoded
-                                        ? kernel.generate_decoded(opts)
-                                        : cpu::decode(kernel.generate(opts));
-        telemetry.count_generate_ns(now_ns() - t0);
-        if (tstore != nullptr) {
-          const std::vector<std::uint8_t> blob =
-              cpu::serialize_compressed(cpu::compress(decoded));
-          tstore->append(trace_digest(kernel.name, opts), blob.data(),
-                         blob.size());
-        }
-        return decoded;
-      });
+      KeyView{kernel.name, &opts}, [&] { return Key{kernel.name, opts}; },
+      [&] { return load(kernel, opts); });
 }
 
 const cpu::Trace& TraceCache::get(const workloads::Kernel& kernel,
                                   const workloads::CodegenOptions& opts) {
-  const KeyView lookup{kernel.name, &opts};
   return raw_cache_.get_or_generate(
-      lookup, [&] { return Key{kernel.name, opts}; },
-      [&] { return cpu::reassemble(get_decoded(kernel, opts)); });
+      KeyView{kernel.name, &opts}, [&] { return Key{kernel.name, opts}; },
+      [&] { return cpu::reassemble(*acquire(kernel, opts)); });
 }
 
 sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
@@ -245,12 +254,12 @@ sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
     }
     exec::Telemetry::instance().count_memo_miss();
   }
-  const cpu::DecodedTrace& trace = cache.get_decoded(kernel, opts);
+  const TraceCache::Handle trace = cache.acquire(kernel, opts);
   cpu::System system(config);
   const std::uint64_t t0 = now_ns();
-  const sim::RunStats stats = system.run(trace);
+  const sim::RunStats stats = system.run(*trace);
   exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-  exec::Telemetry::instance().count_simulation(trace.size());
+  exec::Telemetry::instance().count_simulation(trace->size());
   if (store != nullptr) {
     std::uint8_t payload[sim::kRunStatsBytes];
     sim::encode_run_stats(stats, payload);
@@ -296,34 +305,112 @@ void finish_request(
   }
 }
 
-/// Runs `points` as one request task each, in the given order (j-major for
-/// a full grid, matching the historical serial loops), and scatters results
-/// into out[j][k]. Completed misses append to the store from inside their
-/// task, so an interrupted campaign keeps every point it finished.
+/// The order a grid's points run in, as indices into the j-major point
+/// list. `trace_points[t]` lists trace t's points in j order, with traces
+/// numbered codegen group first, then kernel. Traces run in that order, and
+/// each trace's first point is queued `lookahead` traces ahead of its other
+/// points, so by the time those start, the first one has usually finished
+/// generating the trace and they do not block on its latch. A trace stays
+/// resident from its first point to its last, so about lookahead + 1
+/// traces are resident at a time.
+std::vector<std::size_t> replay_order(
+    const std::vector<std::vector<std::size_t>>& trace_points,
+    std::size_t lookahead) {
+  std::vector<const std::vector<std::size_t>*> traces;
+  std::size_t n = 0;
+  for (const std::vector<std::size_t>& tp : trace_points) {
+    if (!tp.empty()) traces.push_back(&tp);
+    n += tp.size();
+  }
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (std::size_t s = 0; s < traces.size() + lookahead; ++s) {
+    if (s < traces.size()) order.push_back(traces[s]->front());
+    if (s >= lookahead) {
+      const std::vector<std::size_t>& rest = *traces[s - lookahead];
+      order.insert(order.end(), rest.begin() + 1, rest.end());
+    }
+  }
+  return order;
+}
+
+/// Runs `points` (j-major) as one request task each, in replay_order with
+/// the pool width as lookahead, and scatters results into out[j][k].
+/// Completed misses append to the store from inside their task, so an
+/// interrupted campaign keeps every point it finished. The last point of
+/// each (kernel, codegen) trace to finish drops the cache's copy.
 void run_points(TraceCache& cache,
                 const std::vector<workloads::Kernel>& kernels,
                 const std::vector<SuiteJob>& jobs,
                 const std::vector<GridPoint>& points, exec::ResultStore* store,
                 std::vector<std::vector<sim::RunStats>>& out) {
   exec::ParallelExecutor pool;
-  const auto result = exec::run_request(
-      pool, exec::default_request(), points.size(), [&](std::size_t i) {
-        const GridPoint& p = points[i];
+  const std::size_t n_kernels = kernels.size();
+  // Codegen groups: the jobs that share one CodegenOptions, and so one
+  // trace per kernel, numbered by first appearance.
+  std::vector<std::size_t> group(jobs.size());
+  std::vector<const workloads::CodegenOptions*> group_opts;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    std::size_t g = 0;
+    while (g < group_opts.size() &&
+           codegen_tuple(*group_opts[g]) != codegen_tuple(jobs[j].opts)) {
+      ++g;
+    }
+    if (g == group_opts.size()) group_opts.push_back(&jobs[j].opts);
+    group[j] = g;
+  }
+  const auto trace_of = [&](const GridPoint& p) {
+    return group[p.j] * n_kernels + p.k;
+  };
+  std::vector<std::vector<std::size_t>> trace_points(group_opts.size() *
+                                                     n_kernels);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    trace_points[trace_of(points[i])].push_back(i);
+  }
+  const std::vector<std::size_t> order =
+      replay_order(trace_points, pool.jobs());
+  // Points of each trace that have not finished yet.
+  std::vector<std::atomic<std::size_t>> pending(trace_points.size());
+  for (std::size_t t = 0; t < trace_points.size(); ++t) {
+    pending[t].store(trace_points[t].size(), std::memory_order_relaxed);
+  }
+  const auto drop = [&](std::size_t t) {
+    cache.drop(kernels[t % n_kernels], *group_opts[t / n_kernels]);
+  };
+
+  auto result = exec::run_request(
+      pool, exec::default_request(), order.size(), [&](std::size_t i) {
+        const GridPoint& p = points[order[i]];
         const SuiteJob& job = jobs[p.j];
-        const cpu::DecodedTrace& trace =
-            cache.get_decoded(kernels[p.k], job.opts);
-        cpu::System system(job.config, cpu::System::kPrevalidated);
-        const std::uint64_t t0 = now_ns();
-        const sim::RunStats stats = system.run(trace);
-        exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-        exec::Telemetry::instance().count_simulation(trace.size());
+        sim::RunStats stats;
+        {
+          const TraceCache::Handle trace =
+              cache.acquire(kernels[p.k], job.opts);
+          cpu::System system(job.config, cpu::System::kPrevalidated);
+          const std::uint64_t t0 = now_ns();
+          stats = system.run(*trace);
+          exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
+          exec::Telemetry::instance().count_simulation(trace->size());
+        }
         store_append(store, p.digest, stats);
+        if (pending[trace_of(p)].fetch_sub(1) == 1) drop(trace_of(p));
         return stats;
       });
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (result[i].value) out[points[i].j][points[i].k] = *result[i].value;
+  // A skipped or failed point never counted down: drop what its trace
+  // left resident.
+  for (std::size_t t = 0; t < trace_points.size(); ++t) {
+    if (pending[t].load() != 0) drop(t);
   }
-  finish_request(result);
+  // Back to j-major order, so results land in out[j][k] and the rethrown
+  // error is the lowest-index one.
+  std::vector<exec::TaskResult<sim::RunStats>> tasks(points.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    tasks[order[i]] = std::move(result[i]);
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (tasks[i].value) out[points[i].j][points[i].k] = *tasks[i].value;
+  }
+  finish_request(tasks);
 }
 
 }  // namespace

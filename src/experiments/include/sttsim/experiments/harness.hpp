@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,17 +30,25 @@ double penalty_pct(const sim::RunStats& variant,
 double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
 
-/// Memoizes generated traces per (kernel, codegen) so multi-figure bench
-/// binaries do not regenerate identical traces. The one in-memory form is
-/// the replay-optimized decoded trace, synthesized straight into exactly
+/// Memoizes generated traces per (kernel, codegen). The one in-memory form
+/// is the replay-optimized decoded trace, synthesized straight into exactly
 /// sized packed arrays (Kernel::generate_decoded) and shared read-only by
 /// every grid point that replays this (kernel, codegen), so grid replays
 /// never touch a raw TraceOp vector or a decode() pass.
 /// Concurrency-safe: a shared_mutex guards the index and a per-key
-/// once-latch guarantees each trace is generated exactly once even when many
-/// parallel jobs request it simultaneously. Cache hits allocate nothing
-/// (heterogeneous lookup by kernel-name view + codegen fields; no key string
-/// is built).
+/// once-latch guarantees each trace is generated once per residency even
+/// when many parallel jobs request it simultaneously; the time acquire()
+/// blocks on that latch is Telemetry::trace_wait_ns. Cache hits allocate
+/// nothing (heterogeneous lookup by kernel-name view + codegen fields; no
+/// key string is built).
+///
+/// Lifetime is grid-scoped: run_grid counts the points that replay each
+/// trace and drops the cache's copy when the last of them finishes (and
+/// drops whatever its skipped points left behind when the grid returns),
+/// so only the traces of in-flight points stay resident. A dropped trace
+/// is generated again if anything asks for it later. A decoded trace
+/// handed out by reference (get_decoded) is pinned instead: it stays
+/// resident until the cache is destroyed.
 ///
 /// When a persistent trace store is active (exec::set_trace_store; the
 /// benches' --trace-store=PATH flag), a miss probes the store by
@@ -49,15 +58,33 @@ double gain_pct(const sim::RunStats& unoptimized,
 /// trace is compressed (cpu::compress) only to be appended for the next run.
 class TraceCache {
  public:
+  /// Shared, read-only ownership of a decoded trace: valid for as long as
+  /// the handle lives, even after the cache drops its own copy.
+  using Handle = std::shared_ptr<const cpu::DecodedTrace>;
+
+  /// The decoded trace of `kernel` under `opts`, generated (or decoded from
+  /// the trace store) if the cache does not hold it.
+  Handle acquire(const workloads::Kernel& kernel,
+                 const workloads::CodegenOptions& opts);
+  /// Releases the cache's copy of this trace unless it is pinned; handles
+  /// keep theirs.
+  void drop(const workloads::Kernel& kernel,
+            const workloads::CodegenOptions& opts);
+
+  /// Reference form of acquire(); pins the trace (see the class comment).
   const cpu::DecodedTrace& get_decoded(const workloads::Kernel& kernel,
                                        const workloads::CodegenOptions& opts);
   /// Raw TraceOp form, reassembled from the decoded trace on first request
-  /// and memoized separately (diagnostics only — lifetime reports, dumps;
-  /// the replay paths never call this).
+  /// and memoized separately (the CLI and dumps; grid replays never call
+  /// this).
   const cpu::Trace& get(const workloads::Kernel& kernel,
                         const workloads::CodegenOptions& opts);
 
+  /// Decoded-trace generations so far, regenerations after a drop
+  /// included.
   std::size_t entries() const { return cache_.entries(); }
+  /// Decoded traces the cache currently holds.
+  std::size_t resident() const { return cache_.resident(); }
 
  private:
   struct Key {
@@ -78,6 +105,9 @@ class TraceCache {
       return less(view(a), view(b));
     }
   };
+
+  cpu::DecodedTrace load(const workloads::Kernel& kernel,
+                         const workloads::CodegenOptions& opts);
 
   exec::ConcurrentMemoCache<Key, cpu::DecodedTrace, KeyLess> cache_;
   /// Raw traces live in their own memo so entries() — the generation count
@@ -133,6 +163,13 @@ struct SuiteJob {
 /// come back in deterministic input order — result[j][k] is jobs[j] on
 /// kernels[k] — byte-identical to the historical serial loops.
 ///
+/// Points run trace by trace: codegen group first, then kernel, with each
+/// trace's first point queued pool-width traces ahead of its other points
+/// so those find the trace already generated. The last point of a trace
+/// to finish drops it from `cache` (see TraceCache), so each trace is
+/// generated once per grid and only those of in-flight points stay
+/// resident.
+///
 /// When a persistent result store is active (exec::set_result_store; the
 /// benches' --store=PATH flag), every point's digest is probed up front:
 /// hits are filled into the deterministic result positions immediately
@@ -151,11 +188,12 @@ struct SuiteJob {
 /// has tripped, the points that have not started are skipped and keep
 /// default RunStats (counted as timed-out or cancelled), while started
 /// points always finish — and are persisted when a store is active. A
-/// failed point rethrows the lowest-index exception after every task
-/// finished; an interrupt (SIGINT) throws exec::CampaignInterrupted after
-/// completed points are scattered, so re-running the same grid completes
-/// only the missing ones. With no deadline and no interrupt the lifecycle
-/// is invisible: output stays byte-identical.
+/// failed point rethrows the exception of the lowest j-major index after
+/// every task finished; an interrupt (SIGINT) throws
+/// exec::CampaignInterrupted after completed points are scattered, so
+/// re-running the same grid completes only the missing ones. With no
+/// deadline and no interrupt the lifecycle is invisible: output stays
+/// byte-identical.
 std::vector<std::vector<sim::RunStats>> run_grid(
     TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
     const std::vector<SuiteJob>& jobs);

@@ -39,12 +39,19 @@ FaultInjector::FaultInjector(const FaultConfig& faults, const EccConfig& ecc,
   line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
 }
 
-std::uint64_t FaultInjector::failure_epoch(std::uint64_t line,
-                                           const LineState& s) const {
+void FaultInjector::redraw(std::uint64_t line, LineState& s) const {
+  s.draw = util::Hash64()
+               .u64(faults_.seed)
+               .u64(line)
+               .u64(s.generation)
+               .digest();
   // Wear accelerates retention loss: every 2^wear_sensitivity writes to the
   // line doubles its raw per-window failure odds (capped at certainty).
   std::uint64_t eff_ppm = faults_.fail_ppm;
-  if (eff_ppm == 0) return std::numeric_limits<std::uint64_t>::max();
+  if (eff_ppm == 0) {
+    s.epoch = std::numeric_limits<std::uint64_t>::max();
+    return;
+  }
   const std::uint64_t boost = 1 + (s.wear >> faults_.wear_sensitivity_log2);
   eff_ppm = boost > 1'000'000 / eff_ppm ? 1'000'000
                                         : std::min<std::uint64_t>(
@@ -52,13 +59,8 @@ std::uint64_t FaultInjector::failure_epoch(std::uint64_t line,
   // A stable uniform draw in [1, 1e6] for this (line, generation): the
   // geometric failure schedule inverted at the draw, i.e. the first window
   // whose cumulative odds cover it.
-  const std::uint64_t h = util::Hash64()
-                              .u64(faults_.seed)
-                              .u64(line)
-                              .u64(s.generation)
-                              .digest();
-  const std::uint64_t u = h % 1'000'000 + 1;
-  return (u + eff_ppm - 1) / eff_ppm;
+  const std::uint64_t u = s.draw % 1'000'000 + 1;
+  s.epoch = (u + eff_ppm - 1) / eff_ppm;
 }
 
 FaultInjector::LoadPenalty FaultInjector::on_load(Addr addr, unsigned size,
@@ -73,17 +75,14 @@ FaultInjector::LoadPenalty FaultInjector::on_load(Addr addr, unsigned size,
       s.refreshed_at = now;
       continue;  // first observation: retention clock starts here
     }
+    // One draw per generation: the first load after a store or a scrub
+    // hashes, later loads of the same generation reuse it.
+    if (s.epoch == 0) redraw(line, s);
     const sim::Cycle age = now - s.refreshed_at;
-    const std::uint64_t epoch = age >> faults_.retention_window_log2;
-    if (epoch < failure_epoch(line, s)) continue;
+    if ((age >> faults_.retention_window_log2) < s.epoch) continue;
     // The line has outlived its drawn retention budget: deliver the fault
     // and classify it from an independent slice of the same draw.
-    const std::uint64_t h = util::Hash64()
-                                .u64(faults_.seed)
-                                .u64(line)
-                                .u64(s.generation)
-                                .digest();
-    if ((h >> 40) % 100 < faults_.double_fault_pct) {
+    if ((s.draw >> 40) % 100 < faults_.double_fault_pct) {
       penalty.refill_cycles += ecc_.refill_cycles;
       ++refills_;
     } else {
@@ -94,6 +93,7 @@ FaultInjector::LoadPenalty FaultInjector::on_load(Addr addr, unsigned size,
     // refreshes retention and re-draws the next failure epoch.
     s.refreshed_at = now;
     ++s.generation;
+    s.epoch = 0;
   }
   return penalty;
 }
@@ -106,6 +106,7 @@ void FaultInjector::on_store(Addr addr, unsigned size, sim::Cycle now) {
     s.refreshed_at = now;
     ++s.generation;
     ++s.wear;
+    s.epoch = 0;
   }
 }
 

@@ -110,11 +110,16 @@ class FaultInjector {
     sim::Cycle refreshed_at = 0;  ///< last write / scrub / first touch
     std::uint64_t generation = 0;
     std::uint64_t wear = 0;  ///< writes absorbed by this line
+    /// Hash64(seed, line, generation), and the failure epoch derived from
+    /// it and `wear`: the number of retention windows the line survives
+    /// unrefreshed before its next read faults. epoch == 0 means neither
+    /// is drawn for this generation yet (a drawn epoch is at least 1).
+    std::uint64_t draw = 0;
+    std::uint64_t epoch = 0;
   };
 
-  /// Stable failure epoch for (line, generation): the number of retention
-  /// windows the line survives unrefreshed before its next read faults.
-  std::uint64_t failure_epoch(std::uint64_t line, const LineState& s) const;
+  /// Draws `s.draw` and `s.epoch` for the line's current generation.
+  void redraw(std::uint64_t line, LineState& s) const;
 
   FaultConfig faults_;
   EccConfig ecc_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <latch>
@@ -163,16 +164,107 @@ TEST(MemoCache, GeneratorFailureIsRetriable) {
   EXPECT_EQ(cache.entries(), 1u);
 }
 
+TEST(MemoCache, DropReleasesTheCacheCopyButNotAHeldHandle) {
+  ConcurrentMemoCache<int, std::string> cache;
+  int generations = 0;
+  const auto acquire = [&] {
+    return cache.acquire(
+        1, [] { return 1; },
+        [&] {
+          ++generations;
+          return std::string("value");
+        });
+  };
+  const auto held = acquire();
+  EXPECT_EQ(cache.resident(), 1u);
+  cache.drop(1);
+  EXPECT_EQ(cache.resident(), 0u);
+  EXPECT_EQ(*held, "value") << "a handle outlives the cache's copy";
+  cache.drop(1);  // already dropped: a no-op
+  cache.drop(2);  // never requested: a no-op
+  EXPECT_EQ(*acquire(), "value");
+  EXPECT_EQ(generations, 2) << "a dropped value is generated again";
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.resident(), 1u);
+}
+
+TEST(MemoCache, ReferencePinsTheEntryAgainstDrop) {
+  ConcurrentMemoCache<int, int> cache;
+  int generations = 0;
+  const auto gen = [&] { return ++generations; };
+  const int& pinned = cache.get_or_generate(1, [] { return 1; }, gen);
+  cache.drop(1);
+  EXPECT_EQ(cache.resident(), 1u);
+  EXPECT_EQ(&cache.get_or_generate(1, [] { return 1; }, gen), &pinned);
+  EXPECT_EQ(*cache.acquire(1, [] { return 1; }, gen), 1);
+  EXPECT_EQ(generations, 1);
+}
+
+// Workers acquire, read and drop a handful of keys as fast as they can, so
+// drops race with generations, latch waits and other holders' reads. Every
+// read must see its key's value (a dangling handle would not), and the
+// ThreadSanitizer build of this file checks the drop path for races.
+TEST(MemoCache, ConcurrentAcquireAndDropNeverDangles) {
+  ConcurrentMemoCache<int, std::vector<int>> cache;
+  constexpr int kKeys = 3;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 6; ++t) {
+    threads.emplace_back([&, t] {
+      for (int iter = 0; iter < 300; ++iter) {
+        const int key = (iter + t) % kKeys;
+        const auto v = cache.acquire(
+            key, [key] { return key; },
+            [key] { return std::vector<int>(256, key); });
+        if ((iter + t) % 2 == 0) cache.drop(key);
+        for (const int x : *v) {
+          if (x != key) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_LE(cache.resident(), static_cast<std::size_t>(kKeys));
+  EXPECT_GE(cache.entries(), static_cast<std::size_t>(kKeys));
+}
+
+TEST(MemoCache, ReportsTheTimeARequesterWaitedOnTheLatch) {
+  ConcurrentMemoCache<int, int> cache;
+  std::latch started(1);
+  std::thread generator([&] {
+    cache.acquire(
+        1, [] { return 1; },
+        [&] {
+          started.count_down();
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+          return 5;
+        });
+  });
+  started.wait();
+  std::uint64_t waited = 0;
+  EXPECT_EQ(*cache.acquire(
+                1, [] { return 1; }, [] { return -1; }, &waited),
+            5);
+  generator.join();
+  EXPECT_GT(waited, 0u) << "the second requester blocked on the latch";
+  std::uint64_t hit_wait = 1;
+  cache.acquire(1, [] { return 1; }, [] { return -1; }, &hit_wait);
+  EXPECT_EQ(hit_wait, 0u) << "a hit does not wait";
+}
+
 TEST(Telemetry, CountersAccumulateAndSnapshotDiffs) {
   Telemetry& t = Telemetry::instance();
   const TelemetrySnapshot before = t.snapshot();
   t.count_simulation(1000);
   t.count_simulation(500);
   t.count_trace_generated();
+  t.count_trace_wait_ns(250);
   const TelemetrySnapshot delta = t.snapshot() - before;
   EXPECT_EQ(delta.simulations, 2u);
   EXPECT_EQ(delta.trace_ops, 1500u);
   EXPECT_EQ(delta.traces_generated, 1u);
+  EXPECT_EQ(delta.trace_wait_ns, 250u);
 }
 
 TEST(Telemetry, CountsFromWorkerThreadsAreNotLost) {

@@ -37,7 +37,7 @@ void expect_identical(const sim::RunStats& fast, const sim::RunStats& ref,
   EXPECT_EQ(fast.core.structural_stall_cycles,
             ref.core.structural_stall_cycles);
   EXPECT_EQ(fast.core.total_cycles, ref.core.total_cycles);
-  // Memory hierarchy — all twenty counters.
+  // Memory hierarchy — all twenty-four counters.
   EXPECT_EQ(fast.mem.loads, ref.mem.loads);
   EXPECT_EQ(fast.mem.stores, ref.mem.stores);
   EXPECT_EQ(fast.mem.prefetches, ref.mem.prefetches);
@@ -58,23 +58,43 @@ void expect_identical(const sim::RunStats& fast, const sim::RunStats& ref,
   EXPECT_EQ(fast.mem.l2_array_reads, ref.mem.l2_array_reads);
   EXPECT_EQ(fast.mem.l2_array_writes, ref.mem.l2_array_writes);
   EXPECT_EQ(fast.mem.bank_conflict_cycles, ref.mem.bank_conflict_cycles);
+  EXPECT_EQ(fast.mem.ecc_corrections, ref.mem.ecc_corrections);
+  EXPECT_EQ(fast.mem.ecc_refills, ref.mem.ecc_refills);
+  EXPECT_EQ(fast.mem.l1_frame_writes_max, ref.mem.l1_frame_writes_max);
+  EXPECT_EQ(fast.mem.l1_frame_writes_total, ref.mem.l1_frame_writes_total);
 }
 
+// Clean and faulted: a faulted NVM system must give the same counters,
+// ECC ones included, on run() as on the virtual reference loop.
 TEST(FastPath, MatchesReferenceOnRandomTraces) {
   for (const cpu::Dl1Organization org : kAllOrgs) {
-    cpu::SystemConfig cfg;
-    cfg.organization = org;
-    cpu::System system(cfg);
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      // Region sweeps from cache-resident to thrashing the 64 KiB DL1.
-      const Addr region = Addr{8} << (10 + 2 * (seed % 4));
-      const cpu::DecodedTrace trace =
-          cpu::decode(testutil::random_trace(seed, 4000, region));
-      const sim::RunStats fast = system.run(trace);
-      const sim::RunStats ref = system.run_reference(trace);
-      expect_identical(fast, ref,
-                       std::string(cpu::to_string(org)) + " seed " +
-                           std::to_string(seed));
+    for (const bool faulted : {false, true}) {
+      cpu::SystemConfig cfg;
+      cfg.organization = org;
+      cfg.faults.enabled = faulted;
+      cfg.faults.seed = 11;
+      cfg.faults.fail_ppm = 200'000;
+      cfg.faults.double_fault_pct = 30;
+      cfg.faults.retention_window_log2 = 8;
+      cfg.faults.wear_sensitivity_log2 = 2;
+      cpu::System system(cfg);
+      std::uint64_t ecc_events = 0;
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        // Region sweeps from cache-resident to thrashing the 64 KiB DL1.
+        const Addr region = Addr{8} << (10 + 2 * (seed % 4));
+        const cpu::DecodedTrace trace =
+            cpu::decode(testutil::random_trace(seed, 4000, region));
+        const sim::RunStats fast = system.run(trace);
+        const sim::RunStats ref = system.run_reference(trace);
+        expect_identical(fast, ref,
+                         std::string(cpu::to_string(org)) +
+                             (faulted ? " faulted" : " clean") + " seed " +
+                             std::to_string(seed));
+        ecc_events += fast.mem.ecc_corrections + fast.mem.ecc_refills;
+      }
+      if (cfg.faults_active()) {
+        EXPECT_GT(ecc_events, 0u) << cpu::to_string(org) << " never faulted";
+      }
     }
   }
 }

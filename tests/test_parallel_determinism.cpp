@@ -1,10 +1,15 @@
 // The parallel experiment engine's correctness contract: every figure
 // function produces byte-identical output at --jobs=1 (the historical
-// serial path) and --jobs=8, and the concurrent TraceCache generates each
-// trace exactly once no matter how many threads request it.
+// serial path) and --jobs=8, the concurrent TraceCache generates each
+// trace exactly once no matter how many threads request it, and a grid
+// drops each trace after the last point that replays it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,6 +127,65 @@ TEST(TraceCacheConcurrency, GridMatchesPerCallRuns) {
       EXPECT_EQ(grid[j][k].mem.loads, one.mem.loads);
       EXPECT_EQ(grid[j][k].mem.stores, one.mem.stores);
     }
+  }
+}
+
+// A grid generates each (kernel, codegen) trace once and drops it after
+// its last point. Two codegen groups: three jobs replay each `none` trace,
+// one job each `all` trace. The hooked generators record how many traces
+// the cache holds whenever a generation starts: at most the lookahead
+// window (pool width) plus the traces of the other workers' running
+// points. Without the drops, the grid's earlier traces all stay resident.
+TEST(TraceCacheConcurrency,
+     GridGeneratesEachTraceOnceAndDropsItAfterItsLastPoint) {
+  const workloads::CodegenOptions none = workloads::CodegenOptions::none();
+  const workloads::CodegenOptions all = workloads::CodegenOptions::all();
+  const std::vector<SuiteJob> jobs = {
+      {make_config(cpu::Dl1Organization::kSramBaseline), none},
+      {make_config(cpu::Dl1Organization::kNvmVwb), all},
+      {make_config(cpu::Dl1Organization::kNvmDropIn), none},
+      {make_config(cpu::Dl1Organization::kNvmVwb), none}};
+  const std::vector<std::string> names = {"trisolv", "gesummv", "atax",
+                                          "mvt",     "bicg",    "durbin"};
+  TraceCache ref_cache;
+  const auto reference = at_jobs(
+      1, [&] { return run_grid(ref_cache, select_kernels(names), jobs); });
+
+  for (const unsigned width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    TraceCache cache;
+    std::mutex mu;
+    std::map<std::uint64_t, int> generated;  // by trace_digest
+    std::size_t max_resident = 0;
+    std::vector<workloads::Kernel> kernels = select_kernels(names);
+    for (workloads::Kernel& k : kernels) {
+      k.generate_decoded = [&, gen = k.generate_decoded,
+                            name = k.name](const workloads::CodegenOptions& o) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ++generated[trace_digest(name, o)];
+          max_resident = std::max(max_resident, cache.resident());
+        }
+        return gen(o);
+      };
+    }
+    const auto grid =
+        at_jobs(width, [&] { return run_grid(cache, kernels, jobs); });
+
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t k = 0; k < names.size(); ++k) {
+        EXPECT_EQ(sim::to_json(grid[j][k]), sim::to_json(reference[j][k]));
+      }
+    }
+    EXPECT_EQ(generated.size(), 2 * names.size());
+    for (const auto& [digest, count] : generated) EXPECT_EQ(count, 1);
+    EXPECT_EQ(cache.entries(), 2 * names.size());
+    EXPECT_EQ(cache.resident(), 0u)
+        << "every trace is dropped after its last point";
+    EXPECT_LE(max_resident, 2 * width - 1);
+    // The grid kept no copy: asking again generates the trace again.
+    cache.acquire(kernels[0], none);
+    EXPECT_EQ(generated[trace_digest(names[0], none)], 2);
   }
 }
 

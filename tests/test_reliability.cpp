@@ -2,7 +2,11 @@
 // / ECC model (reliability/fault.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "sttsim/cpu/system.hpp"
@@ -11,6 +15,7 @@
 #include "sttsim/reliability/fault.hpp"
 #include "sttsim/sim/stats.hpp"
 #include "sttsim/util/check.hpp"
+#include "sttsim/util/hash.hpp"
 #include "sttsim/util/rng.hpp"
 #include "sttsim/workloads/kernels.hpp"
 
@@ -320,6 +325,135 @@ TEST(FaultInjector, DeterministicUnderReplayAndReset) {
   a.reset();
   EXPECT_EQ(a.corrections(), 0u);
   EXPECT_EQ(log_a, drive(a)) << "reset() did not restore the cold schedule";
+}
+
+/// The "Deterministic fault schedule" of EXPERIMENTS.md, evaluated afresh
+/// on every load: nothing is cached between loads. Per line it
+/// keeps {refreshed_at, generation, wear}. A load of a known line draws
+/// Hash64(seed, line, generation), takes u = draw % 1e6 + 1 and
+/// eff_ppm = min(1e6, fail_ppm * (1 + wear >> wear_sensitivity_log2)), and
+/// faults once (now - refreshed_at) >> retention_window_log2 reaches the
+/// failure epoch ceil(u / eff_ppm): double-bit when (draw >> 40) % 100 <
+/// double_fault_pct, else corrected. The ECC scrub then refreshes the line
+/// and advances its generation. A store refreshes, advances the generation
+/// and adds wear.
+class ScheduleModel {
+ public:
+  ScheduleModel(const FaultConfig& f, const EccConfig& ecc, unsigned shift)
+      : f_(f), ecc_(ecc), shift_(shift) {}
+
+  FaultInjector::LoadPenalty load(Addr addr, unsigned size, sim::Cycle now) {
+    FaultInjector::LoadPenalty p;
+    for (std::uint64_t line = addr >> shift_;
+         line <= (addr + size - 1) >> shift_; ++line) {
+      const auto [it, fresh] = lines_.try_emplace(line, Line{now, 0, 0});
+      if (fresh || f_.fail_ppm == 0) continue;
+      Line& l = it->second;
+      const std::uint64_t draw =
+          util::Hash64().u64(f_.seed).u64(line).u64(l.generation).digest();
+      const std::uint64_t boost = 1 + (l.wear >> f_.wear_sensitivity_log2);
+      max_boost = std::max(max_boost, boost);
+      const std::uint64_t eff_ppm = std::min<std::uint64_t>(
+          1'000'000, std::uint64_t{f_.fail_ppm} * boost);
+      const std::uint64_t u = draw % 1'000'000 + 1;
+      const std::uint64_t epoch = (u + eff_ppm - 1) / eff_ppm;
+      if (((now - l.refreshed_at) >> f_.retention_window_log2) < epoch) {
+        continue;
+      }
+      if ((draw >> 40) % 100 < f_.double_fault_pct) {
+        p.refill_cycles += ecc_.refill_cycles;
+      } else {
+        p.correction_cycles += ecc_.correction_cycles;
+      }
+      l.refreshed_at = now;
+      ++l.generation;
+    }
+    return p;
+  }
+
+  void store(Addr addr, unsigned size, sim::Cycle now) {
+    for (std::uint64_t line = addr >> shift_;
+         line <= (addr + size - 1) >> shift_; ++line) {
+      Line& l = lines_[line];
+      l.refreshed_at = now;
+      ++l.generation;
+      ++l.wear;
+    }
+  }
+
+  std::uint64_t max_boost = 1;  ///< largest wear boost any load saw
+
+ private:
+  struct Line {
+    sim::Cycle refreshed_at = 0;
+    std::uint64_t generation = 0;
+    std::uint64_t wear = 0;
+  };
+  FaultConfig f_;
+  EccConfig ecc_;
+  unsigned shift_;
+  std::map<std::uint64_t, Line> lines_;
+};
+
+// The injector keeps each line's draw for a whole generation; the model
+// recomputes it on every load. Random streams over a few hot lines mix
+// loads, stores (wear boosts after 2^wear_sensitivity_log2 writes),
+// accesses that span two lines, and double faults; every load's penalty
+// must agree. check::FaultedOracle uses FaultInjector itself, so it cannot
+// catch a stale draw.
+TEST(FaultInjector, MatchesThePerLoadScheduleFormula) {
+  struct Case {
+    std::uint32_t ppm, double_pct, window_log2, wear_log2;
+  };
+  const Case cases[] = {{200'000, 30, 6, 2},
+                        {5'000, 50, 4, 0},
+                        {1'000'000, 100, 3, 1},
+                        {60'000, 0, 5, 3},
+                        {0, 50, 4, 1}};
+  EccConfig ecc;
+  ecc.correction_cycles = 3;
+  ecc.refill_cycles = 40;
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      FaultConfig f = test_faults(c.ppm, c.double_pct);
+      f.seed = seed * 977;
+      f.retention_window_log2 = c.window_log2;
+      f.wear_sensitivity_log2 = c.wear_log2;
+      SCOPED_TRACE("ppm " + std::to_string(c.ppm) + " seed " +
+                   std::to_string(seed));
+      FaultInjector inj(f, ecc, 64);
+      ScheduleModel model(f, ecc, 6);
+      Rng rng(seed);
+      sim::Cycle now = 0;
+      std::uint64_t corrections = 0, refills = 0, mismatches = 0;
+      for (int i = 0; i < 20'000; ++i) {
+        const Addr addr = 0x10000 + rng.next_below(16 * 64);
+        const unsigned size = 1u << rng.next_below(6);  // 1..32 bytes
+        now += rng.next_below(3u << c.window_log2);
+        if (rng.next_below(3) == 0) {
+          inj.on_store(addr, size, now);
+          model.store(addr, size, now);
+          continue;
+        }
+        const auto got = inj.on_load(addr, size, now);
+        const auto want = model.load(addr, size, now);
+        mismatches += got.correction_cycles != want.correction_cycles ||
+                      got.refill_cycles != want.refill_cycles;
+        corrections += want.correction_cycles / ecc.correction_cycles;
+        refills += want.refill_cycles / ecc.refill_cycles;
+      }
+      EXPECT_EQ(mismatches, 0u);
+      EXPECT_EQ(inj.corrections(), corrections);
+      EXPECT_EQ(inj.refills(), refills);
+      if (c.ppm != 0) {
+        EXPECT_GT(model.max_boost, 1u) << "no load saw a wear boost";
+        EXPECT_GT(corrections + refills, 0u) << "the stream never faulted";
+      }
+      if (c.ppm != 0 && c.double_pct != 0) {
+        EXPECT_GT(refills, 0u) << "no double fault";
+      }
+    }
+  }
 }
 
 TEST(FaultInjector, SeedSelectsADifferentSchedule) {
