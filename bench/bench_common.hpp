@@ -74,6 +74,19 @@ inline void open_trace_store(const std::string& path) {
   exec::set_trace_store(holder.get());
 }
 
+/// Appends the non-empty names of a comma-separated list to `out`.
+inline void append_names(const std::string& list,
+                         std::vector<std::string>& out) {
+  std::size_t pos = 0;
+  while (pos != std::string::npos) {
+    const std::size_t comma = list.find(',', pos);
+    const std::string name =
+        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (!name.empty()) out.push_back(name);
+    pos = comma == std::string::npos ? comma : comma + 1;
+  }
+}
+
 [[noreturn]] inline void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--csv] [--kernels=a,b,c] [--jobs=N] "
@@ -105,15 +118,7 @@ inline Options parse(int argc, char** argv) {
     } else if (arg.rfind("--deadline=", 0) == 0) {
       if (!parse_finite(arg.c_str() + 11, o.deadline_s)) usage(argv[0]);
     } else if (arg.rfind("--kernels=", 0) == 0) {
-      std::string list = arg.substr(10);
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!name.empty()) o.kernels.push_back(name);
-        pos = comma == std::string::npos ? comma : comma + 1;
-      }
+      append_names(arg.substr(10), o.kernels);
     } else {
       usage(argv[0]);
     }

@@ -9,13 +9,12 @@
 //               trace (the trace store's decode path)
 //
 // Every SIMD result is compared against the scalar reference in the same
-// run — a mismatch prints the offending probe and exits 1, so the `perf`
-// ctest that wraps this binary doubles as a SIMD ≡ scalar smoke check on
-// whatever backend the build selected (printed in the header line).
+// run — a mismatch prints the offending probe and exits 1 — on whatever
+// backend the build selected (printed in the header line).
 //
 // Usage: replay_micro [--reps=N] [--quick]
-//   --reps=N  best-of-N timing repetitions (default 5)
-//   --quick   smaller probe counts (CI-friendly; same checks)
+//   --reps=N  best-of-N timing repetitions, N >= 1 (default 5)
+//   --quick   smaller probe counts (same checks)
 #include <bit>
 #include <chrono>
 #include <cinttypes>
@@ -23,11 +22,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sttsim/core/vwb.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/util/simd.hpp"
+#include "sttsim/util/text.hpp"
 #include "sttsim/workloads/suite.hpp"
 
 namespace {
@@ -36,9 +37,9 @@ using sttsim::Addr;
 
 /// Best-of-`reps` wall time of `fn()`, in seconds.
 template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
+double best_seconds(unsigned reps, Fn&& fn) {
   double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+  for (unsigned r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
@@ -62,7 +63,7 @@ double best_seconds(int reps, Fn&& fn) {
 // printed once at the end (also a cheap cross-run determinism witness).
 std::uint64_t g_sink = 0;
 
-bool bench_tag_match(std::mt19937_64& rng, int reps, std::size_t probes) {
+bool bench_tag_match(std::mt19937_64& rng, unsigned reps, std::size_t probes) {
   std::printf("-- tag-match: scalar vs simd (%s, %u x u64 lanes)\n",
               sttsim::util::simd::kBackend, sttsim::util::simd::kLanes64);
   bool ok = true;
@@ -111,7 +112,7 @@ bool bench_tag_match(std::mt19937_64& rng, int reps, std::size_t probes) {
   return ok;
 }
 
-void bench_vwb_probe(std::mt19937_64& rng, int reps, std::size_t probes) {
+void bench_vwb_probe(std::mt19937_64& rng, unsigned reps, std::size_t probes) {
   // A wider-than-default front (16 lines) so the probe exercises the packed
   // match-mask scan rather than the two-entry fast case.
   sttsim::core::VwbGeometry geom;
@@ -142,7 +143,7 @@ void bench_vwb_probe(std::mt19937_64& rng, int reps, std::size_t probes) {
               t / static_cast<double>(probes) * 1e9);
 }
 
-bool bench_cursor_decode(int reps) {
+bool bench_cursor_decode(unsigned reps) {
   const sttsim::workloads::Kernel& k = sttsim::workloads::find_kernel("gemm");
   const sttsim::workloads::CodegenOptions opts;
   const sttsim::cpu::DecodedTrace decoded =
@@ -176,24 +177,30 @@ bool bench_cursor_decode(int reps) {
   return true;
 }
 
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--reps=N] [--quick]\n", argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  int reps = 5;
+  unsigned reps = 5;
   std::size_t probes = 1u << 16;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::atoi(arg.c_str() + 7);
+      if (!sttsim::parse_unsigned(arg.c_str() + 7, reps) || reps == 0) {
+        usage(argv[0]);
+      }
     } else if (arg == "--quick") {
       probes = 1u << 12;
-      reps = std::min(reps, 3);
+      reps = std::min(reps, 3u);
     } else {
-      std::fprintf(stderr, "usage: %s [--reps=N] [--quick]\n", argv[0]);
-      return 2;
+      usage(argv[0]);
     }
   }
-  std::printf("replay_micro: backend=%s reps=%d\n",
+  std::printf("replay_micro: backend=%s reps=%u\n",
               sttsim::util::simd::kBackend, reps);
   std::mt19937_64 rng(0x5eed);
   bool ok = true;

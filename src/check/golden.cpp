@@ -1,6 +1,8 @@
 #include "sttsim/check/golden.hpp"
 
+#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +35,27 @@ bool split_kv(const std::string& line, std::string& key, std::string& value) {
   return true;
 }
 
+/// The whole of `value` as a count; throws on anything else.
+std::size_t parse_count(const std::string& value, const std::string& line) {
+  std::uint64_t n = 0;
+  if (!parse_unsigned(value.c_str(), n)) {
+    throw std::runtime_error("golden: malformed count: " + line);
+  }
+  return n;
+}
+
+/// The whole of `value` as a double, nan and inf included (%.9g writes
+/// them for degraded grid points); throws on anything else.
+double parse_value(const std::string& value, const std::string& line) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) ||
+      *end != '\0') {
+    throw std::runtime_error("golden: malformed value: " + line);
+  }
+  return v;
+}
+
 }  // namespace
 
 std::string serialize_figure(const report::FigureData& fig) {
@@ -58,6 +81,8 @@ std::string serialize_figure(const report::FigureData& fig) {
 
 report::FigureData parse_figure(const std::string& text) {
   report::FigureData fig;
+  std::size_t declared_rows = 0;    // the "rows: <count>" header
+  std::size_t declared_series = 0;  // the "series: <count>" header
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -76,7 +101,7 @@ report::FigureData parse_figure(const std::string& text) {
     } else if (word == "value_unit") {
       fig.value_unit = value;
     } else if (word == "rows") {
-      fig.row_labels.reserve(std::stoul(value));
+      declared_rows = parse_count(value, line);
     } else if (word == "row") {
       fig.row_labels.push_back(value);
     } else if (word == "series") {
@@ -86,17 +111,25 @@ report::FigureData parse_figure(const std::string& text) {
           throw std::runtime_error("golden: out-of-order series: " + line);
         }
         fig.series.push_back(report::Series{value, {}});
-      }  // else it is the "series: <count>" header; nothing to do
+      } else {
+        declared_series = parse_count(value, line);
+      }
     } else if (word == "value") {
       std::size_t s, i;
       if (!(keys >> s >> i) || s >= fig.series.size() ||
           i != fig.series[s].values.size()) {
         throw std::runtime_error("golden: malformed value line: " + line);
       }
-      fig.series[s].values.push_back(std::stod(value));
+      fig.series[s].values.push_back(parse_value(value, line));
     } else {
       throw std::runtime_error("golden: unknown key: " + key);
     }
+  }
+  if (declared_rows != fig.row_labels.size() ||
+      declared_series != fig.series.size()) {
+    throw std::runtime_error(
+        "golden: malformed figure: row or series count differs from its "
+        "header");
   }
   return fig;
 }

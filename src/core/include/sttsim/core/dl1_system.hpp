@@ -69,7 +69,6 @@ class Dl1System {
   virtual const mem::SetAssocCache& array() const = 0;
 
   const sim::MemStats& stats() const { return stats_; }
-  sim::MemStats& mutable_stats() { return stats_; }
 
   /// Drops all state (contents, timelines, statistics).
   virtual void reset() = 0;

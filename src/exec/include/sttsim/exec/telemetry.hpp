@@ -2,9 +2,11 @@
 // simulations ran, how many trace operations they replayed, how many traces
 // were generated (vs served from the trace store), how long each cold
 // phase — generate / decode / replay — took, and how long grid points
-// waited for a trace another worker was generating. The perf_smoke bench
-// snapshots these around each figure to derive simulations/sec,
-// trace-ops/sec and the per-phase timing breakdown for BENCH_perf.json.
+// waited for a trace another worker was generating. Readers subtract two
+// snapshots taken around a run: perfbench derives its throughput and
+// per-phase metrics that way, bench/perf_smoke its per-figure
+// trace_wait_ns, and run_grid the timed-out/cancelled counts of its stderr
+// summary line.
 #pragma once
 
 #include <atomic>

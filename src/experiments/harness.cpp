@@ -147,7 +147,7 @@ double penalty_pct(const sim::RunStats& variant,
                    const sim::RunStats& baseline) {
   // A timed-out or cancelled grid point degrades to all-zero counters
   // (skip-and-report); its derived metric is "no data", not an invariant
-  // violation. NaN prints as nan and perf_compare ignores it.
+  // violation. NaN prints as nan.
   if (baseline.core.total_cycles == 0 || variant.core.total_cycles == 0) {
     return std::numeric_limits<double>::quiet_NaN();
   }
@@ -490,12 +490,6 @@ std::vector<std::vector<sim::RunStats>> run_grid(
                  jobs.size() * n_kernels, lifecycle);
   }
   return out;
-}
-
-std::vector<sim::RunStats> run_suite(
-    TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
-    const cpu::SystemConfig& config, const workloads::CodegenOptions& opts) {
-  return std::move(run_grid(cache, kernels, {{config, opts}}).front());
 }
 
 cpu::SystemConfig make_config(cpu::Dl1Organization org) {

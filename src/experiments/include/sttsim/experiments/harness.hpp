@@ -21,7 +21,7 @@ namespace sttsim::experiments {
 /// the paper's metric ("SRAM D-cache baseline = 100%"): 0% means equal
 /// runtime, 54% means 1.54x the baseline cycles. NaN when either side is a
 /// degraded (timed-out/cancelled, all-zero) grid point — "no data", which
-/// prints as nan and perf_compare ignores.
+/// prints as nan.
 double penalty_pct(const sim::RunStats& variant,
                    const sim::RunStats& baseline);
 
@@ -197,12 +197,6 @@ struct SuiteJob {
 std::vector<std::vector<sim::RunStats>> run_grid(
     TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
     const std::vector<SuiteJob>& jobs);
-
-/// Runs every selected kernel on one configuration (a one-job grid);
-/// stats in suite order.
-std::vector<sim::RunStats> run_suite(
-    TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
-    const cpu::SystemConfig& config, const workloads::CodegenOptions& opts);
 
 /// Convenience: a SystemConfig for an organization with paper defaults.
 cpu::SystemConfig make_config(cpu::Dl1Organization org);

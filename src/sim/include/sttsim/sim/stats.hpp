@@ -14,13 +14,6 @@
 
 namespace sttsim::sim {
 
-/// Why the core was stalled during a given cycle.
-enum class StallCause {
-  kRead,        ///< waiting for load data
-  kWrite,       ///< store buffer full / write port busy
-  kStructural,  ///< bank conflict with a background operation
-};
-
 /// Counters owned by the data-memory system (DL1 + front structure + L2).
 struct MemStats {
   // Demand stream.
@@ -75,7 +68,7 @@ struct CoreStats {
   std::uint64_t instructions = 0;  ///< all retired ops (exec+mem+prefetch)
   std::uint64_t mem_instructions = 0;
   Cycles exec_cycles = 0;        ///< non-memory pipeline cycles
-  Cycles read_stall_cycles = 0;  ///< StallCause::kRead
+  Cycles read_stall_cycles = 0;
   Cycles write_stall_cycles = 0;
   Cycles structural_stall_cycles = 0;
   Cycle total_cycles = 0;  ///< end-of-run simulated time

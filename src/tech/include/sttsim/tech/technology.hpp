@@ -73,10 +73,6 @@ TechnologyParams stt_mram_l1d_64kb();
 /// bottleneck flip that motivates the paper.
 TechnologyParams stt_mram_l1d_64kb_1t1mtj();
 
-/// SRAM parameters for the 2 MB unified L2 (paper Section VI platform);
-/// latencies reflect a large 16-way SRAM macro, not Table I.
-TechnologyParams sram_l2_2mb();
-
 /// Scales an existing macro description to a different capacity.
 /// Latency grows with sqrt(capacity ratio) (wordline/bitline RC), leakage
 /// grows linearly; line width and associativity are preserved.

@@ -108,23 +108,6 @@ TechnologyParams stt_mram_l1d_64kb_1t1mtj() {
   return p;
 }
 
-TechnologyParams sram_l2_2mb() {
-  TechnologyParams p;
-  p.tech = MemoryTech::kSram;
-  p.label = "2MB SRAM unified L2, 32nm";
-  p.read_latency_ns = 11.0;
-  p.write_latency_ns = 11.0;
-  p.leakage_mw = 1520.0;
-  p.cell_area_f2 = 146;
-  p.capacity_bytes = 2 * kMiB;
-  p.associativity = 16;  // paper Section VI
-  p.line_bits = 512;
-  p.read_energy_nj = 0.48;
-  p.write_energy_nj = 0.46;
-  p.validate();
-  return p;
-}
-
 TechnologyParams scale_capacity(const TechnologyParams& base,
                                 std::uint64_t new_capacity_bytes) {
   if (!is_pow2(new_capacity_bytes)) {

@@ -17,9 +17,6 @@ constexpr unsigned log2_exact(std::uint64_t v) {
   return static_cast<unsigned>(std::countr_zero(v));
 }
 
-/// Smallest power of two >= v (v must be nonzero and representable).
-constexpr std::uint64_t ceil_pow2(std::uint64_t v) { return std::bit_ceil(v); }
-
 /// Round `v` down to a multiple of the power-of-two `align`.
 constexpr std::uint64_t align_down(std::uint64_t v, std::uint64_t align) {
   return v & ~(align - 1);

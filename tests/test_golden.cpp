@@ -2,10 +2,12 @@
 // field, to a canonical reference under tests/golden/. Any drift in the
 // timing model, the workload generators, or the report layer shows up as a
 // named (figure, series, row) difference. Refresh after an intentional
-// change with STTSIM_UPDATE_GOLDEN=1 (or sttsim_cli --update-golden).
+// change by running test_golden with STTSIM_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "sttsim/check/golden.hpp"
@@ -85,13 +87,19 @@ TEST(GoldenFormat, SerializeParseRoundTrip) {
   fig.row_header = "Kernel";
   fig.value_unit = "penalty %";
   fig.row_labels = {"trisolv", "gesummv"};
-  fig.series = {{"Drop-In", {54.25, 31.0}}, {"VWB", {12.5, -0.25}}};
+  // A degraded grid point's metric is NaN; %.9g writes nan and inf.
+  fig.series = {{"Drop-In", {54.25, 31.0}},
+                {"VWB", {12.5, -0.25}},
+                {"Degraded", {std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::infinity()}}};
   const report::FigureData back =
       check::parse_figure(check::serialize_figure(fig));
   EXPECT_TRUE(check::compare_figures(fig, back).matches());
   EXPECT_EQ(back.title, fig.title);
   EXPECT_EQ(back.row_labels, fig.row_labels);
   EXPECT_EQ(back.series[1].values[1], fig.series[1].values[1]);
+  EXPECT_TRUE(std::isnan(back.series[2].values[0]));
+  EXPECT_EQ(back.series[2].values[1], fig.series[2].values[1]);
 }
 
 TEST(GoldenFormat, PerturbedFieldIsNamedExactly) {
@@ -133,6 +141,21 @@ TEST(GoldenFormat, MalformedTextThrows) {
                std::runtime_error);
   EXPECT_THROW(check::parse_figure("value 3 0: 1.0\n"), std::runtime_error);
   EXPECT_THROW(check::parse_figure("unknown_key: x\n"), std::runtime_error);
+  // Every number is parsed whole: no logic_error or bad_alloc escapes, and
+  // no numeric prefix is silently accepted. Each input parses with its
+  // malformed number replaced by "1".
+  const std::string series = "series: 1\nseries 0: s\n";
+  const std::string rows = "rows: 1\nrow 0: r\n";
+  EXPECT_NO_THROW(check::parse_figure(rows + series + "value 0 0: 1\n"));
+  EXPECT_THROW(check::parse_figure("rows: x\nrow 0: r\n" + series),
+               std::runtime_error);
+  EXPECT_THROW(
+      check::parse_figure("rows: 99999999999999\nrow 0: r\n" + series),
+      std::runtime_error);
+  EXPECT_THROW(check::parse_figure(rows + series + "value 0 0: abc\n"),
+               std::runtime_error);
+  EXPECT_THROW(check::parse_figure(rows + series + "value 0 0: 1.5x\n"),
+               std::runtime_error);
 }
 
 TEST(GoldenFormat, MissingFileReported) {
