@@ -16,29 +16,27 @@
 #include <exception>
 #include <string>
 
-#include "bench_common.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/telemetry.hpp"
-#include "sttsim/experiments/figures.hpp"
+#include "sttsim/experiments/artifacts.hpp"
+#include "sttsim/util/text.hpp"
 
 namespace {
 
 using namespace sttsim;
-
-using FigureFn = report::FigureData (*)(const experiments::KernelFilter&);
 
 struct TimedRun {
   double wall_ms = 0.0;
   std::uint64_t trace_wait_ns = 0;
 };
 
-TimedRun time_figure(FigureFn make, const experiments::KernelFilter& kernels,
-                     unsigned jobs) {
+TimedRun time_figure(const experiments::Artifact& artifact,
+                     const experiments::KernelFilter& kernels, unsigned jobs) {
   exec::set_default_jobs(jobs);
   auto& telemetry = exec::Telemetry::instance();
   const exec::TelemetrySnapshot before = telemetry.snapshot();
   const auto t0 = std::chrono::steady_clock::now();
-  (void)make(kernels);
+  (void)artifact.figure(kernels);
   const auto t1 = std::chrono::steady_clock::now();
   return {std::chrono::duration<double, std::milli>(t1 - t0).count(),
           (telemetry.snapshot() - before).trace_wait_ns};
@@ -59,28 +57,24 @@ int main(int argc, char** argv) {
     if (arg.rfind("--jobs=", 0) == 0) {
       if (!parse_unsigned(arg.c_str() + 7, jobs)) usage(argv[0]);
     } else if (arg.rfind("--kernels=", 0) == 0) {
-      benchcli::append_names(arg.substr(10), kernels);
+      for (std::string& name : split(arg.substr(10), ',')) {
+        if (!name.empty()) kernels.push_back(std::move(name));
+      }
     } else {
       usage(argv[0]);
     }
   }
   if (jobs == 0) jobs = exec::hardware_jobs();
 
-  struct FigureCase {
-    const char* name;
-    FigureFn make;
-  };
-  constexpr FigureCase kCases[] = {
-      {"fig1_dropin_penalty", &experiments::fig1_dropin_penalty},
-      {"fig3_vwb_penalty", &experiments::fig3_vwb_penalty},
-      {"fig5_transformations", &experiments::fig5_transformations}};
   try {
-    for (const FigureCase& fc : kCases) {
-      const TimedRun serial = time_figure(fc.make, kernels, 1);
-      const TimedRun parallel = time_figure(fc.make, kernels, jobs);
+    for (const char* name :
+         {"fig1_dropin_penalty", "fig3_vwb_penalty", "fig5_transformations"}) {
+      const experiments::Artifact& artifact = *experiments::find_artifact(name);
+      const TimedRun serial = time_figure(artifact, kernels, 1);
+      const TimedRun parallel = time_figure(artifact, kernels, jobs);
       std::printf("%-20s serial %8.1f ms | x%u %8.1f ms | speedup %.2fx | "
                   "trace_wait_ns %llu\n",
-                  fc.name, serial.wall_ms, jobs, parallel.wall_ms,
+                  name, serial.wall_ms, jobs, parallel.wall_ms,
                   serial.wall_ms / parallel.wall_ms,
                   static_cast<unsigned long long>(parallel.trace_wait_ns));
     }

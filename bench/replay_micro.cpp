@@ -147,8 +147,7 @@ bool bench_cursor_decode(unsigned reps) {
   const sttsim::workloads::Kernel& k = sttsim::workloads::find_kernel("gemm");
   const sttsim::workloads::CodegenOptions opts;
   const sttsim::cpu::DecodedTrace decoded =
-      k.generate_decoded ? k.generate_decoded(opts)
-                         : sttsim::cpu::decode(k.generate(opts));
+      k.generate_decoded(opts);
   const sttsim::cpu::CompressedTrace compressed = sttsim::cpu::compress(decoded);
   const double bytes_per_op =
       static_cast<double>(compressed.bytes.size()) /

@@ -19,7 +19,7 @@ int main() {
   cpu::SystemConfig cfg;
   cfg.organization = cpu::Dl1Organization::kNvmVwb;
   cpu::System system(cfg);
-  const auto trace = kernel.generate(workloads::CodegenOptions::none());
+  const auto trace = kernel.generate_decoded(workloads::CodegenOptions::none());
   const auto stats = system.run(trace);
 
   const auto wear = reliability::profile_wear(system.dl1().array(),

@@ -645,15 +645,14 @@ class PlainOracle final : public OracleBase {
 class VwbOracle final : public OracleBase {
  public:
   VwbOracle(const core::Dl1Config& dl1, const core::VwbGeometry& vwb,
-            unsigned mshr_entries, bool honor_prefetch,
-            const mem::L2Config& l2, const OracleFaults& faults)
+            unsigned mshr_entries, const mem::L2Config& l2,
+            const OracleFaults& faults)
       : lb_(dl1.geometry.line_bytes),
         sector_(vwb.sector_bytes),
         vline_(vwb.line_bytes),
         tag_(dl1.timing.tag_cycles),
         read_(dl1.timing.read_cycles),
         write_(dl1.timing.write_cycles),
-        honor_prefetch_(honor_prefetch),
         faults_(faults),
         array_(num_sets_of(dl1), dl1.geometry.associativity, lb_),
         vwb_(vwb.num_lines, vwb.line_bytes, vwb.sector_bytes),
@@ -730,7 +729,6 @@ class VwbOracle final : public OracleBase {
 
   void prefetch(Addr addr, Cycle now) override {
     stats_.prefetches += 1;
-    if (!honor_prefetch_) return;
     const Addr line = align_down(addr, sector_);
     if (vwb_.probe(line).hit) return;
     if (fills_.lookup(line)) return;
@@ -845,7 +843,6 @@ class VwbOracle final : public OracleBase {
 
   std::uint64_t lb_, sector_, vline_;
   Cycles tag_, read_, write_;
-  bool honor_prefetch_;
   OracleFaults faults_;
   RefArray array_;
   RefSectorBuffer vwb_;
@@ -1177,8 +1174,7 @@ std::unique_ptr<ReferenceDl1> make_reference_dl1(
             config.mshr_entries, config.l2, faults);
       }
       return std::make_unique<VwbOracle>(dl1, g, config.mshr_entries,
-                                         /*honor_prefetch=*/true, config.l2,
-                                         faults);
+                                         config.l2, faults);
     }
     case cpu::Dl1Organization::kNvmL0:
       return std::make_unique<NarrowOracle>(dl1, 8, 32, RefPolicy::kOnLoadMiss,

@@ -29,10 +29,6 @@ struct VwbDl1Config {
   unsigned mshr_entries = 4;  ///< MSHR fill registers: software prefetches
                               ///< deposit lines here and demand promotions
                               ///< consume them (see mem::FillBuffer)
-  /// Whether software prefetch hints promote lines into the VWB
-  /// (the code-transformation experiments toggle code generation, not this;
-  /// the flag exists for hardware ablations).
-  bool honor_prefetch = true;
 
   void validate() const;
 };

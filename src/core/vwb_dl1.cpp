@@ -192,7 +192,6 @@ sim::Cycle VwbDl1System::store(Addr addr, unsigned size, sim::Cycle now) {
 
 void VwbDl1System::prefetch(Addr addr, sim::Cycle now) {
   stats_.prefetches += 1;
-  if (!cfg_.honor_prefetch) return;
   const Addr line = vwb_.sector_addr(addr);
   if (vwb_.probe(line).hit) return;
   if (fills_.lookup(line).has_value()) return;  // already in flight/deposited

@@ -28,7 +28,7 @@ unsigned hardware_jobs();
 
 /// Process-wide default parallelism used by executors constructed with
 /// `jobs == 0`. `set_default_jobs(0)` restores hardware_jobs(). This is
-/// what the benches' `--jobs=N` flag sets.
+/// what the sttsim CLI's `--jobs=N` flag sets.
 void set_default_jobs(unsigned jobs);
 unsigned default_jobs();
 

@@ -132,7 +132,7 @@ class ResultStore {
 };
 
 /// Process-wide active store, consulted by experiments::run_grid and the
-/// CLI run paths (the benches' `--store=PATH` flag installs one; nullptr —
+/// CLI run paths (the CLI's `--store=PATH` flag installs one; nullptr —
 /// the default — disables memoization entirely). Not owning.
 void set_result_store(ResultStore* store);
 ResultStore* result_store();

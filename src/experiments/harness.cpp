@@ -197,11 +197,7 @@ cpu::DecodedTrace TraceCache::load(const workloads::Kernel& kernel,
   }
   telemetry.count_trace_generated();
   const std::uint64_t t0 = now_ns();
-  // Direct-to-decoded synthesis; hand-rolled Kernel objects (tests) may
-  // only provide the raw generator — decode then.
-  cpu::DecodedTrace decoded = kernel.generate_decoded
-                                  ? kernel.generate_decoded(opts)
-                                  : cpu::decode(kernel.generate(opts));
+  cpu::DecodedTrace decoded = kernel.generate_decoded(opts);
   telemetry.count_generate_ns(now_ns() - t0);
   if (tstore != nullptr) {
     const std::vector<std::uint8_t> blob =

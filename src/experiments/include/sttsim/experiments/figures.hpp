@@ -1,6 +1,6 @@
 // One driver per paper artifact (Table I, Figs. 1-9, plus the repo's
-// ablations). Each returns ready-to-render report data; the bench binaries
-// are thin wrappers that print it.
+// ablations). Each returns ready-to-render report data; the artifact table
+// (artifacts.hpp) names them, and `sttsim --artifact` prints them.
 //
 // Every function takes an optional kernel-name filter (empty = full suite)
 // so integration tests can reproduce figure rows quickly on a subset.

@@ -51,7 +51,7 @@ double gain_pct(const sim::RunStats& unoptimized,
 /// resident until the cache is destroyed.
 ///
 /// When a persistent trace store is active (exec::set_trace_store; the
-/// benches' --trace-store=PATH flag), a miss probes the store by
+/// CLI's --trace-store=PATH flag), a miss probes the store by
 /// trace_digest first — a hit deserializes the stored CompressedTrace,
 /// decompresses it and drops the compressed form (no generation at all;
 /// Telemetry::traces_generated stays 0 on a warm run) — and a generated
@@ -158,7 +158,7 @@ struct SuiteJob {
 
 /// Runs every kernel under every job of the grid, fanning the
 /// (job x kernel) points across a worker pool sized by the process-wide
-/// default (exec::default_jobs(); the benches' --jobs flag). Each config
+/// default (exec::default_jobs(); the CLI's --jobs flag). Each config
 /// is validated once up front and shared read-only by its jobs. Results
 /// come back in deterministic input order — result[j][k] is jobs[j] on
 /// kernels[k] — byte-identical to the historical serial loops.
@@ -171,7 +171,7 @@ struct SuiteJob {
 /// resident.
 ///
 /// When a persistent result store is active (exec::set_result_store; the
-/// benches' --store=PATH flag), every point's digest is probed up front:
+/// CLI's --store=PATH flag), every point's digest is probed up front:
 /// hits are filled into the deterministic result positions immediately
 /// (bypassing trace generation and simulation; counted as memo_hits) and
 /// only the misses become pool tasks (counted as memo_misses), so a
@@ -183,7 +183,7 @@ struct SuiteJob {
 /// appended by concurrent processes sharing the file count as hits too.
 ///
 /// The whole grid runs as one exec::run_request() under
-/// exec::default_request() (the benches' --deadline flag). Each point
+/// exec::default_request() (the CLI's --deadline flag). Each point
 /// checks the interrupt flag and the deadline when it starts: once either
 /// has tripped, the points that have not started are skipped and keep
 /// default RunStats (counted as timed-out or cancelled), while started

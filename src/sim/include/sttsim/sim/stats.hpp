@@ -85,7 +85,7 @@ struct RunStats {
   MemStats mem;
 };
 
-/// Multi-line human-readable dump (used by examples and --verbose benches).
+/// Multi-line human-readable dump (used by examples and the sttsim CLI).
 std::string to_string(const RunStats& s);
 
 /// Flat JSON object with every counter (stable keys; for tooling).

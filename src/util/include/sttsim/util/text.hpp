@@ -20,6 +20,11 @@ std::string format_bytes(std::uint64_t bytes);
 /// Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
+/// Splits `s` at every `sep`, keeping empty fields: "a,,b" gives
+/// {"a", "", "b"} and "" gives {""}. Undoes join: for a non-empty `v`
+/// whose parts hold no ',', split(join(v, ","), ',') == v.
+std::vector<std::string> split(const std::string& s, char sep);
+
 /// Pads `s` on the right (left-aligns) to at least `width` characters.
 std::string pad_right(std::string s, std::size_t width);
 
@@ -27,7 +32,7 @@ std::string pad_right(std::string s, std::size_t width);
 std::string pad_left(std::string s, std::size_t width);
 
 /// Strict command-line number parsing, shared by every front end (the
-/// benches' flags and the sttsim CLI): the whole of `s` must be one
+/// sttsim CLI and the bench/ tools): the whole of `s` must be one
 /// non-negative decimal integer that fits `out` — no sign, no leading
 /// space, no trailing characters. Returns false, leaving `out` unchanged,
 /// otherwise.

@@ -51,6 +51,17 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (std::size_t end = s.find(sep); end != std::string::npos;
+       start = end + 1, end = s.find(sep, start)) {
+    out.push_back(s.substr(start, end - start));
+  }
+  out.push_back(s.substr(start));
+  return out;
+}
+
 std::string pad_right(std::string s, std::size_t width) {
   if (s.size() < width) s.append(width - s.size(), ' ');
   return s;

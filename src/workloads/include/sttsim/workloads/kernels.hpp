@@ -125,9 +125,9 @@ cpu::Trace heat_3d(std::uint64_t n, std::uint64_t tsteps,
 // their sizes and options, so synthesize() can run each twice — a counting
 // pass, then a fill pass into an exactly-sized trace. The cpu::Trace
 // wrappers above are thin `reassemble(synthesize(o, X_into...))` shells. The
-// suite builds both Kernel::generate and Kernel::generate_decoded from
-// these, so the campaign cold path synthesizes packed DecodedOps directly —
-// no TraceOp vector, no separate decode pass, no op-vector regrowth.
+// suite builds Kernel::generate_decoded from these, so the campaign cold
+// path synthesizes packed DecodedOps directly — no TraceOp vector, no
+// separate decode pass, no op-vector regrowth.
 
 void atax_into(Emitter& em, std::uint64_t m, std::uint64_t n);
 void bicg_into(Emitter& em, std::uint64_t m, std::uint64_t n);

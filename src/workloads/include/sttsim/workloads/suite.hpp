@@ -17,13 +17,9 @@ struct Kernel {
   std::string name;
   std::string description;
   std::uint64_t footprint_bytes = 0;  ///< total array bytes at default size
-  std::function<cpu::Trace(const CodegenOptions&)> generate;
-  /// Direct-to-decoded synthesis: the same emission sequence as generate,
-  /// landing in packed DecodedOps without a TraceOp vector or decode()
-  /// pass, in arrays sized exactly (workloads::synthesize). Byte-identical
-  /// to cpu::decode(generate(o)). May be empty on hand-rolled Kernel
-  /// objects (tests); the trace cache falls back to decode(generate(o))
-  /// then.
+  /// The kernel's trace under `o`, synthesized straight into packed
+  /// DecodedOps in arrays sized exactly (workloads::synthesize). Callers
+  /// that need raw TraceOps take cpu::reassemble of it.
   std::function<cpu::DecodedTrace(const CodegenOptions&)> generate_decoded;
 };
 

@@ -6,7 +6,7 @@
 // calls for ("a systematic approach is being looked into"): they rewrite an
 // already-generated trace, so they can optimize workloads whose source-level
 // generator is not available. They are also the substrate of the ablation
-// benches.
+// artifacts.
 #pragma once
 
 #include <memory>

@@ -67,11 +67,11 @@ std::vector<experiments::SuiteJob> small_grid() {
 workloads::Kernel hooked_kernel(const std::string& name,
                                 std::function<void()> hook) {
   workloads::Kernel k = workloads::find_kernel(name);
-  k.generate = [gen = k.generate, hook](const workloads::CodegenOptions& o) {
+  k.generate_decoded = [gen = k.generate_decoded,
+                        hook](const workloads::CodegenOptions& o) {
     hook();
     return gen(o);
   };
-  k.generate_decoded = nullptr;  // the trace cache decodes generate() then
   return k;
 }
 

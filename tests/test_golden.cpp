@@ -7,49 +7,36 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "sttsim/check/golden.hpp"
-#include "sttsim/experiments/figures.hpp"
+#include "sttsim/experiments/artifacts.hpp"
 
 namespace sttsim {
 namespace {
 
+using experiments::Artifact;
 using experiments::KernelFilter;
 
 /// The fast kernel subset used across the integration tests: small enough
 /// to run every figure in seconds, large enough to exercise every system.
 const KernelFilter kSubset = {"trisolv", "gesummv"};
 
-struct GoldenCase {
-  const char* name;  ///< golden file stem under tests/golden/
-  report::FigureData (*fn)(const KernelFilter&);
-};
-
-constexpr GoldenCase kCases[] = {
-    {"fig1_dropin_penalty", &experiments::fig1_dropin_penalty},
-    {"fig3_vwb_penalty", &experiments::fig3_vwb_penalty},
-    {"fig4_rw_breakdown", &experiments::fig4_rw_breakdown},
-    {"fig5_transformations", &experiments::fig5_transformations},
-    {"fig6_contributions", &experiments::fig6_contributions},
-    {"fig7_vwb_size", &experiments::fig7_vwb_size},
-    {"fig7_vwb_size_optimized", &experiments::fig7_vwb_size_optimized},
-    {"fig8_alternatives", &experiments::fig8_alternatives},
-    {"fig9_baseline_gain", &experiments::fig9_baseline_gain},
-    {"ablation_banking", &experiments::ablation_banking},
-    {"ablation_store_buffer", &experiments::ablation_store_buffer},
-    {"ablation_write_mitigation", &experiments::ablation_write_mitigation},
-    {"energy_report", &experiments::energy_report},
-    {"exploration_iso_area", &experiments::exploration_iso_area},
-    {"sensitivity_clock", &experiments::sensitivity_clock},
-    {"sensitivity_cell", &experiments::sensitivity_cell},
-    // The reliability family runs a fixed fault seed (kReliabilitySeed in
-    // figures.cpp), so its values are as deterministic as the rest.
-    {"fig_reliability_retention", &experiments::fig_reliability_retention},
-    {"fig_reliability_lifetime", &experiments::fig_reliability_lifetime},
-    {"fig_reliability_ecc_overhead", &experiments::fig_reliability_ecc_overhead},
-};
+/// The table's figure artifacts, each pinned by tests/golden/<name>.golden.
+/// The reliability family runs a fixed fault seed (kReliabilitySeed in
+/// figures.cpp), so its values are as deterministic as the rest.
+std::vector<const Artifact*> figure_artifacts() {
+  std::vector<const Artifact*> out;
+  for (const Artifact& a : experiments::artifacts()) {
+    if (a.figure != nullptr) out.push_back(&a);
+  }
+  return out;
+}
 
 bool update_requested() {
   const char* env = std::getenv("STTSIM_UPDATE_GOLDEN");
@@ -60,12 +47,12 @@ std::string golden_path(const char* name) {
   return std::string(STTSIM_GOLDEN_DIR) + "/" + name + ".golden";
 }
 
-class GoldenFigures : public ::testing::TestWithParam<GoldenCase> {};
+class GoldenFigures : public ::testing::TestWithParam<const Artifact*> {};
 
 TEST_P(GoldenFigures, MatchesCheckedInReference) {
-  const GoldenCase& c = GetParam();
-  const report::FigureData fig = c.fn(kSubset);
-  const std::string path = golden_path(c.name);
+  const Artifact& a = *GetParam();
+  const report::FigureData fig = a.figure(kSubset);
+  const std::string path = golden_path(a.name);
   if (update_requested()) {
     check::update_golden(path, fig);
     GTEST_SKIP() << "golden refreshed: " << path;
@@ -76,10 +63,42 @@ TEST_P(GoldenFigures, MatchesCheckedInReference) {
   EXPECT_TRUE(cmp.matches()) << cmp.to_string();
 }
 
-INSTANTIATE_TEST_SUITE_P(AllFigures, GoldenFigures, ::testing::ValuesIn(kCases),
+INSTANTIATE_TEST_SUITE_P(AllFigures, GoldenFigures,
+                         ::testing::ValuesIn(figure_artifacts()),
                          [](const auto& param_info) {
-                           return std::string(param_info.param.name);
+                           return std::string(param_info.param->name);
                          });
+
+// The artifact table is the one list of artifacts; these two tests fail
+// when an artifact is added to it but not to the list compared, or the
+// other way round.
+
+TEST(ArtifactTable, NamesAndOrderMatchPerfbenchReferenceDigests) {
+  std::ifstream in(STTSIM_REFERENCE_DIGESTS);
+  ASSERT_TRUE(in) << STTSIM_REFERENCE_DIGESTS;
+  std::vector<std::string> referenced;
+  for (std::string name, digest; in >> name >> digest;) {
+    referenced.push_back(name);
+  }
+  std::vector<std::string> table;
+  for (const Artifact& a : experiments::artifacts()) table.push_back(a.name);
+  EXPECT_EQ(table, referenced);
+  EXPECT_EQ(table.size(), 22u);
+}
+
+TEST(ArtifactTable, FigureArtifactsMatchGoldenFiles) {
+  std::set<std::string> stems;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(STTSIM_GOLDEN_DIR)) {
+    if (entry.path().extension() == ".golden") {
+      stems.insert(entry.path().stem().string());
+    }
+  }
+  std::set<std::string> figures;
+  for (const Artifact* a : figure_artifacts()) figures.insert(a->name);
+  EXPECT_EQ(figures, stems);
+  EXPECT_EQ(figures.size(), 19u);
+}
 
 TEST(GoldenFormat, SerializeParseRoundTrip) {
   report::FigureData fig;

@@ -1,13 +1,12 @@
-// The parallel experiment engine's correctness contract: every figure
-// function produces byte-identical output at --jobs=1 (the historical
-// serial path) and --jobs=8, the concurrent TraceCache generates each
-// trace exactly once no matter how many threads request it, and a grid
-// drops each trace after the last point that replays it.
+// The parallel experiment engine's correctness contract: every artifact
+// renders byte-identically at --jobs=1 (the historical serial path) and
+// --jobs=8, the concurrent TraceCache generates each trace exactly once no
+// matter how many threads request it, and a grid drops each trace after
+// the last point that replays it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -15,9 +14,8 @@
 #include <vector>
 
 #include "sttsim/exec/parallel_executor.hpp"
-#include "sttsim/experiments/figures.hpp"
+#include "sttsim/experiments/artifacts.hpp"
 #include "sttsim/experiments/harness.hpp"
-#include "sttsim/report/figure.hpp"
 #include "sttsim/sim/stats.hpp"
 
 namespace sttsim::experiments {
@@ -33,51 +31,15 @@ auto at_jobs(unsigned jobs, F&& make) {
   return result;
 }
 
-class ParallelDeterminism : public ::testing::Test {
- protected:
-  const KernelFilter subset_{"trisolv", "gesummv"};
-
-  void expect_identical(
-      const char* name,
-      const std::function<report::FigureData(const KernelFilter&)>& fig) {
+TEST(ParallelDeterminism, AllArtifactsAreJobCountInvariant) {
+  const KernelFilter subset = {"trisolv", "gesummv"};
+  for (const Artifact& a : artifacts()) {
     const std::string serial =
-        report::render_csv(at_jobs(1, [&] { return fig(subset_); }));
+        at_jobs(1, [&] { return render_artifact(a, subset, /*csv=*/true); });
     const std::string parallel =
-        report::render_csv(at_jobs(8, [&] { return fig(subset_); }));
-    EXPECT_EQ(serial, parallel) << name;
+        at_jobs(8, [&] { return render_artifact(a, subset, /*csv=*/true); });
+    EXPECT_EQ(serial, parallel) << a.name;
   }
-};
-
-TEST_F(ParallelDeterminism, AllFigureFunctionsAreJobCountInvariant) {
-  expect_identical("fig1", fig1_dropin_penalty);
-  expect_identical("fig3", fig3_vwb_penalty);
-  expect_identical("fig4", fig4_rw_breakdown);
-  expect_identical("fig5", fig5_transformations);
-  expect_identical("fig6", fig6_contributions);
-  expect_identical("fig7", fig7_vwb_size);
-  expect_identical("fig7_optimized", fig7_vwb_size_optimized);
-  expect_identical("fig8", fig8_alternatives);
-  expect_identical("fig9", fig9_baseline_gain);
-  expect_identical("ablation_banking", ablation_banking);
-  expect_identical("ablation_store_buffer", ablation_store_buffer);
-  expect_identical("ablation_write_mitigation", ablation_write_mitigation);
-  expect_identical("energy_report", energy_report);
-  expect_identical("exploration_iso_area", exploration_iso_area);
-  expect_identical("sensitivity_clock", sensitivity_clock);
-  expect_identical("sensitivity_cell", sensitivity_cell);
-  expect_identical("fig_reliability_retention", fig_reliability_retention);
-  expect_identical("fig_reliability_lifetime", fig_reliability_lifetime);
-  expect_identical("fig_reliability_ecc_overhead", fig_reliability_ecc_overhead);
-}
-
-TEST_F(ParallelDeterminism, LifetimeReportIsJobCountInvariant) {
-  const std::string serial = at_jobs(1, [&] {
-    return lifetime_report(subset_);
-  });
-  const std::string parallel = at_jobs(8, [&] {
-    return lifetime_report(subset_);
-  });
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(TraceCacheConcurrency, ManyThreadsOneGenerationPerKey) {

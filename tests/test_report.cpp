@@ -1,8 +1,12 @@
 // Unit tests: report tables and figure-series containers.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sttsim/report/figure.hpp"
 #include "sttsim/report/table.hpp"
+#include "sttsim/util/text.hpp"
 
 namespace sttsim::report {
 namespace {
@@ -25,17 +29,10 @@ TEST(Table, ColumnsAlign) {
   t.add_row({"b", "100"});
   const std::string out = t.render();
   // Every line has the same length (fixed-width table).
-  std::size_t prev = std::string::npos;
-  std::size_t pos = 0;
-  while (pos < out.size()) {
-    const std::size_t eol = out.find('\n', pos);
-    const std::size_t len = eol - pos;
-    if (prev != std::string::npos) {
-      EXPECT_EQ(len, prev);
-    }
-    prev = len;
-    pos = eol + 1;
-  }
+  std::vector<std::string> lines = split(out, '\n');
+  ASSERT_EQ(lines.back(), "");  // the field after the final newline
+  lines.pop_back();
+  for (const std::string& line : lines) EXPECT_EQ(line.size(), lines[0].size());
 }
 
 TEST(Table, CsvHasNoPadding) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "sttsim/util/bits.hpp"
 #include "sttsim/util/check.hpp"
@@ -125,6 +127,19 @@ TEST(Text, Join) {
   EXPECT_EQ(join({}, ","), "");
   EXPECT_EQ(join({"a"}, ","), "a");
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
+}
+
+TEST(Text, SplitKeepsEmptyFields) {
+  using V = std::vector<std::string>;
+  EXPECT_EQ(split("", ','), V{""});
+  EXPECT_EQ(split("a", ','), V{"a"});
+  EXPECT_EQ(split("a,,b", ','), (V{"a", "", "b"}));
+  EXPECT_EQ(split(",a,", ','), (V{"", "a", ""}));
+  EXPECT_EQ(split("1:2:3", ':'), (V{"1", "2", "3"}));
+  EXPECT_EQ(split("1:2:3", ','), V{"1:2:3"});
+  for (const V& v : {V{""}, V{"x"}, V{"", ""}, V{"fig1", "", "fig5", ""}}) {
+    EXPECT_EQ(split(join(v, ","), ','), v);
+  }
 }
 
 TEST(Check, PassingCheckIsSilent) {

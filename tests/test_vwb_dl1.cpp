@@ -196,19 +196,6 @@ TEST_F(VwbDl1Test, StoreLatchesIntoInFlightPromotionWithoutStalling) {
   EXPECT_TRUE(dl1.vwb().probe(0x1000).dirty);
 }
 
-TEST_F(VwbDl1Test, HonorPrefetchFlagDisablesPrefetching) {
-  VwbDl1Config cfg = paper_config();
-  cfg.honor_prefetch = false;
-  VwbDl1System dl1("vwb", cfg, &l2_);
-  dl1.load(0x1000, 8, 0);
-  dl1.load(0x8000, 8, 500);
-  dl1.load(0x9000, 8, 900);
-  const std::uint64_t reads = dl1.stats().l1_array_reads;
-  dl1.prefetch(0x1000, 1500);
-  EXPECT_EQ(dl1.stats().l1_array_reads, reads);
-  EXPECT_EQ(dl1.stats().prefetches, 1u);  // still counted as retired
-}
-
 TEST_F(VwbDl1Test, SingleSectorVwbGeometryWorks) {
   VwbDl1Config cfg = paper_config();
   cfg.vwb = {2, 64, 64};  // 1 KBit variant

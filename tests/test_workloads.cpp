@@ -373,8 +373,10 @@ class VectorShape : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(VectorShape, PreservesBytesMovedForDivisibleSizes) {
   const Kernel& k = find_kernel(GetParam());
-  const TraceSummary scalar = summarize(k.generate(kBase));
-  const TraceSummary vec = summarize(k.generate(CodegenOptions::only_vectorize()));
+  const TraceSummary scalar =
+      summarize(cpu::reassemble(k.generate_decoded(kBase)));
+  const TraceSummary vec = summarize(
+      cpu::reassemble(k.generate_decoded(CodegenOptions::only_vectorize())));
   // Vectorization changes op counts and loop order but streams the same
   // array elements (gemm-family kernels re-load C per k in the ikj shape,
   // so bytes may grow there — tested separately).
@@ -450,8 +452,8 @@ TEST(Suite, FindKernelWorksAndThrows) {
 
 TEST(Suite, EveryKernelGeneratesDeterministically) {
   for (const Kernel& k : polybench_suite()) {
-    const cpu::Trace a = k.generate(kBase);
-    const cpu::Trace b = k.generate(kBase);
+    const cpu::Trace a = cpu::reassemble(k.generate_decoded(kBase));
+    const cpu::Trace b = cpu::reassemble(k.generate_decoded(kBase));
     EXPECT_EQ(a.size(), b.size()) << k.name;
     EXPECT_TRUE(a == b) << k.name;
     EXPECT_GT(summarize(a).loads, 0u) << k.name;

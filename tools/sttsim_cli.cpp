@@ -1,7 +1,7 @@
 // sttsim — command-line driver for the simulator.
 //
-// Run any suite kernel (or an external binary trace) on any DL1
-// organization with any codegen options, and print the run statistics:
+// Kernel mode runs any suite kernel (or an external binary trace) on any
+// DL1 organization with any codegen options, and prints the run statistics:
 //
 //   sttsim --kernel=gemm --org=nvm-vwb --opts=vec,pf,br
 //   sttsim --kernel=atax --org=sram-baseline --baseline-penalty
@@ -9,26 +9,32 @@
 //   sttsim --kernel=mvt --trace-out=mvt.trc      (capture, no simulation)
 //   sttsim --trace-in=repro.trace --org=nvm-vwb --check-oracle
 //   sttsim --kernel=gemm --org=nvm-vwb,nvm-l0,nvm-emshr   (side by side)
-//   sttsim --list
+//   sttsim --list                  (kernels, then artifact names)
 //
 // --org accepts a comma-separated list: the named organizations replay the
 // decoded trace one after another (cpu::System::run each) and are reported
 // side by side, in the order given.
 //
-// Numeric flags (--jobs, --deadline, --vwb-kbit, --vwb-lines, --banks,
-// --clock-ghz, --faults, --ecc) must be well-formed numbers; a malformed
-// value, like an unknown flag, prints usage and exits 2.
+// Artifact mode prints artifacts of experiments::artifacts() in the order
+// given, with one blank line between two tables and nothing between two
+// CSVs; --kernels restricts the suite:
 //
-// Options: --vwb-kbit=N --vwb-lines=N --banks=N --clock-ghz=F --csv
-//          --store=PATH (persistent result store: repeated identical runs
-//          read back their stats instead of re-simulating; --no-store
-//          ignores the STTSIM_RESULT_STORE environment default)
-//          --trace-store=PATH (persistent compressed-trace store: a kernel
-//          trace generated by a previous run is deserialized from disk
-//          instead of re-synthesized; --no-trace-store ignores the
-//          STTSIM_TRACE_STORE environment default)
-//          --deadline=SECS (wall-clock budget for any engine-driven work:
-//          points not started when it expires are skipped as timed-out)
+//   sttsim --artifact=all                        (every table and figure)
+//   sttsim --artifact=fig5_transformations --csv --kernels=gemm,atax
+//
+// Its first Ctrl-C drains the running grid (started points finish and stay
+// in the --store) and exits 130; kernel mode keeps the default SIGINT
+// disposition. A kernel-mode flag (kKernelModeFlags) next to --artifact,
+// --kernels without it, an unknown artifact name, and a malformed number
+// (--jobs, --deadline, --vwb-kbit, --vwb-lines, --banks, --clock-ghz,
+// --faults, --ecc), like an unknown flag, print usage and exit 2.
+//
+// Both modes take --csv, --jobs=N (0 = one worker per hardware thread),
+// --deadline=SECS (each grid's wall-clock budget: points not started by
+// then are skipped as timed-out), and --store=PATH / --trace-store=PATH:
+// persistent result and trace stores, so a repeated run reads back stats
+// and traces instead of recomputing them. --no-store and --no-trace-store
+// ignore the STTSIM_RESULT_STORE / STTSIM_TRACE_STORE defaults.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "sttsim/check/differential.hpp"
 #include "sttsim/cpu/system.hpp"
@@ -45,6 +52,7 @@
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
 #include "sttsim/exec/trace_store.hpp"
+#include "sttsim/experiments/artifacts.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/sim/stats.hpp"
 #include "sttsim/util/check.hpp"
@@ -71,6 +79,9 @@ struct CliOptions {
                               ///< just simulating; nonzero exit on divergence
   std::string store;          ///< result-store path; "" = disabled
   std::string trace_store;    ///< trace-store path; "" = disabled
+  /// --artifact, in print order; non-empty selects artifact mode.
+  std::vector<const experiments::Artifact*> artifacts;
+  experiments::KernelFilter kernels;  ///< --kernels (artifact mode)
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -85,13 +96,15 @@ struct CliOptions {
       "          [--baseline-penalty] [--check-oracle] [--jobs=N]\n"
       "          [--store=PATH] [--no-store] [--trace-store=PATH]\n"
       "          [--no-trace-store] [--deadline=SECS] [--csv|--json]\n"
+      "       %s --artifact=NAME[,NAME...]|all [--kernels=a,b,c] [--csv]\n"
+      "          [--jobs=N] [--deadline=SECS] [the store flags above]\n"
       "(a comma-separated --org list runs each organization in turn and\n"
       " reports them side by side; --faults enables deterministic\n"
       " retention-fault injection on NVM organizations — SEED keys the\n"
       " schedule, PPM the per-window failure odds, DOUBLEPCT the\n"
       " double-bit share; --ecc sets the SEC-DED correction / line-refill\n"
-      " penalty cycles)\n",
-      argv0);
+      " penalty cycles; --list names every kernel and artifact)\n",
+      argv0, argv0);
   std::exit(2);
 }
 
@@ -110,18 +123,11 @@ std::optional<cpu::Dl1Organization> parse_org(const std::string& name) {
 std::optional<std::vector<cpu::Dl1Organization>> parse_org_list(
     const std::string& list) {
   std::vector<cpu::Dl1Organization> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string name = list.substr(
-        pos, comma == std::string::npos ? comma : comma - pos);
-    if (!name.empty()) {
-      const auto org = parse_org(name);
-      if (!org) return std::nullopt;
-      out.push_back(*org);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const std::string& name : split(list, ',')) {
+    if (name.empty()) continue;
+    const auto org = parse_org(name);
+    if (!org) return std::nullopt;
+    out.push_back(*org);
   }
   if (out.empty()) return std::nullopt;
   return out;
@@ -129,11 +135,7 @@ std::optional<std::vector<cpu::Dl1Organization>> parse_org_list(
 
 workloads::CodegenOptions parse_codegen(const std::string& list) {
   workloads::CodegenOptions o;
-  std::size_t pos = 0;
-  while (pos < list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string item = list.substr(
-        pos, comma == std::string::npos ? comma : comma - pos);
+  for (const std::string& item : split(list, ',')) {
     if (item == "vec") {
       o.vectorize = true;
     } else if (item == "pf") {
@@ -145,33 +147,46 @@ workloads::CodegenOptions parse_codegen(const std::string& list) {
     } else if (!item.empty()) {
       throw ConfigError("unknown codegen option '" + item + "'");
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   return o;
 }
 
-/// Splits a ':'-separated flag payload ("SEED:PPM:PCT") into fields.
-std::vector<std::string> split_fields(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t colon = s.find(':', pos);
-    out.push_back(
-        s.substr(pos, colon == std::string::npos ? colon : colon - pos));
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
+/// Appends the artifacts one --artifact value names ("all", or a
+/// comma-separated list) to `out`; false if a name is empty or unknown.
+bool parse_artifacts(const std::string& list,
+                     std::vector<const experiments::Artifact*>& out) {
+  if (list == "all") {
+    for (const experiments::Artifact& a : experiments::artifacts()) {
+      out.push_back(&a);
+    }
+    return true;
   }
-  return out;
+  for (const std::string& name : split(list, ',')) {
+    out.push_back(experiments::find_artifact(name));
+    if (out.back() == nullptr) return false;
+  }
+  return true;
 }
+
+/// Flags only kernel mode reads; artifact mode rejects them.
+constexpr const char* kKernelModeFlags[] = {
+    "--kernel=",    "--trace-in=",        "--trace-out=",    "--org=",
+    "--opts=",      "--vwb-kbit=",        "--vwb-lines=",    "--banks=",
+    "--clock-ghz=", "--faults=",          "--ecc=",          "--json",
+    "--check-oracle", "--baseline-penalty"};
 
 CliOptions parse_args(int argc, char** argv) {
   CliOptions o;
   bool no_store = false;
   bool no_trace_store = false;
+  bool kernel_mode_flag = false;
+  bool kernels_flag = false;
   exec::CampaignRequest request;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    for (const char* flag : kKernelModeFlags) {
+      if (arg.rfind(flag, 0) == 0) kernel_mode_flag = true;
+    }
     std::string val;
     const auto take = [&](const char* prefix) {
       const std::size_t n = std::strlen(prefix);
@@ -217,17 +232,24 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (take("--faults=")) {
       // SEED[:PPM[:DOUBLEPCT]]
       o.system.faults.enabled = true;
-      const std::vector<std::string> parts = split_fields(val);
+      const std::vector<std::string> parts = split(val, ':');
       if (parts.size() > 3) usage(argv[0]);
       number(parts[0], o.system.faults.seed);
       if (parts.size() > 1) number(parts[1], o.system.faults.fail_ppm);
       if (parts.size() > 2) number(parts[2], o.system.faults.double_fault_pct);
     } else if (take("--ecc=")) {
       // CORR[:REFILL]
-      const std::vector<std::string> parts = split_fields(val);
+      const std::vector<std::string> parts = split(val, ':');
       if (parts.size() > 2) usage(argv[0]);
       number(parts[0], o.system.ecc.correction_cycles);
       if (parts.size() > 1) number(parts[1], o.system.ecc.refill_cycles);
+    } else if (take("--artifact=")) {
+      if (!parse_artifacts(val, o.artifacts)) usage(argv[0]);
+    } else if (take("--kernels=")) {
+      kernels_flag = true;
+      for (std::string& name : split(val, ',')) {
+        if (!name.empty()) o.kernels.push_back(std::move(name));
+      }
     } else if (take("--jobs=")) {
       unsigned jobs = 0;
       number(val, jobs);
@@ -260,8 +282,13 @@ CliOptions parse_args(int argc, char** argv) {
     }
   }
   if (no_trace_store) o.trace_store.clear();
+  const bool artifact_mode = !o.artifacts.empty();
+  if (kernels_flag && !artifact_mode) usage(argv[0]);
+  if (artifact_mode && kernel_mode_flag) usage(argv[0]);
   exec::set_default_request(request);
-  exec::install_interrupt_handler();
+  // Only grids read the drain flag the handler sets; kernel mode keeps
+  // the default disposition, so its first Ctrl-C ends the run.
+  if (artifact_mode) exec::install_interrupt_handler();
   return o;
 }
 
@@ -300,6 +327,19 @@ int run(const CliOptions& o) {
   if (o.list) {
     for (const auto& k : workloads::polybench_suite()) {
       std::printf("%-16s %s\n", k.name.c_str(), k.description.c_str());
+    }
+    std::printf("\nartifacts (--artifact=NAME):\n");
+    for (const experiments::Artifact& a : experiments::artifacts()) {
+      std::printf("%s\n", a.name);
+    }
+    return 0;
+  }
+  if (!o.artifacts.empty()) {
+    for (std::size_t i = 0; i < o.artifacts.size(); ++i) {
+      const std::string out =
+          experiments::render_artifact(*o.artifacts[i], o.kernels, o.csv);
+      if (i > 0 && !o.csv) std::fputs("\n", stdout);
+      std::fputs(out.c_str(), stdout);
     }
     return 0;
   }
@@ -447,6 +487,10 @@ int run(const CliOptions& o) {
 int main(int argc, char** argv) {
   try {
     return run(parse_args(argc, argv));
+  } catch (const exec::CampaignInterrupted& e) {
+    // The first Ctrl-C drained a grid; its started points are persisted.
+    std::fprintf(stderr, "sttsim: %s\n", e.what());
+    return 130;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sttsim: %s\n", e.what());
     return 1;
