@@ -38,7 +38,8 @@ BENCHMARK(BM_SetAssocCacheAccess);
 
 void BM_TraceGeneration_gemm(benchmark::State& state) {
   for (auto _ : state) {
-    auto trace = workloads::gemm(32, 32, 32, workloads::CodegenOptions::none());
+    auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                 workloads::gemm_into, 32, 32, 32);
     benchmark::DoNotOptimize(trace.data());
   }
 }
@@ -46,8 +47,8 @@ BENCHMARK(BM_TraceGeneration_gemm);
 
 void BM_SimulateKernel(benchmark::State& state) {
   const auto org = static_cast<cpu::Dl1Organization>(state.range(0));
-  const auto trace =
-      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none());
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::gemm_into, 32, 32, 32);
   const cpu::DecodedTrace decoded = cpu::decode(trace);
   cpu::SystemConfig cfg;
   cfg.organization = org;
@@ -73,8 +74,8 @@ BENCHMARK(BM_SimulateKernel)
 // and the single-granule entries buy.
 void BM_SimulateKernelReference(benchmark::State& state) {
   const auto org = static_cast<cpu::Dl1Organization>(state.range(0));
-  const cpu::DecodedTrace trace = cpu::decode(
-      workloads::gemm(32, 32, 32, workloads::CodegenOptions::none()));
+  const cpu::DecodedTrace trace = cpu::decode(workloads::emit(
+      workloads::CodegenOptions::none(), workloads::gemm_into, 32, 32, 32));
   cpu::SystemConfig cfg;
   cfg.organization = org;
   cpu::System system(cfg);
@@ -104,8 +105,8 @@ void BM_VwbLookup(benchmark::State& state) {
 BENCHMARK(BM_VwbLookup);
 
 void BM_TraceIoRoundTrip(benchmark::State& state) {
-  const auto trace =
-      workloads::gemm(16, 16, 16, workloads::CodegenOptions::none());
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::gemm_into, 16, 16, 16);
   for (auto _ : state) {
     std::stringstream ss;
     cpu::write_trace(ss, trace);
@@ -118,8 +119,8 @@ void BM_TraceIoRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_TraceIoRoundTrip);
 
 void BM_XformPipeline(benchmark::State& state) {
-  const auto trace =
-      workloads::atax(32, 32, workloads::CodegenOptions::none());
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::atax_into, 32, 32);
   for (auto _ : state) {
     xform::PassManager pm;
     pm.add(std::make_unique<xform::RedundantLoadPass>())

@@ -7,14 +7,16 @@
 
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/experiments/harness.hpp"
-#include "sttsim/workloads/kernels.hpp"
+#include "sttsim/workloads/suite.hpp"
 
 using namespace sttsim;
 
 int main() {
-  // 1. Generate the dynamic trace of a kernel (gemm, 64^3, unoptimized).
+  // 1. Generate the dynamic trace of a suite kernel (gemm, 64^3,
+  //    unoptimized).
+  const workloads::Kernel& gemm = workloads::find_kernel("gemm");
   const cpu::Trace trace =
-      workloads::gemm(64, 64, 64, workloads::CodegenOptions::none());
+      cpu::reassemble(gemm.generate_decoded(workloads::CodegenOptions::none()));
   std::printf("workload: gemm 64^3 — %s\n\n", cpu::describe(trace).c_str());
 
   // 2. Run it on the three organizations.
@@ -42,8 +44,8 @@ int main() {
 
   // 3. The paper's fix: apply the Section V code transformations and rerun
   //    the proposal.
-  const cpu::Trace optimized =
-      workloads::gemm(64, 64, 64, workloads::CodegenOptions::all());
+  const cpu::DecodedTrace optimized =
+      gemm.generate_decoded(workloads::CodegenOptions::all());
   cpu::SystemConfig cfg;
   cfg.organization = cpu::Dl1Organization::kNvmVwb;
   cpu::System system(cfg);

@@ -21,8 +21,7 @@ namespace {
 using exec::now_ns;
 
 auto codegen_tuple(const workloads::CodegenOptions& o) {
-  return std::make_tuple(o.vectorize, o.vector_width, o.prefetch,
-                         o.prefetch_distance_bytes, o.branch_opts);
+  return std::make_tuple(o.vectorize, o.prefetch, o.branch_opts);
 }
 
 // ---- Simulation-input digests (persistent result-store keys) ----------
@@ -33,11 +32,7 @@ auto codegen_tuple(const workloads::CodegenOptions& o) {
 // change a single counter, so editing a label must not dirty a campaign.
 
 void hash_codegen(util::Hash64& h, const workloads::CodegenOptions& o) {
-  h.boolean(o.vectorize)
-      .u32(o.vector_width)
-      .boolean(o.prefetch)
-      .u64(o.prefetch_distance_bytes)
-      .boolean(o.branch_opts);
+  h.boolean(o.vectorize).boolean(o.prefetch).boolean(o.branch_opts);
 }
 
 void hash_technology(util::Hash64& h, const tech::TechnologyParams& t) {

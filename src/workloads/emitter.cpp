@@ -4,17 +4,8 @@
 
 namespace sttsim::workloads {
 
-Emitter::Emitter(const CodegenOptions& opts) : opts_(opts) {
-  if (opts_.vectorize) {
-    STTSIM_CHECK(opts_.vector_width >= 2 &&
-                 opts_.vector_width * kElem <= 255);
-  }
-}
-
-Emitter::Emitter(const CodegenOptions& opts, const Counts& counts)
-    : Emitter(opts) {
-  builder_ = cpu::DecodedTraceBuilder(counts);
-}
+// A vector access is one trace op, whose size field is 8 bits.
+static_assert(kVectorWidth >= 2 && kVectorWidth * kElem <= 255);
 
 void Emitter::flush_exec() {
   if (pending_exec_ == 0) return;
@@ -58,7 +49,7 @@ bool Emitter::first_in_line(Addr a, unsigned bytes) {
 void Emitter::stream_load(Addr a, unsigned n_elems) {
   const unsigned bytes = n_elems * kElem;
   if (opts_.prefetch && first_in_line(a, bytes)) {
-    prefetch(a + opts_.prefetch_distance_bytes);
+    prefetch(a + kPrefetchDistanceBytes);
   }
   load(a, n_elems);
 }
@@ -66,7 +57,7 @@ void Emitter::stream_load(Addr a, unsigned n_elems) {
 void Emitter::stream_store(Addr a, unsigned n_elems) {
   const unsigned bytes = n_elems * kElem;
   if (opts_.prefetch && first_in_line(a, bytes)) {
-    prefetch(a + opts_.prefetch_distance_bytes);
+    prefetch(a + kPrefetchDistanceBytes);
   }
   store(a, n_elems);
 }

@@ -14,15 +14,19 @@
 
 namespace sttsim::workloads {
 
+/// Doubles per SIMD op (256-bit datapath).
+inline constexpr unsigned kVectorWidth = 4;
+/// Software-prefetch lookahead: one DL1 line.
+inline constexpr std::uint64_t kPrefetchDistanceBytes = 64;
+
 struct CodegenOptions {
   /// Loop vectorization (NEON-like): unit-stride inner loops process
-  /// `vector_width` doubles per operation with one wide load/store.
+  /// kVectorWidth doubles per operation with one wide load/store.
   bool vectorize = false;
-  unsigned vector_width = 4;  ///< doubles per SIMD op (256-bit datapath)
 
-  /// Software prefetch of streaming arrays into the VWB.
+  /// Software prefetch of streaming arrays into the VWB,
+  /// kPrefetchDistanceBytes ahead.
   bool prefetch = false;
-  std::uint64_t prefetch_distance_bytes = 64;  ///< one DL1 line of lookahead
 
   /// "Others": alignment, branchless selects, branch-probability hints —
   /// reduces per-iteration loop overhead.

@@ -2,7 +2,9 @@
 //
 // Kernels call high-level emission helpers; the active CodegenOptions decide
 // how they lower:
-//  * width()          — 1 without vectorization, vector_width with it;
+//  * width()          — 1 without vectorization, kVectorWidth with it;
+//  * vloop()          — a unit-stride loop as width()-element chunks and a
+//                       scalar epilogue, from one loop body;
 //  * loop_iter()      — per-iteration index/branch overhead, reduced by the
 //                       branch/alignment optimizations ("others");
 //  * stream_load/store — unit-stride accesses that additionally drop a
@@ -17,11 +19,8 @@
 // counting pass through an Emitter that stores nothing measures the exact
 // op and store-payload counts, then a fill pass writes packed 16-byte
 // DecodedOps — granule spans precomputed — into a cpu::DecodedTrace
-// reserved to exactly that size. The cold campaign path never materializes
-// a raw TraceOp vector, runs a separate decode() pass, or regrows an op
-// vector; legacy consumers (trace_io capture, the oracle, direct kernel
-// callers) reassemble the raw trace from the decoded one, byte-identical to
-// what the historical TraceOp-building emitter produced.
+// reserved to exactly that size. Callers that need raw TraceOps take
+// emit(), which reassembles them from the decoded trace.
 #pragma once
 
 #include "sttsim/cpu/decoded_trace.hpp"
@@ -36,17 +35,16 @@ class Emitter {
   using Counts = cpu::DecodedTraceBuilder::Counts;
 
   /// A counting emitter: runs an emission body and stores nothing.
-  explicit Emitter(const CodegenOptions& opts);
+  explicit Emitter(const CodegenOptions& opts) : opts_(opts) {}
   /// A filling emitter: writes an emission body's ops into a trace reserved
   /// to exactly `counts` — what a counting pass measured for the same body.
-  Emitter(const CodegenOptions& opts, const Counts& counts);
+  Emitter(const CodegenOptions& opts, const Counts& counts)
+      : opts_(opts), builder_(counts) {}
 
   const CodegenOptions& options() const { return opts_; }
 
   /// Elements processed per (possibly vector) operation.
-  unsigned width() const {
-    return opts_.vectorize ? opts_.vector_width : 1;
-  }
+  unsigned width() const { return opts_.vectorize ? kVectorWidth : 1; }
 
   /// `n` plain non-memory instructions.
   void exec(std::uint32_t n);
@@ -65,8 +63,8 @@ class Emitter {
   void store(Addr a, unsigned n_elems = 1);
 
   /// Unit-stride streaming access: same as load/store plus an automatic
-  /// prefetch hint `prefetch_distance_bytes` ahead whenever the access is
-  /// the first to touch its DL1 line.
+  /// prefetch hint kPrefetchDistanceBytes ahead whenever the access is the
+  /// first to touch its DL1 line.
   void stream_load(Addr a, unsigned n_elems = 1);
   void stream_store(Addr a, unsigned n_elems = 1);
 
@@ -105,6 +103,37 @@ cpu::DecodedTrace synthesize(const CodegenOptions& opts, const Body& body) {
   Emitter filler(opts, counter.counts());
   body(filler);
   return filler.take_decoded();
+}
+
+/// The raw TraceOps of `body(em, args...)` through synthesize(),
+/// reassembled: a kernel body with its sizes (`emit(o, gemm_into, 8, 8, 8)`)
+/// or any callable taking just the Emitter&.
+template <typename Body, typename... Args>
+cpu::Trace emit(const CodegenOptions& opts, const Body& body,
+                const Args&... args) {
+  return cpu::reassemble(
+      synthesize(opts, [&](Emitter& em) { body(em, args...); }));
+}
+
+/// A unit-stride loop over [lo, hi) as manual vectorization lowers it:
+/// width()-element chunks, then a scalar epilogue. `body(j, w)` emits
+/// elements [j, j + w): w is width() for a chunk and 1 in the epilogue, which
+/// is the whole loop without vectorization.
+template <typename Body>
+void vloop(Emitter& em, std::uint64_t lo, std::uint64_t hi, const Body& body) {
+  const unsigned w = em.width();
+  em.loop_setup();
+  std::uint64_t j = lo;
+  if (w > 1) {
+    for (; j + w <= hi; j += w) {
+      em.loop_iter();
+      body(j, w);
+    }
+  }
+  for (; j < hi; ++j) {
+    em.loop_iter();
+    body(j, 1u);
+  }
 }
 
 }  // namespace sttsim::workloads

@@ -23,7 +23,7 @@ struct Kernel {
   std::function<cpu::DecodedTrace(const CodegenOptions&)> generate_decoded;
 };
 
-/// The 14-kernel suite, in a stable report order ending before the AVERAGE
+/// The 26-kernel suite, in a stable report order ending before the AVERAGE
 /// row the figures add.
 const std::vector<Kernel>& polybench_suite();
 

@@ -8,23 +8,6 @@
 namespace sttsim::workloads {
 namespace {
 
-template <typename VecFn, typename ScalFn>
-void vloop(Emitter& em, std::uint64_t n, VecFn vec, ScalFn scal) {
-  const unsigned w = em.width();
-  em.loop_setup();
-  std::uint64_t j = 0;
-  if (w > 1) {
-    for (; j + w <= n; j += w) {
-      em.loop_iter();
-      vec(j);
-    }
-  }
-  for (; j < n; ++j) {
-    em.loop_iter();
-    scal(j);
-  }
-}
-
 /// Emits C = alpha * A * B + beta * C.
 /// Scalar shape: textbook i-j-k with the column-stride B walk.
 /// Vector shape: i-k-j with the unit-stride row updates manual NEON
@@ -34,7 +17,6 @@ void emit_matmul(Emitter& em, const Matrix& C, const Matrix& A,
   const std::uint64_t ni = C.rows;
   const std::uint64_t nj = C.cols;
   const std::uint64_t nk = A.cols;
-  const unsigned w = em.width();
 
   if (!em.options().vectorize) {
     for (std::uint64_t i = 0; i < ni; ++i) {
@@ -60,44 +42,30 @@ void emit_matmul(Emitter& em, const Matrix& C, const Matrix& A,
   for (std::uint64_t i = 0; i < ni; ++i) {
     em.loop_iter();
     // Scale the C row once.
-    vloop(
-        em, nj,
-        [&](std::uint64_t j) {
-          em.stream_load(C.at(i, j), w);
-          if (scale_c) em.flop(1);
-          em.stream_store(C.at(i, j), w);
-        },
-        [&](std::uint64_t j) {
-          em.stream_load(C.at(i, j));
-          if (scale_c) em.flop(1);
-          em.stream_store(C.at(i, j));
-        });
+    vloop(em, 0, nj, [&](std::uint64_t j, unsigned w) {
+      em.stream_load(C.at(i, j), w);
+      if (scale_c) em.flop(1);
+      em.stream_store(C.at(i, j), w);
+    });
     em.loop_setup();
     for (std::uint64_t k = 0; k < nk; ++k) {
       em.loop_iter();
       em.stream_load(A.at(i, k));
       em.exec(1);  // broadcast alpha * A[i][k]
-      vloop(
-          em, nj,
-          [&](std::uint64_t j) {
-            em.stream_load(B.at(k, j), w);
-            em.stream_load(C.at(i, j), w);
-            em.flop(1);  // fused multiply-add
-            em.stream_store(C.at(i, j), w);
-          },
-          [&](std::uint64_t j) {
-            em.stream_load(B.at(k, j));
-            em.stream_load(C.at(i, j));
-            em.flop(1);
-            em.stream_store(C.at(i, j));
-          });
+      vloop(em, 0, nj, [&](std::uint64_t j, unsigned w) {
+        em.stream_load(B.at(k, j), w);
+        em.stream_load(C.at(i, j), w);
+        em.flop(1);  // fused multiply-add
+        em.stream_store(C.at(i, j), w);
+      });
     }
   }
 }
 
 }  // namespace
 
-void gemm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk) {
+void gemm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj,
+               std::uint64_t nk) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", ni, nk);
   const Matrix B = mem.matrix("B", nk, nj);
@@ -105,16 +73,10 @@ void gemm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk
   emit_matmul(em, C, A, B, /*scale_c=*/true);
 }
 
-cpu::Trace gemm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { gemm_into(em, ni, nj, nk); }));
-}
-
 void syrk_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", n, m);
   const Matrix C = mem.matrix("C", n, n);
-  const unsigned w = em.width();
 
   for (std::uint64_t i = 0; i < n; ++i) {
     em.loop_iter();
@@ -124,27 +86,15 @@ void syrk_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
       em.load(C.at(i, j));
       em.flop(1);  // beta * C
       // Both A walks are unit-stride rows; the vector shape simply widens.
-      vloop(
-          em, m,
-          [&](std::uint64_t k) {
-            em.stream_load(A.at(i, k), w);
-            em.stream_load(A.at(j, k), w);
-            em.flop(2);
-          },
-          [&](std::uint64_t k) {
-            em.stream_load(A.at(i, k));
-            em.stream_load(A.at(j, k));
-            em.flop(2);
-          });
-      if (w > 1) em.flop(2);
+      vloop(em, 0, m, [&](std::uint64_t k, unsigned w) {
+        em.stream_load(A.at(i, k), w);
+        em.stream_load(A.at(j, k), w);
+        em.flop(2);
+      });
+      if (em.width() > 1) em.flop(2);
       em.store(C.at(i, j));
     }
   }
-}
-
-cpu::Trace syrk(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { syrk_into(em, n, m); }));
 }
 
 void syr2k_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
@@ -152,7 +102,6 @@ void syr2k_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
   const Matrix A = mem.matrix("A", n, m);
   const Matrix B = mem.matrix("B", n, m);
   const Matrix C = mem.matrix("C", n, n);
-  const unsigned w = em.width();
 
   for (std::uint64_t i = 0; i < n; ++i) {
     em.loop_iter();
@@ -161,31 +110,17 @@ void syr2k_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
       em.loop_iter();
       em.load(C.at(i, j));
       em.flop(1);
-      vloop(
-          em, m,
-          [&](std::uint64_t k) {
-            em.stream_load(A.at(i, k), w);
-            em.stream_load(B.at(j, k), w);
-            em.stream_load(B.at(i, k), w);
-            em.stream_load(A.at(j, k), w);
-            em.flop(3);
-          },
-          [&](std::uint64_t k) {
-            em.stream_load(A.at(i, k));
-            em.stream_load(B.at(j, k));
-            em.stream_load(B.at(i, k));
-            em.stream_load(A.at(j, k));
-            em.flop(3);
-          });
-      if (w > 1) em.flop(2);
+      vloop(em, 0, m, [&](std::uint64_t k, unsigned w) {
+        em.stream_load(A.at(i, k), w);
+        em.stream_load(B.at(j, k), w);
+        em.stream_load(B.at(i, k), w);
+        em.stream_load(A.at(j, k), w);
+        em.flop(3);
+      });
+      if (em.width() > 1) em.flop(2);
       em.store(C.at(i, j));
     }
   }
-}
-
-cpu::Trace syr2k(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { syr2k_into(em, n, m); }));
 }
 
 void trmm_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
@@ -193,7 +128,6 @@ void trmm_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", n, n);
   const Matrix B = mem.matrix("B", n, m);
-  const unsigned w = em.width();
 
   if (!o.vectorize) {
     // Textbook shape: both the A and B walks inside the k loop are
@@ -226,43 +160,24 @@ void trmm_into(Emitter& em, std::uint64_t n, std::uint64_t m) {
       em.loop_iter();
       em.load(A.at(k, i));  // still a column walk, but 1 per row update
       em.exec(1);           // broadcast
-      vloop(
-          em, m,
-          [&](std::uint64_t j) {
-            em.stream_load(B.at(k, j), w);
-            em.stream_load(B.at(i, j), w);
-            em.flop(1);
-            em.stream_store(B.at(i, j), w);
-          },
-          [&](std::uint64_t j) {
-            em.stream_load(B.at(k, j));
-            em.stream_load(B.at(i, j));
-            em.flop(1);
-            em.stream_store(B.at(i, j));
-          });
+      vloop(em, 0, m, [&](std::uint64_t j, unsigned w) {
+        em.stream_load(B.at(k, j), w);
+        em.stream_load(B.at(i, j), w);
+        em.flop(1);
+        em.stream_store(B.at(i, j), w);
+      });
     }
     // alpha scale of the finished row.
-    vloop(
-        em, m,
-        [&](std::uint64_t j) {
-          em.stream_load(B.at(i, j), w);
-          em.flop(1);
-          em.stream_store(B.at(i, j), w);
-        },
-        [&](std::uint64_t j) {
-          em.stream_load(B.at(i, j));
-          em.flop(1);
-          em.stream_store(B.at(i, j));
-        });
+    vloop(em, 0, m, [&](std::uint64_t j, unsigned w) {
+      em.stream_load(B.at(i, j), w);
+      em.flop(1);
+      em.stream_store(B.at(i, j), w);
+    });
   }
 }
 
-cpu::Trace trmm(std::uint64_t n, std::uint64_t m, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { trmm_into(em, n, m); }));
-}
-
-void two_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl) {
+void two_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj,
+                 std::uint64_t nk, std::uint64_t nl) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", ni, nk);
   const Matrix B = mem.matrix("B", nk, nj);
@@ -273,12 +188,8 @@ void two_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t 
   emit_matmul(em, D, tmp, C, /*scale_c=*/true);
 }
 
-cpu::Trace two_mm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { two_mm_into(em, ni, nj, nk, nl); }));
-}
-
-void three_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, std::uint64_t nm) {
+void three_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj,
+                   std::uint64_t nk, std::uint64_t nl, std::uint64_t nm) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", ni, nk);
   const Matrix B = mem.matrix("B", nk, nj);
@@ -290,11 +201,6 @@ void three_mm_into(Emitter& em, std::uint64_t ni, std::uint64_t nj, std::uint64_
   emit_matmul(em, E, A, B, /*scale_c=*/false);
   emit_matmul(em, F, C, D, /*scale_c=*/false);
   emit_matmul(em, G, E, F, /*scale_c=*/false);
-}
-
-cpu::Trace three_mm(std::uint64_t ni, std::uint64_t nj, std::uint64_t nk, std::uint64_t nl, std::uint64_t nm, const CodegenOptions& o) {
-  return cpu::reassemble(synthesize(
-      o, [&](Emitter& em) { three_mm_into(em, ni, nj, nk, nl, nm); }));
 }
 
 }  // namespace sttsim::workloads

@@ -7,32 +7,10 @@
 #include "sttsim/workloads/kernels.hpp"
 
 namespace sttsim::workloads {
-namespace {
-
-template <typename VecFn, typename ScalFn>
-void vloop_range(Emitter& em, std::uint64_t lo, std::uint64_t hi, VecFn vec,
-                 ScalFn scal) {
-  const unsigned w = em.width();
-  em.loop_setup();
-  std::uint64_t j = lo;
-  if (w > 1) {
-    for (; j + w <= hi; j += w) {
-      em.loop_iter();
-      vec(j);
-    }
-  }
-  for (; j < hi; ++j) {
-    em.loop_iter();
-    scal(j);
-  }
-}
-
-}  // namespace
 
 void cholesky_into(Emitter& em, std::uint64_t n) {
   DataLayout mem;
   const Matrix A = mem.matrix("A", n, n);
-  const unsigned w = em.width();
 
   for (std::uint64_t i = 0; i < n; ++i) {
     em.loop_iter();
@@ -41,51 +19,32 @@ void cholesky_into(Emitter& em, std::uint64_t n) {
     for (std::uint64_t j = 0; j < i; ++j) {
       em.loop_iter();
       em.load(A.at(i, j));
-      vloop_range(
-          em, 0, j,
-          [&](std::uint64_t k) {
-            em.stream_load(A.at(i, k), w);
-            em.stream_load(A.at(j, k), w);
-            em.flop(2);
-          },
-          [&](std::uint64_t k) {
-            em.stream_load(A.at(i, k));
-            em.stream_load(A.at(j, k));
-            em.flop(2);
-          });
-      if (w > 1) em.flop(2);
+      vloop(em, 0, j, [&](std::uint64_t k, unsigned w) {
+        em.stream_load(A.at(i, k), w);
+        em.stream_load(A.at(j, k), w);
+        em.flop(2);
+      });
+      if (em.width() > 1) em.flop(2);
       em.load(A.at(j, j));
       em.exec(8);  // the division
       em.store(A.at(i, j));
     }
     // Diagonal: A[i][i] = sqrt(A[i][i] - sum_k A[i][k]^2).
     em.load(A.at(i, i));
-    vloop_range(
-        em, 0, i,
-        [&](std::uint64_t k) {
-          em.stream_load(A.at(i, k), w);
-          em.flop(2);
-        },
-        [&](std::uint64_t k) {
-          em.stream_load(A.at(i, k));
-          em.flop(2);
-        });
-    if (w > 1) em.flop(2);
+    vloop(em, 0, i, [&](std::uint64_t k, unsigned w) {
+      em.stream_load(A.at(i, k), w);
+      em.flop(2);
+    });
+    if (em.width() > 1) em.flop(2);
     em.exec(12);  // the square root
     em.store(A.at(i, i));
   }
-}
-
-cpu::Trace cholesky(std::uint64_t n, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { cholesky_into(em, n); }));
 }
 
 void lu_into(Emitter& em, std::uint64_t n) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
   const Matrix A = mem.matrix("A", n, n);
-  const unsigned w = em.width();
 
   if (!o.vectorize) {
     // Textbook shape: A[k][j] is a column walk inside the k loop.
@@ -137,26 +96,14 @@ void lu_into(Emitter& em, std::uint64_t n) {
       em.flop(1);
       em.store(A.at(i, k));
       em.exec(1);  // broadcast multiplier
-      vloop_range(
-          em, k + 1, n,
-          [&](std::uint64_t j) {
-            em.stream_load(A.at(k, j), w);
-            em.stream_load(A.at(i, j), w);
-            em.flop(1);
-            em.stream_store(A.at(i, j), w);
-          },
-          [&](std::uint64_t j) {
-            em.stream_load(A.at(k, j));
-            em.stream_load(A.at(i, j));
-            em.flop(1);
-            em.stream_store(A.at(i, j));
-          });
+      vloop(em, k + 1, n, [&](std::uint64_t j, unsigned w) {
+        em.stream_load(A.at(k, j), w);
+        em.stream_load(A.at(i, j), w);
+        em.flop(1);
+        em.stream_store(A.at(i, j), w);
+      });
     }
   }
-}
-
-cpu::Trace lu(std::uint64_t n, const CodegenOptions& o) {
-  return cpu::reassemble(synthesize(o, [&](Emitter& em) { lu_into(em, n); }));
 }
 
 void symm_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
@@ -165,7 +112,6 @@ void symm_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   const Matrix A = mem.matrix("A", m, m);  // symmetric
   const Matrix B = mem.matrix("B", m, n);
   const Matrix C = mem.matrix("C", m, n);
-  const unsigned w = em.width();
 
   if (!o.vectorize) {
     for (std::uint64_t i = 0; i < m; ++i) {
@@ -201,52 +147,31 @@ void symm_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
       em.loop_iter();
       em.load(A.at(i, k));
       em.exec(1);
-      vloop_range(
-          em, 0, n,
-          [&](std::uint64_t j) {
-            em.stream_load(B.at(i, j), w);
-            em.stream_load(B.at(k, j), w);
-            em.flop(2);
-            em.stream_store(B.at(k, j), w);
-          },
-          [&](std::uint64_t j) {
-            em.stream_load(B.at(i, j));
-            em.stream_load(B.at(k, j));
-            em.flop(2);
-            em.stream_store(B.at(k, j));
-          });
+      vloop(em, 0, n, [&](std::uint64_t j, unsigned w) {
+        em.stream_load(B.at(i, j), w);
+        em.stream_load(B.at(k, j), w);
+        em.flop(2);
+        em.stream_store(B.at(k, j), w);
+      });
     }
     em.load(A.at(i, i));
-    vloop_range(
-        em, 0, n,
-        [&](std::uint64_t j) {
-          em.stream_load(C.at(i, j), w);
-          em.stream_load(B.at(i, j), w);
-          em.flop(4);
-          em.stream_store(C.at(i, j), w);
-        },
-        [&](std::uint64_t j) {
-          em.stream_load(C.at(i, j));
-          em.stream_load(B.at(i, j));
-          em.flop(4);
-          em.stream_store(C.at(i, j));
-        });
+    vloop(em, 0, n, [&](std::uint64_t j, unsigned w) {
+      em.stream_load(C.at(i, j), w);
+      em.stream_load(B.at(i, j), w);
+      em.flop(4);
+      em.stream_store(C.at(i, j), w);
+    });
   }
 }
 
-cpu::Trace symm(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { symm_into(em, m, n); }));
-}
-
-void doitgen_into(Emitter& em, std::uint64_t nr, std::uint64_t nq, std::uint64_t np) {
+void doitgen_into(Emitter& em, std::uint64_t nr, std::uint64_t nq,
+                  std::uint64_t np) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
   // A is nr x nq x np, flattened row-major; C4 is np x np.
   const Matrix A = mem.matrix("A", nr * nq, np);
   const Matrix C4 = mem.matrix("C4", np, np);
   const Vector sum = mem.vector("sum", np);
-  const unsigned w = em.width();
 
   for (std::uint64_t r = 0; r < nr; ++r) {
     em.loop_iter();
@@ -270,49 +195,29 @@ void doitgen_into(Emitter& em, std::uint64_t nr, std::uint64_t nq, std::uint64_t
         }
       } else {
         // Interchanged: p widened, C4 rows unit-stride.
-        vloop_range(
-            em, 0, np,
-            [&](std::uint64_t p) { em.stream_store(sum.at(p), w); },
-            [&](std::uint64_t p) { em.stream_store(sum.at(p)); });
+        vloop(em, 0, np, [&](std::uint64_t p, unsigned w) {
+          em.stream_store(sum.at(p), w);
+        });
         em.loop_setup();
         for (std::uint64_t s = 0; s < np; ++s) {
           em.loop_iter();
           em.stream_load(A.at(r * nq + q, s));
           em.exec(1);
-          vloop_range(
-              em, 0, np,
-              [&](std::uint64_t p) {
-                em.stream_load(C4.at(s, p), w);
-                em.stream_load(sum.at(p), w);
-                em.flop(1);
-                em.stream_store(sum.at(p), w);
-              },
-              [&](std::uint64_t p) {
-                em.stream_load(C4.at(s, p));
-                em.stream_load(sum.at(p));
-                em.flop(1);
-                em.stream_store(sum.at(p));
-              });
+          vloop(em, 0, np, [&](std::uint64_t p, unsigned w) {
+            em.stream_load(C4.at(s, p), w);
+            em.stream_load(sum.at(p), w);
+            em.flop(1);
+            em.stream_store(sum.at(p), w);
+          });
         }
       }
       // Copy sum back into A[r][q][*].
-      vloop_range(
-          em, 0, np,
-          [&](std::uint64_t p) {
-            em.stream_load(sum.at(p), w);
-            em.stream_store(A.at(r * nq + q, p), w);
-          },
-          [&](std::uint64_t p) {
-            em.stream_load(sum.at(p));
-            em.stream_store(A.at(r * nq + q, p));
-          });
+      vloop(em, 0, np, [&](std::uint64_t p, unsigned w) {
+        em.stream_load(sum.at(p), w);
+        em.stream_store(A.at(r * nq + q, p), w);
+      });
     }
   }
-}
-
-cpu::Trace doitgen(std::uint64_t nr, std::uint64_t nq, std::uint64_t np, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { doitgen_into(em, nr, nq, np); }));
 }
 
 void seidel_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
@@ -345,18 +250,12 @@ void seidel_2d_into(Emitter& em, std::uint64_t n, std::uint64_t tsteps) {
   }
 }
 
-cpu::Trace seidel_2d(std::uint64_t n, std::uint64_t tsteps, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { seidel_2d_into(em, n, tsteps); }));
-}
-
 void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
   const Matrix data = mem.matrix("data", n, m);
   const Matrix cov = mem.matrix("cov", m, m);
   const Vector mean = mem.vector("mean", m);
-  const unsigned w = em.width();
 
   // Column means.
   if (!o.vectorize) {
@@ -373,57 +272,34 @@ void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
       em.store(mean.at(j));
     }
   } else {
-    vloop_range(
-        em, 0, m, [&](std::uint64_t j) { em.stream_store(mean.at(j), w); },
-        [&](std::uint64_t j) { em.stream_store(mean.at(j)); });
+    vloop(em, 0, m, [&](std::uint64_t j, unsigned w) {
+      em.stream_store(mean.at(j), w);
+    });
     for (std::uint64_t i = 0; i < n; ++i) {
       em.loop_iter();
-      vloop_range(
-          em, 0, m,
-          [&](std::uint64_t j) {
-            em.stream_load(data.at(i, j), w);
-            em.stream_load(mean.at(j), w);
-            em.flop(1);
-            em.stream_store(mean.at(j), w);
-          },
-          [&](std::uint64_t j) {
-            em.stream_load(data.at(i, j));
-            em.stream_load(mean.at(j));
-            em.flop(1);
-            em.stream_store(mean.at(j));
-          });
+      vloop(em, 0, m, [&](std::uint64_t j, unsigned w) {
+        em.stream_load(data.at(i, j), w);
+        em.stream_load(mean.at(j), w);
+        em.flop(1);
+        em.stream_store(mean.at(j), w);
+      });
     }
-    vloop_range(
-        em, 0, m,
-        [&](std::uint64_t j) {
-          em.stream_load(mean.at(j), w);
-          em.flop(1);
-          em.stream_store(mean.at(j), w);
-        },
-        [&](std::uint64_t j) {
-          em.stream_load(mean.at(j));
-          em.flop(1);
-          em.stream_store(mean.at(j));
-        });
+    vloop(em, 0, m, [&](std::uint64_t j, unsigned w) {
+      em.stream_load(mean.at(j), w);
+      em.flop(1);
+      em.stream_store(mean.at(j), w);
+    });
   }
 
   // Centre the data.
   for (std::uint64_t i = 0; i < n; ++i) {
     em.loop_iter();
-    vloop_range(
-        em, 0, m,
-        [&](std::uint64_t j) {
-          em.stream_load(data.at(i, j), w);
-          em.stream_load(mean.at(j), w);
-          em.flop(1);
-          em.stream_store(data.at(i, j), w);
-        },
-        [&](std::uint64_t j) {
-          em.stream_load(data.at(i, j));
-          em.stream_load(mean.at(j));
-          em.flop(1);
-          em.stream_store(data.at(i, j));
-        });
+    vloop(em, 0, m, [&](std::uint64_t j, unsigned w) {
+      em.stream_load(data.at(i, j), w);
+      em.stream_load(mean.at(j), w);
+      em.flop(1);
+      em.stream_store(data.at(i, j), w);
+    });
   }
 
   // Covariance matrix: cov[i][j] = sum_k data[k][i]*data[k][j] / (n-1),
@@ -455,10 +331,9 @@ void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   // of both the data matrix and the cov triangle.
   for (std::uint64_t i = 0; i < m; ++i) {
     em.loop_iter();
-    vloop_range(
-        em, 0, i + 1,
-        [&](std::uint64_t j) { em.stream_store(cov.at(i, j), w); },
-        [&](std::uint64_t j) { em.stream_store(cov.at(i, j)); });
+    vloop(em, 0, i + 1, [&](std::uint64_t j, unsigned w) {
+      em.stream_store(cov.at(i, j), w);
+    });
   }
   for (std::uint64_t k = 0; k < n; ++k) {
     em.loop_iter();
@@ -467,37 +342,22 @@ void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
       em.loop_iter();
       em.stream_load(data.at(k, i));
       em.exec(1);  // broadcast
-      vloop_range(
-          em, 0, i + 1,
-          [&](std::uint64_t j) {
-            em.stream_load(data.at(k, j), w);
-            em.stream_load(cov.at(i, j), w);
-            em.flop(1);
-            em.stream_store(cov.at(i, j), w);
-          },
-          [&](std::uint64_t j) {
-            em.stream_load(data.at(k, j));
-            em.stream_load(cov.at(i, j));
-            em.flop(1);
-            em.stream_store(cov.at(i, j));
-          });
+      vloop(em, 0, i + 1, [&](std::uint64_t j, unsigned w) {
+        em.stream_load(data.at(k, j), w);
+        em.stream_load(cov.at(i, j), w);
+        em.flop(1);
+        em.stream_store(cov.at(i, j), w);
+      });
     }
   }
   // Scale and mirror.
   for (std::uint64_t i = 0; i < m; ++i) {
     em.loop_iter();
-    vloop_range(
-        em, 0, i + 1,
-        [&](std::uint64_t j) {
-          em.stream_load(cov.at(i, j), w);
-          em.flop(1);
-          em.stream_store(cov.at(i, j), w);
-        },
-        [&](std::uint64_t j) {
-          em.stream_load(cov.at(i, j));
-          em.flop(1);
-          em.stream_store(cov.at(i, j));
-        });
+    vloop(em, 0, i + 1, [&](std::uint64_t j, unsigned w) {
+      em.stream_load(cov.at(i, j), w);
+      em.flop(1);
+      em.stream_store(cov.at(i, j), w);
+    });
     em.loop_setup();
     for (std::uint64_t j = 0; j < i; ++j) {
       em.loop_iter();
@@ -507,16 +367,10 @@ void covariance_into(Emitter& em, std::uint64_t m, std::uint64_t n) {
   }
 }
 
-cpu::Trace covariance(std::uint64_t m, std::uint64_t n, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { covariance_into(em, m, n); }));
-}
-
 void floyd_warshall_into(Emitter& em, std::uint64_t n) {
   const CodegenOptions& o = em.options();
   DataLayout mem;
   const Matrix path = mem.matrix("path", n, n);
-  const unsigned w = em.width();
 
   for (std::uint64_t k = 0; k < n; ++k) {
     em.loop_iter();
@@ -525,27 +379,14 @@ void floyd_warshall_into(Emitter& em, std::uint64_t n) {
       em.loop_iter();
       em.load(path.at(i, k));
       em.exec(1);  // broadcast
-      vloop_range(
-          em, 0, n,
-          [&](std::uint64_t j) {
-            em.stream_load(path.at(i, j), w);
-            em.stream_load(path.at(k, j), w);
-            em.flop(o.branch_opts ? 1 : 2);  // branchless min vs compare+branch
-            em.stream_store(path.at(i, j), w);
-          },
-          [&](std::uint64_t j) {
-            em.stream_load(path.at(i, j));
-            em.stream_load(path.at(k, j));
-            em.flop(o.branch_opts ? 1 : 2);
-            em.stream_store(path.at(i, j));
-          });
+      vloop(em, 0, n, [&](std::uint64_t j, unsigned w) {
+        em.stream_load(path.at(i, j), w);
+        em.stream_load(path.at(k, j), w);
+        em.flop(o.branch_opts ? 1 : 2);  // branchless min vs compare+branch
+        em.stream_store(path.at(i, j), w);
+      });
     }
   }
-}
-
-cpu::Trace floyd_warshall(std::uint64_t n, const CodegenOptions& o) {
-  return cpu::reassemble(
-      synthesize(o, [&](Emitter& em) { floyd_warshall_into(em, n); }));
 }
 
 }  // namespace sttsim::workloads

@@ -100,8 +100,8 @@ TEST(FastPath, MatchesReferenceOnRandomTraces) {
 }
 
 TEST(FastPath, MatchesReferenceOnKernelTrace) {
-  const cpu::Trace trace =
-      workloads::gemm(20, 20, 20, workloads::CodegenOptions::none());
+  const cpu::Trace trace = workloads::emit(
+      workloads::CodegenOptions::none(), workloads::gemm_into, 20, 20, 20);
   const cpu::DecodedTrace decoded = cpu::decode(trace);
   for (const cpu::Dl1Organization org : kAllOrgs) {
     cpu::SystemConfig cfg;

@@ -26,12 +26,13 @@ sim::RunStats run(const cpu::Trace& trace, Dl1Organization org,
 
 // Small, fast kernel instances (not the full-size suite defaults).
 cpu::Trace small_kernel(const std::string& name, const CodegenOptions& o) {
-  if (name == "gemm") return workloads::gemm(24, 24, 24, o);
-  if (name == "atax") return workloads::atax(48, 48, o);
-  if (name == "mvt") return workloads::mvt(48, o);
-  if (name == "jacobi-1d") return workloads::jacobi_1d(2048, 4, o);
-  if (name == "syr2k") return workloads::syr2k(24, 24, o);
-  if (name == "trisolv") return workloads::trisolv(96, o);
+  using namespace workloads;
+  if (name == "gemm") return emit(o, gemm_into, 24, 24, 24);
+  if (name == "atax") return emit(o, atax_into, 48, 48);
+  if (name == "mvt") return emit(o, mvt_into, 48);
+  if (name == "jacobi-1d") return emit(o, jacobi_1d_into, 2048, 4);
+  if (name == "syr2k") return emit(o, syr2k_into, 24, 24);
+  if (name == "trisolv") return emit(o, trisolv_into, 96);
   throw ConfigError("unknown small kernel " + name);
 }
 

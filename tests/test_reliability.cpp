@@ -141,8 +141,8 @@ TEST(Endurance, EndToEndSttOutlivesPramByTenOrders) {
   cpu::SystemConfig cfg;
   cfg.organization = cpu::Dl1Organization::kNvmVwb;
   cpu::System system(cfg);
-  const auto trace =
-      workloads::jacobi_1d(2048, 4, workloads::CodegenOptions::none());
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::jacobi_1d_into, 2048, 4);
   const auto stats = system.run(trace);
   const WearProfile wear =
       profile_wear(system.dl1().array(), stats.core.total_cycles);
@@ -503,8 +503,8 @@ TEST(FaultyDl1, AddsPenaltiesAndSurfacesCountersThroughStats) {
   faulty_cfg.faults = test_faults(300'000, 20);
   ASSERT_TRUE(faulty_cfg.faults_active());
 
-  const auto trace =
-      workloads::jacobi_1d(2048, 4, workloads::CodegenOptions::none());
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::jacobi_1d_into, 2048, 4);
   cpu::System clean(clean_cfg);
   cpu::System faulty(faulty_cfg);
   const auto clean_stats = clean.run(trace);
@@ -533,8 +533,8 @@ TEST(FaultyDl1, SramBaselineIgnoresFaultConfig) {
   cfg.faults = test_faults(1'000'000);
   EXPECT_FALSE(cfg.faults_active());
   cpu::System sys(cfg);
-  const auto trace =
-      workloads::jacobi_1d(1024, 2, workloads::CodegenOptions::none());
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::jacobi_1d_into, 1024, 2);
   const auto stats = sys.run(trace);
   EXPECT_EQ(stats.mem.ecc_corrections, 0u);
   EXPECT_EQ(stats.mem.ecc_refills, 0u);
@@ -543,8 +543,8 @@ TEST(FaultyDl1, SramBaselineIgnoresFaultConfig) {
 TEST(FaultyDl1, WearCountersPopulatedOnEveryReplayPath) {
   cpu::SystemConfig cfg;
   cfg.organization = cpu::Dl1Organization::kNvmVwb;
-  const auto trace =
-      workloads::jacobi_1d(1024, 2, workloads::CodegenOptions::none());
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::jacobi_1d_into, 1024, 2);
   cpu::System sys(cfg);
   const auto from_decoded = sys.run(cpu::decode(trace));
   cpu::System sys2(cfg);

@@ -62,8 +62,8 @@ TEST(TraceIo, EmptyTraceRoundTrips) {
 
 TEST(TraceIo, KernelTraceRoundTrips) {
   std::stringstream ss;
-  const Trace original =
-      workloads::gemm(8, 8, 8, workloads::CodegenOptions::all());
+  const Trace original = workloads::emit(workloads::CodegenOptions::all(),
+                                         workloads::gemm_into, 8, 8, 8);
   write_trace(ss, original);
   EXPECT_TRUE(read_trace(ss) == original);
 }

@@ -470,8 +470,8 @@ TEST(CompressedTrace, ExactRoundTripOnGeneratedTraces) {
         << "compression should at least halve the op stream";
     expect_ops_equal(cpu::decompress(compressed), decoded);
   }
-  const cpu::Trace kernel =
-      workloads::gemm(16, 16, 16, workloads::CodegenOptions::all());
+  const cpu::Trace kernel = workloads::emit(
+      workloads::CodegenOptions::all(), workloads::gemm_into, 16, 16, 16);
   const cpu::DecodedTrace decoded = cpu::decode(kernel);
   expect_ops_equal(cpu::decompress(cpu::compress(decoded)), decoded);
 }

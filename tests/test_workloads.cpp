@@ -52,12 +52,6 @@ TEST(CodegenOptions, Labels) {
   EXPECT_EQ(CodegenOptions::only_branch_opts().label(), "br");
 }
 
-/// Raw trace of one emission body, through both synthesize() passes.
-template <typename Body>
-cpu::Trace emit(const CodegenOptions& o, const Body& body) {
-  return cpu::reassemble(synthesize(o, body));
-}
-
 TEST(Emitter, MergesConsecutiveExec) {
   const cpu::Trace t = emit(kBase, [](Emitter& em) {
     em.exec(2);
@@ -110,7 +104,7 @@ TEST(Emitter, PrefetchTargetsAheadOfTheStream) {
   });
   ASSERT_EQ(t.size(), 2u);
   EXPECT_EQ(t[0].kind, cpu::OpKind::kPrefetch);
-  EXPECT_EQ(t[0].addr, o.prefetch_distance_bytes);
+  EXPECT_EQ(t[0].addr, kPrefetchDistanceBytes);
 }
 
 TEST(EmitterDeathTest, FillPassThatOutgrowsItsCountAborts) {
@@ -129,39 +123,39 @@ TEST(EmitterDeathTest, FillPassThatOutgrowsItsCountAborts) {
 // ---- Closed-form scalar memory-op counts. ----
 
 TEST(KernelCounts, Atax) {
-  const TraceSummary s = summarize(atax(12, 16, kBase));
+  const TraceSummary s = summarize(emit(kBase, atax_into, 12, 16));
   EXPECT_EQ(s.loads, 4u * 12 * 16);
   EXPECT_EQ(s.stores, 16u + 12 * 16);
   EXPECT_EQ(s.prefetches, 0u);
 }
 
 TEST(KernelCounts, Bicg) {
-  const TraceSummary s = summarize(bicg(10, 14, kBase));
+  const TraceSummary s = summarize(emit(kBase, bicg_into, 10, 14));
   EXPECT_EQ(s.loads, 10u * (1 + 3 * 14));
   EXPECT_EQ(s.stores, 14u + 10 * (14 + 1));
 }
 
 TEST(KernelCounts, Gemm) {
-  const TraceSummary s = summarize(gemm(5, 6, 7, kBase));
+  const TraceSummary s = summarize(emit(kBase, gemm_into, 5, 6, 7));
   EXPECT_EQ(s.loads, 5u * 6 * (1 + 2 * 7));
   EXPECT_EQ(s.stores, 5u * 6);
 }
 
 TEST(KernelCounts, Gesummv) {
-  const TraceSummary s = summarize(gesummv(9, kBase));
+  const TraceSummary s = summarize(emit(kBase, gesummv_into, 9));
   EXPECT_EQ(s.loads, 3u * 9 * 9);
   EXPECT_EQ(s.stores, 9u);
 }
 
 TEST(KernelCounts, Mvt) {
-  const TraceSummary s = summarize(mvt(11, kBase));
+  const TraceSummary s = summarize(emit(kBase, mvt_into, 11));
   EXPECT_EQ(s.loads, 2u * 11 + 4 * 11 * 11);
   EXPECT_EQ(s.stores, 2u * 11);
 }
 
 TEST(KernelCounts, Trisolv) {
   const std::uint64_t n = 13;
-  const TraceSummary s = summarize(trisolv(n, kBase));
+  const TraceSummary s = summarize(emit(kBase, trisolv_into, n));
   EXPECT_EQ(s.loads, 2 * n + n * (n - 1));
   EXPECT_EQ(s.stores, n);
 }
@@ -170,7 +164,7 @@ TEST(KernelCounts, Syrk) {
   const std::uint64_t n = 8;
   const std::uint64_t m = 5;
   const std::uint64_t pairs = n * (n + 1) / 2;
-  const TraceSummary s = summarize(syrk(n, m, kBase));
+  const TraceSummary s = summarize(emit(kBase, syrk_into, n, m));
   EXPECT_EQ(s.loads, pairs * (1 + 2 * m));
   EXPECT_EQ(s.stores, pairs);
 }
@@ -179,7 +173,7 @@ TEST(KernelCounts, Syr2k) {
   const std::uint64_t n = 6;
   const std::uint64_t m = 4;
   const std::uint64_t pairs = n * (n + 1) / 2;
-  const TraceSummary s = summarize(syr2k(n, m, kBase));
+  const TraceSummary s = summarize(emit(kBase, syr2k_into, n, m));
   EXPECT_EQ(s.loads, pairs * (1 + 4 * m));
   EXPECT_EQ(s.stores, pairs);
 }
@@ -187,19 +181,19 @@ TEST(KernelCounts, Syr2k) {
 TEST(KernelCounts, Trmm) {
   const std::uint64_t n = 7;
   const std::uint64_t m = 5;
-  const TraceSummary s = summarize(trmm(n, m, kBase));
+  const TraceSummary s = summarize(emit(kBase, trmm_into, n, m));
   EXPECT_EQ(s.loads, m * n * n);
   EXPECT_EQ(s.stores, n * m);
 }
 
 TEST(KernelCounts, TwoMm) {
-  const TraceSummary s = summarize(two_mm(4, 5, 6, 7, kBase));
+  const TraceSummary s = summarize(emit(kBase, two_mm_into, 4, 5, 6, 7));
   EXPECT_EQ(s.loads, 4u * 5 * (1 + 2 * 6) + 4u * 7 * (1 + 2 * 5));
   EXPECT_EQ(s.stores, 4u * 5 + 4u * 7);
 }
 
 TEST(KernelCounts, ThreeMm) {
-  const TraceSummary s = summarize(three_mm(3, 4, 5, 6, 7, kBase));
+  const TraceSummary s = summarize(emit(kBase, three_mm_into, 3, 4, 5, 6, 7));
   EXPECT_EQ(s.loads, 3u * 4 * (1 + 2 * 5)      // E = A B
                          + 4u * 6 * (1 + 2 * 7)  // F = C D
                          + 3u * 6 * (1 + 2 * 4));  // G = E F
@@ -209,7 +203,7 @@ TEST(KernelCounts, ThreeMm) {
 TEST(KernelCounts, Jacobi1d) {
   const std::uint64_t n = 20;
   const std::uint64_t t = 3;
-  const TraceSummary s = summarize(jacobi_1d(n, t, kBase));
+  const TraceSummary s = summarize(emit(kBase, jacobi_1d_into, n, t));
   EXPECT_EQ(s.loads, t * 2 * (n - 2) * 3);
   EXPECT_EQ(s.stores, t * 2 * (n - 2));
 }
@@ -217,14 +211,14 @@ TEST(KernelCounts, Jacobi1d) {
 TEST(KernelCounts, Jacobi2d) {
   const std::uint64_t n = 10;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(jacobi_2d(n, t, kBase));
+  const TraceSummary s = summarize(emit(kBase, jacobi_2d_into, n, t));
   EXPECT_EQ(s.loads, t * 2 * (n - 2) * (n - 2) * 5);
   EXPECT_EQ(s.stores, t * 2 * (n - 2) * (n - 2));
 }
 
 TEST(KernelCounts, Gemver) {
   const std::uint64_t n = 6;
-  const TraceSummary s = summarize(gemver(n, kBase));
+  const TraceSummary s = summarize(emit(kBase, gemver_into, n));
   // Phase 1: 2 + 3n loads, n stores per row. Phase 2: 2n + 1 loads, 1 store
   // per i. Phase 3: 1 + 2n loads... counted from the generator:
   EXPECT_EQ(s.loads, n * (2 + 3 * n)        // phase 1 (u1, u2; A, v1, v2)
@@ -235,14 +229,14 @@ TEST(KernelCounts, Gemver) {
 
 TEST(KernelCounts, Cholesky) {
   const std::uint64_t n = 10;
-  const TraceSummary s = summarize(cholesky(n, kBase));
+  const TraceSummary s = summarize(emit(kBase, cholesky_into, n));
   EXPECT_EQ(s.loads, n * (n + 1) * (2 * n + 1) / 6);
   EXPECT_EQ(s.stores, n * (n + 1) / 2);
 }
 
 TEST(KernelCounts, Lu) {
   const std::uint64_t n = 9;
-  const TraceSummary s = summarize(lu(n, kBase));
+  const TraceSummary s = summarize(emit(kBase, lu_into, n));
   std::uint64_t loads = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     loads += i * i + i;             // j < i: (2 + 2j) each
@@ -255,7 +249,7 @@ TEST(KernelCounts, Lu) {
 TEST(KernelCounts, Symm) {
   const std::uint64_t m = 7;
   const std::uint64_t n = 5;
-  const TraceSummary s = summarize(symm(m, n, kBase));
+  const TraceSummary s = summarize(emit(kBase, symm_into, m, n));
   EXPECT_EQ(s.loads, n * m * (m + 2));
   EXPECT_EQ(s.stores, n * m * (m + 1) / 2);
 }
@@ -264,7 +258,7 @@ TEST(KernelCounts, Doitgen) {
   const std::uint64_t nr = 3;
   const std::uint64_t nq = 4;
   const std::uint64_t np = 6;
-  const TraceSummary s = summarize(doitgen(nr, nq, np, kBase));
+  const TraceSummary s = summarize(emit(kBase, doitgen_into, nr, nq, np));
   EXPECT_EQ(s.loads, nr * nq * (2 * np * np + np));
   EXPECT_EQ(s.stores, nr * nq * 2 * np);
 }
@@ -272,7 +266,7 @@ TEST(KernelCounts, Doitgen) {
 TEST(KernelCounts, Seidel2d) {
   const std::uint64_t n = 8;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(seidel_2d(n, t, kBase));
+  const TraceSummary s = summarize(emit(kBase, seidel_2d_into, n, t));
   EXPECT_EQ(s.loads, t * (n - 2) * (n - 2) * 9);
   EXPECT_EQ(s.stores, t * (n - 2) * (n - 2));
 }
@@ -281,21 +275,21 @@ TEST(KernelCounts, Covariance) {
   const std::uint64_t m = 6;
   const std::uint64_t n = 5;
   const std::uint64_t pairs = m * (m + 1) / 2;
-  const TraceSummary s = summarize(covariance(m, n, kBase));
+  const TraceSummary s = summarize(emit(kBase, covariance_into, m, n));
   EXPECT_EQ(s.loads, m * n + 2 * m * n + pairs * 2 * n);
   EXPECT_EQ(s.stores, m + m * n + 2 * pairs);
 }
 
 TEST(KernelCounts, FloydWarshall) {
   const std::uint64_t n = 7;
-  const TraceSummary s = summarize(floyd_warshall(n, kBase));
+  const TraceSummary s = summarize(emit(kBase, floyd_warshall_into, n));
   EXPECT_EQ(s.loads, n * n * (1 + 2 * n));
   EXPECT_EQ(s.stores, n * n * n);
 }
 
 TEST(KernelCounts, Durbin) {
   const std::uint64_t n = 9;
-  const TraceSummary s = summarize(durbin(n, kBase));
+  const TraceSummary s = summarize(emit(kBase, durbin_into, n));
   // k = 1..n-1: dot (2k loads) + r[k] + z pass (2k loads, k stores) +
   // copy-back (k loads, k stores) + y[k] store; plus the k=0 prologue.
   std::uint64_t loads = 1;
@@ -311,7 +305,7 @@ TEST(KernelCounts, Durbin) {
 TEST(KernelCounts, Gramschmidt) {
   const std::uint64_t m = 6;
   const std::uint64_t n = 5;
-  const TraceSummary s = summarize(gramschmidt(m, n, kBase));
+  const TraceSummary s = summarize(emit(kBase, gramschmidt_into, m, n));
   std::uint64_t loads = 0;
   std::uint64_t stores = 0;
   for (std::uint64_t k = 0; k < n; ++k) {
@@ -330,7 +324,7 @@ TEST(KernelCounts, Gramschmidt) {
 TEST(KernelCounts, Adi) {
   const std::uint64_t n = 8;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(adi(n, t, kBase));
+  const TraceSummary s = summarize(emit(kBase, adi_into, n, t));
   const std::uint64_t interior = (n - 2) * (n - 2);
   EXPECT_EQ(s.loads, t * interior * (5 + 3));
   EXPECT_EQ(s.stores, t * interior * (2 + 1));
@@ -340,7 +334,7 @@ TEST(KernelCounts, Fdtd2d) {
   const std::uint64_t nx = 6;
   const std::uint64_t ny = 7;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(fdtd_2d(nx, ny, t, kBase));
+  const TraceSummary s = summarize(emit(kBase, fdtd_2d_into, nx, ny, t));
   const std::uint64_t ey_ops = (nx - 1) * ny;
   const std::uint64_t ex_ops = nx * (ny - 1);
   const std::uint64_t hz_ops = (nx - 1) * (ny - 1);
@@ -351,7 +345,7 @@ TEST(KernelCounts, Fdtd2d) {
 TEST(KernelCounts, Heat3d) {
   const std::uint64_t n = 6;
   const std::uint64_t t = 2;
-  const TraceSummary s = summarize(heat_3d(n, t, kBase));
+  const TraceSummary s = summarize(emit(kBase, heat_3d_into, n, t));
   const std::uint64_t interior = (n - 2) * (n - 2) * (n - 2);
   EXPECT_EQ(s.loads, t * 2 * interior * 7);
   EXPECT_EQ(s.stores, t * 2 * interior);
@@ -360,9 +354,9 @@ TEST(KernelCounts, Heat3d) {
 TEST(KernelCounts, SeidelHasNoVectorShape) {
   // Gauss-Seidel is loop-carried: the vectorize flag must not change the
   // memory-op structure (prefetch/branch options still apply).
-  const TraceSummary a = summarize(seidel_2d(12, 2, kBase));
+  const TraceSummary a = summarize(emit(kBase, seidel_2d_into, 12, 2));
   const TraceSummary b =
-      summarize(seidel_2d(12, 2, CodegenOptions::only_vectorize()));
+      summarize(emit(CodegenOptions::only_vectorize(), seidel_2d_into, 12, 2));
   EXPECT_EQ(a.loads, b.loads);
   EXPECT_EQ(a.stores, b.stores);
 }
@@ -393,9 +387,9 @@ INSTANTIATE_TEST_SUITE_P(Kernels, VectorShape,
                                            "floyd-warshall"));
 
 TEST(VectorShapeDetail, GesummvBytesExactlyPreserved) {
-  const TraceSummary scalar = summarize(gesummv(16, kBase));
+  const TraceSummary scalar = summarize(emit(kBase, gesummv_into, 16));
   const TraceSummary vec =
-      summarize(gesummv(16, CodegenOptions::only_vectorize()));
+      summarize(emit(CodegenOptions::only_vectorize(), gesummv_into, 16));
   EXPECT_EQ(vec.bytes_loaded, scalar.bytes_loaded);
   EXPECT_EQ(vec.bytes_stored, scalar.bytes_stored);
   EXPECT_EQ(vec.loads, scalar.loads / 4);
@@ -403,9 +397,9 @@ TEST(VectorShapeDetail, GesummvBytesExactlyPreserved) {
 
 TEST(VectorShapeDetail, EpilogueHandlesNonDivisibleSizes) {
   // n = 7: one 4-wide chunk + 3 scalar lanes; bytes must still match.
-  const TraceSummary scalar = summarize(gesummv(7, kBase));
+  const TraceSummary scalar = summarize(emit(kBase, gesummv_into, 7));
   const TraceSummary vec =
-      summarize(gesummv(7, CodegenOptions::only_vectorize()));
+      summarize(emit(CodegenOptions::only_vectorize(), gesummv_into, 7));
   EXPECT_EQ(vec.bytes_loaded, scalar.bytes_loaded);
   EXPECT_EQ(vec.bytes_stored, scalar.bytes_stored);
 }
@@ -413,7 +407,8 @@ TEST(VectorShapeDetail, EpilogueHandlesNonDivisibleSizes) {
 TEST(VectorShapeDetail, GemmIkjShapeIsUnitStrideOnly) {
   // The vector gemm never walks a column: all loads are 8- or 32-byte and
   // consecutive same-array accesses differ by at most +32.
-  const cpu::Trace t = gemm(8, 8, 8, CodegenOptions::only_vectorize());
+  const cpu::Trace t =
+      emit(CodegenOptions::only_vectorize(), gemm_into, 8, 8, 8);
   for (const cpu::TraceOp& op : t) {
     if (op.kind == cpu::OpKind::kLoad) {
       EXPECT_TRUE(op.size == 8 || op.size == 32);
@@ -423,14 +418,15 @@ TEST(VectorShapeDetail, GemmIkjShapeIsUnitStrideOnly) {
 
 TEST(Prefetching, EmitsPrefetchesOnStreamingKernels) {
   const TraceSummary s =
-      summarize(atax(16, 16, CodegenOptions::only_prefetch()));
+      summarize(emit(CodegenOptions::only_prefetch(), atax_into, 16, 16));
   EXPECT_GT(s.prefetches, 0u);
 }
 
 TEST(Prefetching, ScalarColumnWalksAreNotPrefetched) {
   // mvt phase 2 walks columns in the scalar shape; only the unit-stride
   // phase-1 streams get hints. Prefetches must be well below the load count.
-  const TraceSummary s = summarize(mvt(32, CodegenOptions::only_prefetch()));
+  const TraceSummary s =
+      summarize(emit(CodegenOptions::only_prefetch(), mvt_into, 32));
   EXPECT_GT(s.prefetches, 0u);
   EXPECT_LT(s.prefetches, s.loads / 4);
 }

@@ -133,7 +133,9 @@ std::optional<std::vector<cpu::Dl1Organization>> parse_org_list(
   return out;
 }
 
-workloads::CodegenOptions parse_codegen(const std::string& list) {
+/// Parses "--opts=" values: a comma-separated list of vec, pf, br, all.
+std::optional<workloads::CodegenOptions> parse_codegen(
+    const std::string& list) {
   workloads::CodegenOptions o;
   for (const std::string& item : split(list, ',')) {
     if (item == "vec") {
@@ -145,7 +147,7 @@ workloads::CodegenOptions parse_codegen(const std::string& list) {
     } else if (item == "all") {
       o = workloads::CodegenOptions::all();
     } else if (!item.empty()) {
-      throw ConfigError("unknown codegen option '" + item + "'");
+      return std::nullopt;
     }
   }
   return o;
@@ -220,7 +222,9 @@ CliOptions parse_args(int argc, char** argv) {
       if (!orgs) usage(argv[0]);
       o.orgs = *orgs;
     } else if (take("--opts=")) {
-      o.codegen = parse_codegen(val);
+      const auto codegen = parse_codegen(val);
+      if (!codegen) usage(argv[0]);
+      o.codegen = *codegen;
     } else if (take("--vwb-kbit=")) {
       number(val, o.system.vwb_total_kbit);
     } else if (take("--vwb-lines=")) {
