@@ -8,7 +8,6 @@
 #include "sttsim/core/vwb.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/cpu/trace_io.hpp"
-#include "sttsim/xform/passes.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/mem/set_assoc_cache.hpp"
 #include "sttsim/util/rng.hpp"
@@ -117,22 +116,6 @@ void BM_TraceIoRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()) * 16);
 }
 BENCHMARK(BM_TraceIoRoundTrip);
-
-void BM_XformPipeline(benchmark::State& state) {
-  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
-                                     workloads::atax_into, 32, 32);
-  for (auto _ : state) {
-    xform::PassManager pm;
-    pm.add(std::make_unique<xform::RedundantLoadPass>())
-        .add(std::make_unique<xform::BranchOverheadPass>())
-        .add(std::make_unique<xform::PrefetchInsertionPass>());
-    auto out = pm.run(trace);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_XformPipeline);
 
 void BM_FullSuiteTraceGen(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,83 +1,82 @@
 // Onboarding a custom workload: write your own trace generator with the
-// Emitter/DataLayout API, optimize it with the automated trace passes
-// (xform), and measure it across DL1 organizations.
+// Emitter/DataLayout API, synthesize it under the paper's code
+// transformations (workloads::CodegenOptions, the path every figure takes),
+// and measure it across DL1 organizations.
 //
-// The kernel here is a saxpy-with-gather — one unit-stride stream the
-// passes can prefetch/vectorize, and one indirect stream they must leave
-// alone.
+// The kernel here is a saxpy-with-gather. Its unit-stride stream is written
+// with stream_load/stream_store inside a vloop, so vectorization widens it
+// and prefetching drops a hint at each new line; its data-dependent gather
+// is written with plain loads, which neither transformation touches.
 //
 //   $ ./examples/custom_kernel
 #include <cstdio>
-#include <memory>
+#include <iterator>
 
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/util/rng.hpp"
 #include "sttsim/workloads/emitter.hpp"
-#include "sttsim/xform/passes.hpp"
 
 using namespace sttsim;
 
 namespace {
 
-cpu::Trace saxpy_gather(std::uint64_t n) {
+cpu::DecodedTrace saxpy_gather(std::uint64_t n,
+                               const workloads::CodegenOptions& opts) {
   workloads::DataLayout mem;
   const workloads::Vector x = mem.vector("x", n);
   const workloads::Vector y = mem.vector("y", n);
-  // Scalar code; the xform passes will optimize the trace afterwards.
   // synthesize() runs the body twice (a sizing pass, then the fill), so the
   // body seeds its own generator and emits the same sequence both times.
-  return cpu::reassemble(workloads::synthesize(
-      workloads::CodegenOptions::none(), [&](workloads::Emitter& em) {
-        Rng rng(7);
-        for (std::uint64_t i = 0; i < n; ++i) {
-          em.loop_iter();
-          em.load(x.at(i));                  // unit-stride
-          em.load(y.at(rng.next_below(n)));  // data-dependent gather
-          em.flop(2);
-          em.store(x.at(i));
-        }
-      }));
+  return workloads::synthesize(opts, [&](workloads::Emitter& em) {
+    Rng rng(7);
+    workloads::vloop(em, 0, n, [&](std::uint64_t i, unsigned w) {
+      em.stream_load(x.at(i), w);  // unit-stride: w elements in one access
+      for (unsigned e = 0; e < w; ++e) {
+        em.load(y.at(rng.next_below(n)));  // data-dependent gather
+      }
+      em.flop(2);
+      em.stream_store(x.at(i), w);
+    });
+  });
 }
 
-double run(const cpu::Trace& trace, cpu::Dl1Organization org) {
+sim::RunStats run(const cpu::DecodedTrace& trace, cpu::Dl1Organization org) {
   cpu::SystemConfig cfg;
   cfg.organization = org;
   cpu::System system(cfg);
-  return static_cast<double>(system.run(trace).core.total_cycles);
+  return system.run(trace);
 }
 
 }  // namespace
 
 int main() {
-  const cpu::Trace raw = saxpy_gather(100000);
-  std::printf("raw trace      : %s\n", cpu::describe(raw).c_str());
-
-  // Automated optimization: the pass pipeline finds the unit-stride stream
-  // and prefetches it; the gather is (correctly) left untouched.
-  xform::PassManager pm;
-  pm.add(std::make_unique<xform::RedundantLoadPass>())
-      .add(std::make_unique<xform::BranchOverheadPass>())
-      .add(std::make_unique<xform::PrefetchInsertionPass>());
-  const cpu::Trace optimized = pm.run(raw);
-  std::printf("optimized trace: %s\n", cpu::describe(optimized).c_str());
-  for (const auto& s : pm.stats()) {
-    std::printf("  pass %-18s: +%llu inserted, -%llu reduced\n",
-                s.pass.c_str(), static_cast<unsigned long long>(s.ops_inserted),
-                static_cast<unsigned long long>(s.ops_reduced));
+  constexpr std::uint64_t kN = 100000;
+  const workloads::CodegenOptions codes[] = {
+      workloads::CodegenOptions::none(), workloads::CodegenOptions::all()};
+  cpu::DecodedTrace traces[std::size(codes)];
+  for (std::size_t c = 0; c < std::size(codes); ++c) {
+    traces[c] = saxpy_gather(kN, codes[c]);
+    std::printf("%-10s trace: %s\n", codes[c].label().c_str(),
+                cpu::describe(cpu::reassemble(traces[c])).c_str());
   }
 
-  const double base = run(raw, cpu::Dl1Organization::kSramBaseline);
-  std::printf("\n%-22s %12s %10s\n", "organization / code", "cycles",
+  // Each organization against the SRAM baseline running the same code, as
+  // in Fig. 5.
+  std::printf("\n%-10s %-14s %12s %10s\n", "code", "organization", "cycles",
               "penalty");
-  const auto report = [&](const char* label, const cpu::Trace& t,
-                          cpu::Dl1Organization org) {
-    const double c = run(t, org);
-    std::printf("%-22s %12.0f %+9.1f%%\n", label, c, (c - base) / base * 100);
-  };
-  report("sram / raw", raw, cpu::Dl1Organization::kSramBaseline);
-  report("drop-in / raw", raw, cpu::Dl1Organization::kNvmDropIn);
-  report("vwb / raw", raw, cpu::Dl1Organization::kNvmVwb);
-  report("vwb / optimized", optimized, cpu::Dl1Organization::kNvmVwb);
+  for (std::size_t c = 0; c < std::size(codes); ++c) {
+    const sim::RunStats base =
+        run(traces[c], cpu::Dl1Organization::kSramBaseline);
+    for (const cpu::Dl1Organization org :
+         {cpu::Dl1Organization::kSramBaseline, cpu::Dl1Organization::kNvmDropIn,
+          cpu::Dl1Organization::kNvmVwb}) {
+      const sim::RunStats stats = run(traces[c], org);
+      std::printf("%-10s %-14s %12llu %+9.1f%%\n", codes[c].label().c_str(),
+                  cpu::to_string(org),
+                  static_cast<unsigned long long>(stats.core.total_cycles),
+                  experiments::penalty_pct(stats, base));
+    }
+  }
   return 0;
 }

@@ -170,11 +170,9 @@ class VeryWideBuffer {
   /// Index of the valid line mapping `addr`'s VWB line, or -1. The bases
   /// live in their own packed array (8 B per line) so the scan touches one
   /// cache line even for the 8-entry L0 front — and the compare is a
-  /// branchless single-pass match mask over that packed uint64 array (the
-  /// same widened form as mem::SetAssocCache::find_way), which the compiler
-  /// vectorizes for the wider L0/EMSHR fronts. Bases are unique, so the
-  /// mask has at most one bit set and countr_zero reproduces the historical
-  /// first-match index.
+  /// branchless single-pass match mask over that packed uint64 array. Bases
+  /// are unique, so the mask has at most one bit set and countr_zero
+  /// reproduces the historical first-match index.
   std::ptrdiff_t find_line_index(Addr addr) const {
     const Addr base = vline_addr(addr);
     const Addr* b = bases_.data();

@@ -82,7 +82,7 @@ Trace reassemble(const DecodedTrace& decoded);
 /// size, so no op vector ever reallocates. Ops are packed 16-byte
 /// DecodedOps — granule spans precomputed with the same span_of the decode
 /// pass uses — byte-identical to decode(reassemble(·)) on the same emission
-/// sequence (tests/test_simd pins this for every suite kernel × codegen).
+/// sequence (tests/test_workloads pins this for every suite kernel × codegen).
 class DecodedTraceBuilder {
  public:
   /// Exact sizes of one emission sequence: what a counting builder

@@ -1,10 +1,10 @@
 // The dynamic instruction trace consumed by the core model.
 //
 // Workload generators (src/workloads) emit these ops by symbolically
-// executing the PolyBench kernels; code transformations (src/xform) rewrite
-// them. The op set is the minimum an in-order, single-issue data-cache study
-// needs: non-memory work (exec bundles), loads, stores, and software
-// prefetch hints.
+// executing the PolyBench kernels, with the paper's code transformations
+// applied as they emit (workloads::CodegenOptions). The op set is the
+// minimum an in-order, single-issue data-cache study needs: non-memory work
+// (exec bundles), loads, stores, and software prefetch hints.
 #pragma once
 
 #include <cstdint>

@@ -92,9 +92,6 @@ class ResultStore {
   /// call refresh() first to observe other processes' appends.
   bool lookup(std::uint64_t digest, void* out) const;
 
-  /// True iff `digest` is present (no copy). Thread-safe.
-  bool contains(std::uint64_t digest) const;
-
   /// Appends one record (payload_bytes() long) and indexes it. A digest
   /// already present — including one another process appended since the
   /// last scan — is ignored: first write wins, across threads and across

@@ -80,9 +80,6 @@ class TraceStore {
   /// call refresh() first to observe other processes' appends.
   bool lookup(std::uint64_t digest, std::vector<std::uint8_t>& out) const;
 
-  /// True iff `digest` is present (no copy). Thread-safe.
-  bool contains(std::uint64_t digest) const;
-
   /// Appends one blob and indexes it. A digest already present — including
   /// one another process appended since the last scan — is ignored: first
   /// write wins, across threads and across processes. Blobs larger than

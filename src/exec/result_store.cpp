@@ -148,11 +148,6 @@ bool ResultStore::lookup(std::uint64_t digest, void* out) const {
   return true;
 }
 
-bool ResultStore::contains(std::uint64_t digest) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.find(digest) != index_.end();
-}
-
 void ResultStore::append(std::uint64_t digest, const void* payload) {
   std::lock_guard<std::mutex> lock(mu_);
   if (index_.count(digest) != 0) return;  // first write wins (this process)

@@ -168,11 +168,6 @@ bool TraceStore::lookup(std::uint64_t digest,
   return true;
 }
 
-bool TraceStore::contains(std::uint64_t digest) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.find(digest) != index_.end();
-}
-
 void TraceStore::append(std::uint64_t digest, const void* payload,
                         std::size_t len) {
   if (len > kMaxBlobBytes) return;

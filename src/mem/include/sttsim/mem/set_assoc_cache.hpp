@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "sttsim/util/bits.hpp"
-#include "sttsim/util/simd.hpp"
 
 namespace sttsim::mem {
 
@@ -121,15 +120,12 @@ class SetAssocCache {
   }
   Addr tag_of(Addr addr) const { return addr >> tag_shift_; }
 
-  /// Flat way index of the resident line containing `addr`, or -1.
-  /// Branchless at every associativity: the 2-way L1 case compares both
-  /// tags in one 16 B load's worth of work; wider sets (the unified L2,
-  /// sweep configurations) build a match mask over the packed tag vector in
-  /// a single explicit-SIMD compare pass (util::simd::match_mask_u64 —
-  /// AVX2/SSE2/NEON, scalar fallback, bit-identical either way) and reduce
-  /// it with a count-trailing-zeros. Both forms return the first matching
-  /// way, like the historical scan (tags are unique within a set, so at
-  /// most one bit is ever set).
+  /// Flat way index of the resident line containing `addr`, or -1. The
+  /// 2-way L1 case compares both tags branchlessly, in one 16 B load's
+  /// worth of work; wider sets (the 16-way unified L2, sweep
+  /// configurations) scan the packed tag vector up to the match, which
+  /// measured no slower than an explicit-SIMD match mask (EXPERIMENTS.md,
+  /// "L2 tag match"). Tags are unique within a set: at most one way matches.
   std::ptrdiff_t find_way(Addr addr) const {
     const std::size_t base = set_index(addr) * assoc_;
     const Addr tag = tag_of(addr);
@@ -140,12 +136,6 @@ class SetAssocCache {
       const bool h1 = t[1] == tag;
       if (!(h0 | h1)) return -1;
       return static_cast<std::ptrdiff_t>(base + (h0 ? 0 : 1));
-    }
-    if (assoc_ <= 64) {
-      const std::uint64_t match = util::simd::match_mask_u64(t, assoc_, tag);
-      if (match == 0) return -1;
-      return static_cast<std::ptrdiff_t>(
-          base + static_cast<unsigned>(std::countr_zero(match)));
     }
     for (unsigned w = 0; w < assoc_; ++w) {
       if (t[w] == tag) return static_cast<std::ptrdiff_t>(base + w);

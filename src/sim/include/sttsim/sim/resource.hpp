@@ -70,9 +70,6 @@ class BankSet {
     return banks_[bank_of(addr)].acquire(earliest, duration);
   }
 
-  /// Occupies a specific bank.
-  Grant acquire_bank(unsigned bank, Cycle earliest, Cycles duration);
-
   /// Cycle at which the bank servicing `addr` becomes free.
   Cycle free_at(Addr addr) const { return banks_[bank_of(addr)].free_at(); }
 

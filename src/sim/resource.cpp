@@ -16,11 +16,6 @@ BankSet::BankSet(unsigned num_banks, std::uint64_t line_bytes) {
   bank_mask_ = num_banks - 1;
 }
 
-Grant BankSet::acquire_bank(unsigned bank, Cycle earliest, Cycles duration) {
-  STTSIM_CHECK(bank < banks_.size());
-  return banks_[bank].acquire(earliest, duration);
-}
-
 void BankSet::reset() {
   for (auto& b : banks_) b.reset();
 }

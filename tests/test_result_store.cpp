@@ -152,8 +152,9 @@ TEST(ResultStore, WrongSchemaVersionReinitializesEmpty) {
   }
   exec::ResultStore store(path, kTestPayload);
   EXPECT_EQ(store.entries(), 1u);
-  EXPECT_FALSE(store.contains(7));
-  EXPECT_TRUE(store.contains(8));
+  std::uint8_t out[kTestPayload];
+  EXPECT_FALSE(store.lookup(7, out));
+  EXPECT_TRUE(store.lookup(8, out));
   std::remove(path.c_str());
 }
 

@@ -113,7 +113,7 @@ TEST(TraceStore, FirstWriteWinsAndOversizedBlobIgnored) {
   // A stated length beyond the blob cap never reaches the file.
   store.append(43, a.data(),
                static_cast<std::size_t>(exec::TraceStore::kMaxBlobBytes) + 1);
-  EXPECT_FALSE(store.contains(43));
+  EXPECT_FALSE(store.lookup(43, out));
   std::remove(path.c_str());
 }
 

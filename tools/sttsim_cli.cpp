@@ -34,7 +34,9 @@
 // then are skipped as timed-out), and --store=PATH / --trace-store=PATH:
 // persistent result and trace stores, so a repeated run reads back stats
 // and traces instead of recomputing them. --no-store and --no-trace-store
-// ignore the STTSIM_RESULT_STORE / STTSIM_TRACE_STORE defaults.
+// ignore the STTSIM_RESULT_STORE / STTSIM_TRACE_STORE defaults. A run opens
+// only the stores it reads: --list opens neither, and --trace-out,
+// --check-oracle and an --org list open no result store.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -315,19 +317,25 @@ void print_stats(const sim::RunStats& s, bool csv) {
               static_cast<unsigned long long>(s.mem.l2_misses));
 }
 
-int run(const CliOptions& o) {
+/// Opens the result store if `results` and the trace store if `traces`,
+/// each only when its path is set. Callers pass what the run reads, so a
+/// store the run never reads is never created.
+void open_stores(const CliOptions& o, bool results, bool traces) {
   static std::unique_ptr<exec::ResultStore> store_holder;
-  if (!o.store.empty()) {
+  if (results && !o.store.empty()) {
     store_holder =
         std::make_unique<exec::ResultStore>(o.store, sim::kRunStatsBytes);
     exec::set_result_store(store_holder.get());
   }
   static std::unique_ptr<exec::TraceStore> trace_store_holder;
-  if (!o.trace_store.empty()) {
+  if (traces && !o.trace_store.empty()) {
     trace_store_holder = std::make_unique<exec::TraceStore>(
         o.trace_store, cpu::kTraceFormatVersion);
     exec::set_trace_store(trace_store_holder.get());
   }
+}
+
+int run(const CliOptions& o) {
   if (o.list) {
     for (const auto& k : workloads::polybench_suite()) {
       std::printf("%-16s %s\n", k.name.c_str(), k.description.c_str());
@@ -339,6 +347,7 @@ int run(const CliOptions& o) {
     return 0;
   }
   if (!o.artifacts.empty()) {
+    open_stores(o, /*results=*/true, /*traces=*/true);
     for (std::size_t i = 0; i < o.artifacts.size(); ++i) {
       const std::string out =
           experiments::render_artifact(*o.artifacts[i], o.kernels, o.csv);
@@ -351,6 +360,13 @@ int run(const CliOptions& o) {
     std::fprintf(stderr, "exactly one of --kernel / --trace-in required\n");
     return 2;
   }
+  // Only a one-organization run simulates through the result store:
+  // --trace-out only captures, --check-oracle runs the reference model, and
+  // an --org list replays each organization directly.
+  open_stores(o,
+              /*results=*/o.trace_out.empty() && !o.check_oracle &&
+                  o.orgs.size() == 1,
+              /*traces=*/!o.kernel.empty());
 
   cpu::Trace trace;
   if (!o.kernel.empty()) {
