@@ -1,87 +1,127 @@
-// Microbenchmark for the replay-engine hot primitives, self-checking.
+// Microbenchmark for the replay engine, self-checking.
 //
-//   vwb-probe   VeryWideBuffer::probe over a resident/absent address mix
-//               (the L0/EMSHR front's per-access tag scan)
-//   cursor      CompressedCursor streaming decode of the compressed gemm
-//               trace (the trace store's decode path)
+//   replay   System::run of the suite's gemm trace, under `none` and `all`
+//            codegen, on every organization's default system and on a
+//            faulted nvm-vwb (1e5 ppm): host ns per trace op, min and
+//            median over the repetitions
+//   cursor   CompressedCursor streaming decode of the compressed gemm
+//            trace (the trace store's decode path)
 //
-// The cursor pass is checked against the decoded trace it was compressed
-// from in the same run: a mismatch prints both sums and exits 1.
+// Each replay must reproduce its first repetition's cycle count, and the
+// cursor pass is checked against the decoded trace it was compressed from:
+// a mismatch prints both values and exits 1.
 //
 // Usage: replay_micro [--reps=N] [--quick]
-//   --reps=N  best-of-N timing repetitions, N >= 1 (default 5)
-//   --quick   smaller probe counts (same checks)
+//   --reps=N  timing repetitions, N >= 1 (default 5)
+//   --quick   replay a 1/8 prefix of each trace, at most 3 reps (same checks)
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <random>
 #include <string>
 #include <vector>
 
-#include "sttsim/core/vwb.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
+#include "sttsim/cpu/system.hpp"
+#include "sttsim/experiments/harness.hpp"
 #include "sttsim/util/text.hpp"
 #include "sttsim/workloads/suite.hpp"
 
 namespace {
 
-using sttsim::Addr;
+using sttsim::cpu::Dl1Organization;
+using sttsim::workloads::CodegenOptions;
 
-/// Best-of-`reps` wall time of `fn()`, in seconds.
+/// Wall time of `fn()`, in seconds.
 template <typename Fn>
-double best_seconds(unsigned reps, Fn&& fn) {
-  double best = 1e300;
-  for (unsigned r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
+double seconds(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 // Accumulator the timed loops feed so their work cannot be optimized away;
 // printed once at the end (also a cheap cross-run determinism witness).
 std::uint64_t g_sink = 0;
 
-void bench_vwb_probe(std::mt19937_64& rng, unsigned reps, std::size_t probes) {
-  // A wider-than-default front (16 lines) so the probe exercises the packed
-  // match-mask scan rather than the two-entry fast case.
-  sttsim::core::VwbGeometry geom;
-  geom.num_lines = 16;
-  geom.line_bytes = 128;
-  geom.sector_bytes = 64;
-  sttsim::core::VeryWideBuffer vwb(geom);
-  std::vector<sttsim::core::VwbWriteback> wbs;
-  constexpr Addr kBase = 0x10000;
-  for (unsigned l = 0; l < geom.num_lines; ++l) {
-    const Addr line = kBase + l * geom.line_bytes;
-    const unsigned slot = vwb.allocate_line(line, wbs);
-    for (std::uint64_t s = 0; s < geom.line_bytes; s += geom.sector_bytes) {
-      vwb.fill_sector(slot, line + s, 0);
+struct ReplayPoint {
+  std::string label;
+  sttsim::cpu::SystemConfig config;
+};
+
+std::vector<ReplayPoint> replay_points() {
+  std::vector<ReplayPoint> points;
+  for (const Dl1Organization org :
+       {Dl1Organization::kSramBaseline, Dl1Organization::kNvmDropIn,
+        Dl1Organization::kNvmVwb, Dl1Organization::kNvmL0,
+        Dl1Organization::kNvmEmshr, Dl1Organization::kNvmWriteBuf}) {
+    points.push_back({sttsim::cpu::to_string(org),
+                      sttsim::experiments::make_config(org)});
+  }
+  ReplayPoint faulted{"nvm-vwb 1e5ppm",
+                      sttsim::experiments::make_config(
+                          Dl1Organization::kNvmVwb)};
+  faulted.config.faults.enabled = true;
+  faulted.config.faults.fail_ppm = 100'000;
+  points.push_back(faulted);
+  return points;
+}
+
+void bench_replay(unsigned reps, bool quick) {
+  const sttsim::workloads::Kernel& k = sttsim::workloads::find_kernel("gemm");
+  const CodegenOptions codegens[] = {CodegenOptions::none(),
+                                     CodegenOptions::all()};
+  std::vector<sttsim::cpu::DecodedTrace> traces;
+  for (const CodegenOptions& o : codegens) {
+    traces.push_back(k.generate_decoded(o));
+    // Replay reads the ops only; the store payload sidecar stays whole.
+    if (quick) traces.back().ops.resize(traces.back().ops.size() / 8);
+  }
+  std::printf("-- replay: gemm, %zu ops (none) / %zu ops (all); "
+              "ns/op, min / median of %u\n",
+              traces[0].size(), traces[1].size(), reps);
+  std::printf("   %-16s %17s %17s\n", "system", "none", "all");
+  for (const ReplayPoint& p : replay_points()) {
+    sttsim::cpu::System system(p.config);
+    std::printf("   %-16s", p.label.c_str());
+    for (const sttsim::cpu::DecodedTrace& trace : traces) {
+      std::vector<double> ns_per_op;
+      std::uint64_t cycles = 0;
+      for (unsigned r = 0; r < reps; ++r) {
+        sttsim::sim::RunStats stats;
+        const double t = seconds([&] { stats = system.run(trace); });
+        if (r == 0) {
+          cycles = stats.core.total_cycles;
+        } else if (stats.core.total_cycles != cycles) {
+          std::fprintf(stderr, "replay MISMATCH %s: %" PRIu64 " vs %" PRIu64
+                               " cycles\n", p.label.c_str(),
+                       stats.core.total_cycles, cycles);
+          std::exit(1);
+        }
+        ns_per_op.push_back(t / static_cast<double>(trace.size()) * 1e9);
+      }
+      g_sink += cycles;
+      std::printf("   %6.2f / %6.2f",
+                  *std::min_element(ns_per_op.begin(), ns_per_op.end()),
+                  median(ns_per_op));
     }
+    std::printf("\n");
   }
-  std::vector<Addr> addrs(probes);
-  for (std::size_t i = 0; i < probes; ++i) {
-    addrs[i] = (i & 1) ? kBase + (rng() % (geom.num_lines * geom.line_bytes))
-                       : kBase + 0x100000 + (rng() & 0xFFFF);
-  }
-  const double t = best_seconds(reps, [&] {
-    std::uint64_t hits = 0;
-    for (const Addr a : addrs) hits += vwb.probe(a).hit;
-    g_sink += hits;
-  });
-  std::printf("-- vwb-probe: %u lines   %6.2f ns/probe\n", geom.num_lines,
-              t / static_cast<double>(probes) * 1e9);
 }
 
 void bench_cursor_decode(unsigned reps) {
   const sttsim::workloads::Kernel& k = sttsim::workloads::find_kernel("gemm");
-  const sttsim::workloads::CodegenOptions opts;
   const sttsim::cpu::DecodedTrace decoded =
-      k.generate_decoded(opts);
+      k.generate_decoded(CodegenOptions::none());
   const sttsim::cpu::CompressedTrace compressed = sttsim::cpu::compress(decoded);
   const double bytes_per_op =
       static_cast<double>(compressed.bytes.size()) /
@@ -91,22 +131,25 @@ void bench_cursor_decode(unsigned reps) {
   for (const sttsim::cpu::DecodedOp& op : decoded.ops) {
     ref += op.addr + op.count + op.size;
   }
-  const double t = best_seconds(reps, [&] {
-    sttsim::cpu::CompressedCursor cur(compressed);
-    sttsim::cpu::DecodedOp op;
-    std::uint64_t acc = 0;
-    while (cur.next(op)) acc += op.addr + op.count + op.size;
-    if (acc != ref) {
-      std::fprintf(stderr, "cursor MISMATCH acc=%#" PRIx64 " ref=%#" PRIx64
-                           "\n", acc, ref);
-      std::exit(1);
-    }
-    g_sink += acc;
-  });
+  double best = 1e300;
+  for (unsigned r = 0; r < reps; ++r) {
+    best = std::min(best, seconds([&] {
+      sttsim::cpu::CompressedCursor cur(compressed);
+      sttsim::cpu::DecodedOp op;
+      std::uint64_t acc = 0;
+      while (cur.next(op)) acc += op.addr + op.count + op.size;
+      if (acc != ref) {
+        std::fprintf(stderr, "cursor MISMATCH acc=%#" PRIx64 " ref=%#" PRIx64
+                             "\n", acc, ref);
+        std::exit(1);
+      }
+      g_sink += acc;
+    }));
+  }
   std::printf(
       "-- cursor: gemm %" PRIu64 " ops, %.2f B/op   %6.1f Mops/s decode\n",
       compressed.op_count, bytes_per_op,
-      static_cast<double>(compressed.op_count) / t / 1e6);
+      static_cast<double>(compressed.op_count) / best / 1e6);
 }
 
 [[noreturn]] void usage(const char* argv0) {
@@ -118,7 +161,7 @@ void bench_cursor_decode(unsigned reps) {
 
 int main(int argc, char** argv) {
   unsigned reps = 5;
-  std::size_t probes = 1u << 16;
+  bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--reps=", 0) == 0) {
@@ -126,15 +169,14 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--quick") {
-      probes = 1u << 12;
-      reps = std::min(reps, 3u);
+      quick = true;
     } else {
       usage(argv[0]);
     }
   }
+  if (quick) reps = std::min(reps, 3u);
   std::printf("replay_micro: reps=%u\n", reps);
-  std::mt19937_64 rng(0x5eed);
-  bench_vwb_probe(rng, reps, probes);
+  bench_replay(reps, quick);
   bench_cursor_decode(reps);
   std::printf("sink %#" PRIx64 "  OK\n", g_sink);
   return 0;

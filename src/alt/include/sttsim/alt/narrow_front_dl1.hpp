@@ -139,7 +139,6 @@ class NarrowFrontDl1System final : public core::Dl1System {
   mem::Mshr mshr_;
   mem::WriteBuffer store_buffer_;
   mem::WriteBuffer writeback_buffer_;
-  std::vector<core::VwbWriteback> wb_scratch_;
 };
 
 /// Convenience factories with the paper's 2 KBit capacity.

@@ -72,15 +72,13 @@ sim::Cycle NarrowFrontDl1System::fill_from_l2(Addr line, sim::Cycle now) {
 }
 
 void NarrowFrontDl1System::allocate_front(Addr addr, sim::Cycle ready) {
-  wb_scratch_.clear();
-  const unsigned slot = front_.allocate_line(addr, wb_scratch_);
-  for (const core::VwbWriteback& wb : wb_scratch_) {
+  const unsigned slot = front_.allocate_line(addr, [this](Addr entry) {
     // Dirty front entries retire into the NVM array through the fill port.
-    STTSIM_CHECK(array_.probe(wb.sector_addr));
-    array_.access(wb.sector_addr, /*is_write=*/true);
+    STTSIM_CHECK(array_.probe(entry));
+    array_.access(entry, /*is_write=*/true);
     stats_.l1_array_writes += 1;
     stats_.front_writebacks += 1;
-  }
+  });
   front_.fill_sector(slot, addr, ready);
   stats_.promotions += 1;
 }

@@ -70,6 +70,13 @@ class Dl1System {
 
   const sim::MemStats& stats() const { return stats_; }
 
+  /// Brings stats() up to date. An organization that counts as it goes
+  /// needs nothing here; a decorator over another organization
+  /// (reliability::FaultyDl1System) copies that one's counters. The replay
+  /// loop calls it at the end of every run and, in an observed run, before
+  /// every observer call.
+  virtual void sync_stats() {}
+
   /// Drops all state (contents, timelines, statistics).
   virtual void reset() = 0;
 

@@ -74,7 +74,7 @@ class PlainDl1System final : public Dl1System {
       // Data-array access overlaps the tag lookup (parallel tag/data read,
       // as in the A9's L1): data is ready when the array read completes. A
       // line whose prefetch is still arriving from L2 is usable on arrival.
-      const sim::Cycle pending = fills_.consume(line).value_or(0);
+      const sim::Cycle pending = fills_.consume(line);
       const sim::Grant g = banks_.acquire(line, now, cfg_.timing.read_cycles);
       stats_.l1_array_reads += 1;
       stats_.bank_conflict_cycles += g.start - now;
@@ -93,7 +93,7 @@ class PlainDl1System final : public Dl1System {
     const sim::Cycle tag_done = start + cfg_.timing.tag_cycles;
     if (array_.access(line, /*is_write=*/true)) {
       stats_.l1_write_hits += 1;
-      const sim::Cycle pending = fills_.consume(line).value_or(0);
+      const sim::Cycle pending = fills_.consume(line);
       const sim::Cycle earliest = std::max(tag_done, pending);
       const sim::Grant g =
           banks_.acquire(line, earliest, cfg_.timing.write_cycles);

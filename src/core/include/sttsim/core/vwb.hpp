@@ -19,7 +19,9 @@
 // LRU) lives in one small contiguous array and all sector state in a second
 // flat array, so lookup()/probe() — called for every access in the VWB and
 // narrow-front organizations — are header-inline tag scans with no nested
-// vector indirection.
+// vector indirection. allocate_line() is header-inline too: it hands each
+// dirty victim sector to a caller-supplied callable, which retires it in
+// place, so a promotion fills no list whatever the sectors per line.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +50,6 @@ struct VwbHit {
   bool hit = false;
   bool dirty = false;
   sim::Cycle ready = 0;  ///< promotion completion; 0 when resident since fill
-};
-
-/// A dirty sector that must be written back to the DL1 on eviction.
-struct VwbWriteback {
-  Addr sector_addr = 0;
 };
 
 class VeryWideBuffer {
@@ -114,9 +111,43 @@ class VeryWideBuffer {
   }
 
   /// Allocates (or reuses) the VWB line for `addr`, evicting the LRU line if
-  /// both lines hold other data. Dirty sectors of the victim are appended to
-  /// `writebacks`. Returns the line slot index to fill sectors into.
-  unsigned allocate_line(Addr addr, std::vector<VwbWriteback>& writebacks);
+  /// every line holds other data. `on_dirty_sector(Addr)` is called with the
+  /// address of each dirty sector of the victim, in ascending order; it
+  /// must not touch this buffer. Returns the line slot index to fill
+  /// sectors into. Runs on every front allocation.
+  template <class OnDirtySector>
+  unsigned allocate_line(Addr addr, OnDirtySector&& on_dirty_sector) {
+    const Addr base = vline_addr(addr);
+    // One pass finds, in priority order, an existing mapping, the first
+    // invalid slot, and the first-minimum-LRU victim.
+    const std::size_t n = bases_.size();
+    std::size_t invalid = n;
+    std::size_t victim = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Addr b = bases_[i];
+      if (b == base) {
+        lru_[i] = ++lru_clock_;
+        return static_cast<unsigned>(i);
+      }
+      if (invalid == n && b == kNoBase) invalid = i;
+      if (lru_[i] < lru_[victim]) victim = i;
+    }
+    const std::size_t target = invalid < n ? invalid : victim;
+    Sector* sectors = sectors_.data() + target * spl_;
+    if (invalid == n) {
+      // Evict: surface the victim's dirty sectors to the caller.
+      const Addr victim_base = bases_[target];
+      for (unsigned i = 0; i < spl_; ++i) {
+        if (sectors[i].valid && sectors[i].dirty) {
+          on_dirty_sector(victim_base + i * geom_.sector_bytes);
+        }
+      }
+    }
+    for (unsigned i = 0; i < spl_; ++i) sectors[i] = Sector{};
+    bases_[target] = base;
+    lru_[target] = ++lru_clock_;
+    return static_cast<unsigned>(target);
+  }
 
   /// Installs the sector containing `addr` into line slot `slot`
   /// (allocated for this address) with promotion completing at `ready`.
@@ -169,23 +200,13 @@ class VeryWideBuffer {
   }
   /// Index of the valid line mapping `addr`'s VWB line, or -1. The bases
   /// live in their own packed array (8 B per line) so the scan touches one
-  /// cache line even for the 8-entry L0 front — and the compare is a
-  /// branchless single-pass match mask over that packed uint64 array. Bases
-  /// are unique, so the mask has at most one bit set and countr_zero
-  /// reproduces the historical first-match index.
+  /// cache line even for the 8-entry L0 front, and it stops at the match,
+  /// as SetAssocCache::find_way does. Bases are unique, so the first match
+  /// is the only one.
   std::ptrdiff_t find_line_index(Addr addr) const {
     const Addr base = vline_addr(addr);
     const Addr* b = bases_.data();
     const std::size_t n = bases_.size();
-    if (n <= 64) {
-      std::uint64_t match = 0;
-      STTSIM_VEC_LOOP
-      for (std::size_t i = 0; i < n; ++i) {
-        match |= static_cast<std::uint64_t>(b[i] == base) << i;
-      }
-      if (match == 0) return -1;
-      return static_cast<std::ptrdiff_t>(std::countr_zero(match));
-    }
     for (std::size_t i = 0; i < n; ++i) {
       if (b[i] == base) return static_cast<std::ptrdiff_t>(i);
     }

@@ -110,9 +110,6 @@ class VwbDl1System final : public Dl1System {
   /// Fetches a DL1-missing line from L2 and fills the array; returns the
   /// cycle the line data is available at the L1.
   sim::Cycle fill_from_l2(Addr line, sim::Cycle now);
-  /// Writes dirty VWB-victim sectors back into the NVM array
-  /// (fill/spill port: not on the demand timeline).
-  void retire_vwb_writebacks(const std::vector<VwbWriteback>& wbs);
   /// Handles a (possibly dirty) DL1 victim, merging any dirty VWB copy.
   void retire_l1_victim(const mem::FillOutcome& victim, sim::Cycle now);
 
@@ -125,7 +122,6 @@ class VwbDl1System final : public Dl1System {
   mem::FillBuffer fills_;
   mem::WriteBuffer store_buffer_;
   mem::WriteBuffer writeback_buffer_;
-  std::vector<VwbWriteback> wb_scratch_;
 };
 
 }  // namespace sttsim::core

@@ -104,7 +104,7 @@ void PlainDl1System::prefetch(Addr addr, sim::Cycle now) {
   stats_.prefetches += 1;
   const Addr line = array_.line_addr(addr);
   if (array_.probe(line)) return;
-  if (fills_.lookup(line).has_value()) return;  // already in flight
+  if (fills_.lookup(line) != 0) return;  // already in flight
   const sim::Cycle data =
       l2_->fetch_line(line, now + 1 + cfg_.timing.tag_cycles, stats_);
   // Fill the covered span; demand accesses before `data` wait for arrival.

@@ -34,54 +34,6 @@ void VeryWideBuffer::mark_dirty(Addr addr) {
   lru_[static_cast<std::size_t>(li)] = ++lru_clock_;
 }
 
-unsigned VeryWideBuffer::allocate_line(Addr addr,
-                                       std::vector<VwbWriteback>& writebacks) {
-  const Addr base = vline_addr(addr);
-  // One pass finds, in priority order, an existing mapping, the first
-  // invalid slot, and the first-minimum-LRU victim (the tie-breaks the
-  // original three-scan version produced). The running minimum is kept in
-  // registers — this scan runs on every front allocation.
-  const std::size_t n = bases_.size();
-  std::ptrdiff_t match = -1;
-  std::ptrdiff_t invalid = -1;
-  std::size_t lru_min = 0;
-  std::uint64_t lru_min_val = lru_[0];
-  for (std::size_t i = 0; i < n; ++i) {
-    const Addr b = bases_[i];
-    if (b == base) {
-      match = static_cast<std::ptrdiff_t>(i);
-      break;
-    }
-    if (invalid < 0 && b == kNoBase) invalid = static_cast<std::ptrdiff_t>(i);
-    if (lru_[i] < lru_min_val) {
-      lru_min_val = lru_[i];
-      lru_min = i;
-    }
-  }
-  std::ptrdiff_t target = match >= 0 ? match : invalid;
-  if (target < 0) {
-    target = static_cast<std::ptrdiff_t>(lru_min);
-    // Evict: surface dirty sectors to the caller.
-    const Addr victim_base = bases_[static_cast<std::size_t>(target)];
-    Sector* sectors = sectors_.data() + static_cast<std::size_t>(target) * spl_;
-    for (unsigned i = 0; i < spl_; ++i) {
-      Sector& s = sectors[i];
-      if (s.valid && s.dirty) {
-        writebacks.push_back(VwbWriteback{victim_base + i * geom_.sector_bytes});
-      }
-      s = Sector{};
-    }
-    bases_[static_cast<std::size_t>(target)] = kNoBase;
-  }
-  if (bases_[static_cast<std::size_t>(target)] == kNoBase) {
-    bases_[static_cast<std::size_t>(target)] = base;
-    Sector* sectors = sectors_.data() + static_cast<std::size_t>(target) * spl_;
-    for (unsigned i = 0; i < spl_; ++i) sectors[i] = Sector{};
-  }
-  lru_[static_cast<std::size_t>(target)] = ++lru_clock_;
-  return static_cast<unsigned>(target);
-}
-
 bool VeryWideBuffer::invalidate_sector(Addr addr) {
   const std::ptrdiff_t li = find_line_index(addr);
   if (li < 0) return false;

@@ -62,33 +62,26 @@ sim::Cycle VwbDl1System::fill_from_l2(Addr line, sim::Cycle now) {
   return data;
 }
 
-void VwbDl1System::retire_vwb_writebacks(
-    const std::vector<VwbWriteback>& wbs) {
-  for (const VwbWriteback& wb : wbs) {
-    // A dirty VWB sector is written back into the NVM array. Inclusion
-    // guarantees the line is resident (retire_l1_victim invalidates VWB
-    // copies of evicted lines before they leave the DL1).
-    STTSIM_CHECK(array_.probe(wb.sector_addr));
-    // Retires through the fill/spill port in the background.
-    array_.access(wb.sector_addr, /*is_write=*/true);
-    stats_.l1_array_writes += 1;
-    stats_.front_writebacks += 1;
-  }
-}
-
 sim::Cycle VwbDl1System::promote(Addr demand_addr, sim::Cycle now) {
   const Addr demand_line = vwb_.sector_addr(demand_addr);
-  wb_scratch_.clear();
-  const unsigned slot = vwb_.allocate_line(demand_addr, wb_scratch_);
-  if (!wb_scratch_.empty()) retire_vwb_writebacks(wb_scratch_);
+  const unsigned slot = vwb_.allocate_line(demand_addr, [this](Addr sector) {
+    // A dirty VWB victim sector is written back into the NVM array through
+    // the fill/spill port, off the demand timeline. Inclusion guarantees the
+    // line is resident (retire_l1_victim invalidates VWB copies of evicted
+    // lines before they leave the DL1).
+    STTSIM_CHECK(array_.probe(sector));
+    array_.access(sector, /*is_write=*/true);
+    stats_.l1_array_writes += 1;
+    stats_.front_writebacks += 1;
+  });
 
   // Demand sector first — the core is waiting on it (critical word first).
   sim::Cycle demand_ready;
-  if (const auto prefetched = fills_.consume(demand_line)) {
+  if (const sim::Cycle prefetched = fills_.consume(demand_line)) {
     // A software prefetch already read this line into an MSHR fill register;
     // the promotion completes from the register (one-shot: the data moves
     // into the VWB and the register frees), not from the NVM array.
-    demand_ready = std::max(*prefetched, now);
+    demand_ready = std::max(prefetched, now);
     stats_.prefetch_hits += 1;
   } else if (array_.access(demand_line, /*is_write=*/false)) {
     stats_.l1_read_hits += 1;
@@ -121,7 +114,7 @@ sim::Cycle VwbDl1System::promote(Addr demand_addr, sim::Cycle now) {
     // A sector staged by a prefetch stays in its fill register until the
     // demand access consumes it — moving it into the VWB early risks losing
     // it to an eviction before use.
-    if (fills_.lookup(s).has_value()) continue;
+    if (fills_.lookup(s) != 0) continue;
     if (!array_.probe(s)) continue;
     if (banks_.free_at(s) > now) continue;  // bank busy: skip, stay narrow
     array_.access(s, /*is_write=*/false);
@@ -149,7 +142,7 @@ sim::Cycle VwbDl1System::load(Addr addr, unsigned size, sim::Cycle now) {
 sim::Cycle VwbDl1System::store_sector_front_miss(Addr s, sim::Cycle now) {
   // Direct update of the NVM array through the store buffer. Any pending
   // fill-register copy of the line becomes stale.
-  const auto pending_fill = fills_.consume(s);
+  const sim::Cycle pending_fill = fills_.consume(s);
   const sim::Cycle slot = store_buffer_.accept(now);
   const sim::Cycle tag_done = slot + cfg_.dl1.timing.tag_cycles;
   sim::Cycle done;
@@ -157,7 +150,7 @@ sim::Cycle VwbDl1System::store_sector_front_miss(Addr s, sim::Cycle now) {
     stats_.l1_write_hits += 1;
     // If a prefetch-triggered L2 fill of this line is still in flight, the
     // merge happens after the data arrives.
-    const sim::Cycle earliest = std::max(tag_done, pending_fill.value_or(0));
+    const sim::Cycle earliest = std::max(tag_done, pending_fill);
     const sim::Grant g =
         banks_.acquire(s, earliest, cfg_.dl1.timing.write_cycles);
     stats_.l1_array_writes += 1;
@@ -194,7 +187,7 @@ void VwbDl1System::prefetch(Addr addr, sim::Cycle now) {
   stats_.prefetches += 1;
   const Addr line = vwb_.sector_addr(addr);
   if (vwb_.probe(line).hit) return;
-  if (fills_.lookup(line).has_value()) return;  // already in flight/deposited
+  if (fills_.lookup(line) != 0) return;  // already in flight/deposited
   // The prefetch reads the line into an MSHR fill register in the
   // background; the VWB itself is only filled when a demand access promotes
   // the sector (prefetching straight into a 2-line buffer would thrash it).

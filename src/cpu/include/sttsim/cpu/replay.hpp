@@ -18,18 +18,24 @@
 //    resolve statically and inline, and single-granule accesses — the
 //    overwhelming majority — take the class's load_single/store_single
 //    entry, skipping the first/last-granule loop setup.
-//  * Fault-injecting systems and System::run_reference, over the abstract
-//    core::Dl1System: every access takes the full virtual load/store.
-//    tests/test_fastpath holds the two dispatch modes equal.
+//  * Fault-injecting systems, over reliability::FaultyDl1System (also
+//    `final`): the decorator's entries resolve statically, and the
+//    organization it wraps takes the full virtual load/store.
+//  * System::run_reference, over the abstract core::Dl1System: every access
+//    takes the full virtual load/store. tests/test_fastpath holds it equal
+//    to the other instantiations.
 //  * The differential oracle, through System::run_observed: the loop over
 //    the same DL1 class, with the same dispatch, that the figures run, plus
 //    an observer called after every retired op. The default observer does
 //    nothing and compiles away, so the figure runs pay nothing for the
-//    hook.
+//    hook. Before each observer call the loop brings the DL1's counters up
+//    to date (Dl1System::sync_stats: a no-op for the three organization
+//    classes); an unobserved run syncs them once, at its end.
 #pragma once
 
 #include <concepts>
 #include <functional>
+#include <type_traits>
 
 #include "sttsim/core/dl1_system.hpp"
 #include "sttsim/cpu/decoded_trace.hpp"
@@ -132,9 +138,11 @@ sim::RunStats replay(const DecodedTrace& trace, Dl1& dl1,
         break;
       }
     }
+    if constexpr (!std::is_same_v<Observe, NoObserver>) dl1.sync_stats();
     observe(OpEvent{i, issue, now});
   }
   core.total_cycles = now;
+  dl1.sync_stats();
   sim::RunStats out;
   out.core = core;
   out.mem = dl1.stats();

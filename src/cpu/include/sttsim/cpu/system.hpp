@@ -74,12 +74,14 @@ struct SystemConfig {
   reliability::FaultConfig faults;
   reliability::EccConfig ecc;
 
-  /// Whether this configuration actually injects faults: enabled AND an
-  /// STT-MRAM data array. Every layer keys off this — build() wraps the
-  /// DL1, the oracle wraps its reference, and simulation_digest folds the
-  /// fault/ECC parameters.
+  /// Whether this configuration actually injects faults: enabled, a
+  /// nonzero failure rate (fail_ppm == 0 can never deliver a fault, so its
+  /// RunStats equal the fault-free run's) AND an STT-MRAM data array. Every
+  /// layer keys off this — build() wraps the DL1, the oracle wraps its
+  /// reference, and simulation_digest folds the fault/ECC parameters.
   bool faults_active() const {
-    return faults.enabled && organization != Dl1Organization::kSramBaseline;
+    return faults.enabled && faults.fail_ppm != 0 &&
+           organization != Dl1Organization::kSramBaseline;
   }
 
   /// The DL1 technology this organization uses.
@@ -110,9 +112,9 @@ class System {
 
   /// Runs a trace on a *fresh* system state (cold caches) and returns stats.
   /// Replays through cpu::replay instantiated over the concrete organization
-  /// class (a fault-injecting system: over core::Dl1System), decoding the
-  /// trace on the fly; callers replaying the same trace repeatedly should
-  /// decode once and use the DecodedTrace overload.
+  /// class (a fault-injecting system: over reliability::FaultyDl1System),
+  /// decoding the trace on the fly; callers replaying the same trace
+  /// repeatedly should decode once and use the DecodedTrace overload.
   sim::RunStats run(const Trace& trace);
   sim::RunStats run(const DecodedTrace& trace);
 

@@ -18,10 +18,11 @@ static_assert(SingleGranuleDl1<core::PlainDl1System>);
 static_assert(SingleGranuleDl1<core::VwbDl1System>);
 static_assert(SingleGranuleDl1<alt::NarrowFrontDl1System>);
 static_assert(!SingleGranuleDl1<core::Dl1System>);
+static_assert(!SingleGranuleDl1<reliability::FaultyDl1System>);
 
 // The replay instantiations build() picks from, one per DL1 class. The cast
 // is safe by construction: build() pairs each dl1_ with its own class, and
-// Dl1 = core::Dl1System (fault-injecting systems) is the identity.
+// Dl1 = core::Dl1System (run_reference) is the identity.
 template <class Dl1>
 sim::RunStats run_as(const DecodedTrace& trace, core::Dl1System& dl1) {
   return replay(trace, static_cast<Dl1&>(dl1));
@@ -209,11 +210,11 @@ void System::build() {
   }
   if (cfg_.faults_active()) {
     // Decorate the organization with the ECC read path. The decorator is
-    // organization-agnostic, so the loop goes through the virtual
-    // interface: every access takes the full load/store entry.
+    // organization-agnostic: the loop calls it statically, and it reaches
+    // the wrapped organization through the full virtual load/store.
     dl1_ = std::make_unique<reliability::FaultyDl1System>(
         std::move(dl1_), cfg_.faults, cfg_.ecc, dl1.geometry.line_bytes);
-    select.operator()<core::Dl1System>();
+    select.operator()<reliability::FaultyDl1System>();
   }
   STTSIM_CHECK(fast_run_ != nullptr && observed_run_ != nullptr);
 }

@@ -8,64 +8,37 @@ namespace sttsim::mem {
 
 FillBuffer::FillBuffer(unsigned entries) {
   if (entries == 0) throw ConfigError("fill buffer must have entries");
-  slots_.resize(entries);
-}
-
-FillBuffer::Slot* FillBuffer::find(Addr line) {
-  for (Slot& s : slots_) {
-    if (s.valid && s.line == line) return &s;
-  }
-  return nullptr;
-}
-
-const FillBuffer::Slot* FillBuffer::find(Addr line) const {
-  return const_cast<FillBuffer*>(this)->find(line);
+  lines_.assign(entries, kFree);
+  ready_.assign(entries, 0);
+  lru_.assign(entries, 0);
 }
 
 void FillBuffer::insert(Addr line, sim::Cycle ready) {
-  Slot* slot = find(line);
-  if (slot == nullptr) {
-    slot = &slots_[0];
-    for (Slot& s : slots_) {
-      if (!s.valid) {
-        slot = &s;
+  STTSIM_CHECK(ready != 0);
+  STTSIM_CHECK(line != kFree);
+  std::ptrdiff_t found = find(line);
+  if (found < 0) {
+    // The first free slot, else the least recently inserted entry.
+    std::size_t slot = 0;
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i] == kFree) {
+        slot = i;
         break;
       }
-      if (s.lru < slot->lru) slot = &s;
+      if (lru_[i] < lru_[slot]) slot = i;
     }
+    if (lines_[slot] == kFree) live_ += 1;  // LRU reuse keeps live_
+    lines_[slot] = line;
+    found = static_cast<std::ptrdiff_t>(slot);
   }
-  if (!slot->valid) live_ += 1;  // fresh slot (duplicate/LRU reuse keeps live_)
-  slot->line = line;
-  slot->ready = ready;
-  slot->valid = true;
-  slot->lru = ++clock_;
-}
-
-std::optional<sim::Cycle> FillBuffer::lookup_slow(Addr line) const {
-  const Slot* s = find(line);
-  if (s == nullptr) return std::nullopt;
-  return s->ready;
-}
-
-std::optional<sim::Cycle> FillBuffer::consume_slow(Addr line) {
-  Slot* s = find(line);
-  if (s == nullptr) return std::nullopt;
-  const sim::Cycle ready = s->ready;
-  s->valid = false;
-  live_ -= 1;
-  return ready;
-}
-
-void FillBuffer::invalidate_slow(Addr line) {
-  Slot* s = find(line);
-  if (s != nullptr) {
-    s->valid = false;
-    live_ -= 1;
-  }
+  ready_[static_cast<std::size_t>(found)] = ready;
+  lru_[static_cast<std::size_t>(found)] = ++clock_;
 }
 
 void FillBuffer::reset() {
-  std::fill(slots_.begin(), slots_.end(), Slot{});
+  std::fill(lines_.begin(), lines_.end(), kFree);
+  std::fill(ready_.begin(), ready_.end(), 0);
+  std::fill(lru_.begin(), lru_.end(), 0);
   clock_ = 0;
   live_ = 0;
 }

@@ -12,11 +12,15 @@
 //
 // The replay hot path consults this buffer on every L1 hit; traces without
 // prefetches keep it empty, so lookup/consume/invalidate are header-inline
-// and short-circuit on a live-entry counter before scanning any slot.
+// and short-circuit on a live-entry counter before scanning any slot. They
+// return the data-ready cycle, with 0 meaning "absent", as Mshr::lookup
+// does: a deposited line's data never arrives at cycle 0. The line
+// addresses sit in their own packed array, with a sentinel marking a free
+// slot (as SetAssocCache stores its tags), so a scan reads one word per
+// entry and stops at the match.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sttsim/sim/cycle.hpp"
@@ -30,49 +34,56 @@ class FillBuffer {
 
   /// Deposits `line` with its data arriving at `ready`; displaces the LRU
   /// entry if full. A duplicate insert refreshes the existing entry.
+  /// Preconditions: ready != 0 (lookup's "absent"), and `line` is
+  /// line-aligned (it cannot equal the free-slot sentinel).
   void insert(Addr line, sim::Cycle ready);
 
-  /// Non-destructive lookup: the data-ready cycle, if the line is present.
-  std::optional<sim::Cycle> lookup(Addr line) const {
-    if (live_ == 0) return std::nullopt;
-    return lookup_slow(line);
+  /// Non-destructive lookup: the data-ready cycle if the line is present,
+  /// otherwise 0.
+  sim::Cycle lookup(Addr line) const {
+    const std::ptrdiff_t i = find(line);
+    return i < 0 ? 0 : ready_[static_cast<std::size_t>(i)];
   }
 
   /// Consumes the entry (demand access moved the data out); returns the
-  /// data-ready cycle, or nullopt if absent.
-  std::optional<sim::Cycle> consume(Addr line) {
-    if (live_ == 0) return std::nullopt;
-    return consume_slow(line);
+  /// data-ready cycle, or 0 if absent.
+  sim::Cycle consume(Addr line) {
+    const std::ptrdiff_t i = find(line);
+    if (i < 0) return 0;
+    lines_[static_cast<std::size_t>(i)] = kFree;
+    live_ -= 1;
+    return ready_[static_cast<std::size_t>(i)];
   }
 
   /// Drops the entry if present (store made it stale / L1 evicted the line).
-  void invalidate(Addr line) {
-    if (live_ == 0) return;
-    invalidate_slow(line);
-  }
+  void invalidate(Addr line) { consume(line); }
 
   unsigned occupancy() const { return live_; }
-  unsigned capacity() const { return static_cast<unsigned>(slots_.size()); }
+  unsigned capacity() const { return static_cast<unsigned>(lines_.size()); }
 
   void reset();
 
  private:
-  struct Slot {
-    Addr line = 0;
-    sim::Cycle ready = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-  };
-  Slot* find(Addr line);
-  const Slot* find(Addr line) const;
+  /// Free slots hold this line address. Real lines are line-aligned, so
+  /// their low bits are zero and none can equal it.
+  static constexpr Addr kFree = ~Addr{0};
 
-  std::optional<sim::Cycle> lookup_slow(Addr line) const;
-  std::optional<sim::Cycle> consume_slow(Addr line);
-  void invalidate_slow(Addr line);
+  /// Slot holding `line`, or -1; lines are unique, so the first match is
+  /// the only one.
+  std::ptrdiff_t find(Addr line) const {
+    if (live_ == 0) return -1;
+    const Addr* l = lines_.data();
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (l[i] == line) return static_cast<std::ptrdiff_t>(i);
+    }
+    return -1;
+  }
 
-  std::vector<Slot> slots_;
+  std::vector<Addr> lines_;         ///< kFree when the slot is empty
+  std::vector<sim::Cycle> ready_;   ///< data-ready cycle per slot
+  std::vector<std::uint64_t> lru_;  ///< insert stamp; larger = newer
   std::uint64_t clock_ = 0;
-  unsigned live_ = 0;  ///< number of valid slots
+  unsigned live_ = 0;  ///< number of occupied slots
 };
 
 }  // namespace sttsim::mem

@@ -30,21 +30,72 @@ void FaultConfig::validate() const {
   }
 }
 
+namespace {
+
+constexpr std::size_t kInitialSlots = 64;
+
+/// Home slot of `line` in a table of `mask + 1` slots: a multiplicative
+/// (Fibonacci) hash, so runs of consecutive line numbers spread out.
+std::size_t home_slot(std::uint64_t line, std::size_t mask) {
+  return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ULL) >> 32) &
+         mask;
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(const FaultConfig& faults, const EccConfig& ecc,
                              std::uint64_t line_bytes)
-    : faults_(faults), ecc_(ecc) {
-  if (line_bytes == 0 || !std::has_single_bit(line_bytes)) {
-    throw ConfigError("fault injector line_bytes must be a power of two");
+    : faults_(faults),
+      ecc_(ecc),
+      seed_hash_(util::Hash64().u64(faults.seed)),
+      keys_(kInitialSlots, kNoLine),
+      states_(kInitialSlots) {
+  if (line_bytes < 2 || !std::has_single_bit(line_bytes)) {
+    throw ConfigError(
+        "fault injector line_bytes must be a power of two, at least 2");
   }
   line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
 }
 
+FaultInjector::LineState& FaultInjector::line_state(std::uint64_t line,
+                                                    bool& fresh) {
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t i = home_slot(line, mask);
+  while (keys_[i] != kNoLine) {
+    if (keys_[i] == line) {
+      fresh = false;
+      return states_[i];
+    }
+    i = (i + 1) & mask;
+  }
+  if (2 * (used_ + 1) > keys_.size()) {
+    grow();
+    return line_state(line, fresh);
+  }
+  keys_[i] = line;
+  states_[i] = LineState{};
+  ++used_;
+  fresh = true;
+  return states_[i];
+}
+
+void FaultInjector::grow() {
+  std::vector<std::uint64_t> keys(keys_.size() * 2, kNoLine);
+  std::vector<LineState> states(keys.size());
+  const std::size_t mask = keys.size() - 1;
+  for (std::size_t j = 0; j < keys_.size(); ++j) {
+    if (keys_[j] == kNoLine) continue;
+    std::size_t i = home_slot(keys_[j], mask);
+    while (keys[i] != kNoLine) i = (i + 1) & mask;
+    keys[i] = keys_[j];
+    states[i] = states_[j];
+  }
+  keys_ = std::move(keys);
+  states_ = std::move(states);
+}
+
 void FaultInjector::redraw(std::uint64_t line, LineState& s) const {
-  s.draw = util::Hash64()
-               .u64(faults_.seed)
-               .u64(line)
-               .u64(s.generation)
-               .digest();
+  s.draw = util::Hash64(seed_hash_).u64(line).u64(s.generation).digest();
   // Wear accelerates retention loss: every 2^wear_sensitivity writes to the
   // line doubles its raw per-window failure odds (capped at certainty).
   std::uint64_t eff_ppm = faults_.fail_ppm;
@@ -69,8 +120,8 @@ FaultInjector::LoadPenalty FaultInjector::on_load(Addr addr, unsigned size,
   const std::uint64_t first = addr >> line_shift_;
   const std::uint64_t last = (addr + (size == 0 ? 0 : size - 1)) >> line_shift_;
   for (std::uint64_t line = first; line <= last; ++line) {
-    auto [it, fresh] = lines_.try_emplace(line);
-    LineState& s = it->second;
+    bool fresh;
+    LineState& s = line_state(line, fresh);
     if (fresh) {
       s.refreshed_at = now;
       continue;  // first observation: retention clock starts here
@@ -102,7 +153,8 @@ void FaultInjector::on_store(Addr addr, unsigned size, sim::Cycle now) {
   const std::uint64_t first = addr >> line_shift_;
   const std::uint64_t last = (addr + (size == 0 ? 0 : size - 1)) >> line_shift_;
   for (std::uint64_t line = first; line <= last; ++line) {
-    LineState& s = lines_[line];
+    bool fresh;
+    LineState& s = line_state(line, fresh);
     s.refreshed_at = now;
     ++s.generation;
     ++s.wear;
@@ -113,7 +165,8 @@ void FaultInjector::on_store(Addr addr, unsigned size, sim::Cycle now) {
 void FaultInjector::reset() {
   corrections_ = 0;
   refills_ = 0;
-  lines_.clear();
+  std::fill(keys_.begin(), keys_.end(), kNoLine);
+  used_ = 0;
 }
 
 FaultyDl1System::FaultyDl1System(std::unique_ptr<core::Dl1System> inner,
@@ -126,25 +179,6 @@ void FaultyDl1System::sync_stats() {
   stats_ = inner_->stats();
   stats_.ecc_corrections = injector_.corrections();
   stats_.ecc_refills = injector_.refills();
-}
-
-sim::Cycle FaultyDl1System::load(Addr addr, unsigned size, sim::Cycle now) {
-  const sim::Cycle done = inner_->load(addr, size, now);
-  const FaultInjector::LoadPenalty penalty = injector_.on_load(addr, size, now);
-  sync_stats();
-  return done + penalty.total();
-}
-
-sim::Cycle FaultyDl1System::store(Addr addr, unsigned size, sim::Cycle now) {
-  const sim::Cycle done = inner_->store(addr, size, now);
-  injector_.on_store(addr, size, now);
-  sync_stats();
-  return done;
-}
-
-void FaultyDl1System::prefetch(Addr addr, sim::Cycle now) {
-  inner_->prefetch(addr, now);
-  sync_stats();
 }
 
 std::string FaultyDl1System::name() const { return inner_->name(); }

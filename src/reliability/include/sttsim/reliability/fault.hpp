@@ -23,7 +23,19 @@
 //    `EccConfig::correction_cycles` to the load completion, double-bit
 //    faults add `EccConfig::refill_cycles` (the line refill), and the
 //    `ecc_corrections` / `ecc_refills` counters are surfaced through the
-//    normal MemStats channel.
+//    normal MemStats channel. It is `final`, and cpu::System replays a
+//    faulted system through its own instantiation of cpu::replay: the
+//    decorator's entries resolve statically, and only the wrapped
+//    organization behind it is reached through the virtual interface. The
+//    inner counters are copied into stats() by sync_stats(), which the
+//    replay loop calls at the end of a run and before each observer call
+//    of an observed run.
+//
+// Hot-path layout: the injector keeps its per-line state in a flat
+// open-addressing table (packed keys, linear probing), and it hashes the
+// campaign seed once: Hash64 is streaming FNV-1a, so every draw continues
+// from the state after `u64(seed)` and stays bit-identical to hashing
+// (seed, line, generation) from scratch.
 //
 // Faults are evaluated on loads only (the ECC engine sits on the read
 // path; writes re-encode check bits as a side effect of the write itself)
@@ -36,11 +48,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "sttsim/core/dl1_system.hpp"
 #include "sttsim/sim/cycle.hpp"
 #include "sttsim/sim/stats.hpp"
+#include "sttsim/util/hash.hpp"
 
 namespace sttsim::reliability {
 
@@ -121,28 +134,54 @@ class FaultInjector {
   /// Draws `s.draw` and `s.epoch` for the line's current generation.
   void redraw(std::uint64_t line, LineState& s) const;
 
+  /// The state of `line`, inserted default-constructed (and `fresh` set)
+  /// on its first touch.
+  LineState& line_state(std::uint64_t line, bool& fresh);
+  /// Doubles the table and re-inserts every line.
+  void grow();
+
+  /// Empty table slots hold this key. line_bytes >= 2, so a line number
+  /// (addr >> line_shift) never reaches it.
+  static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+
   FaultConfig faults_;
   EccConfig ecc_;
   unsigned line_shift_;
+  util::Hash64 seed_hash_;  ///< Hash64().u64(seed): every draw's prefix
   std::uint64_t corrections_ = 0;
   std::uint64_t refills_ = 0;
-  std::unordered_map<std::uint64_t, LineState> lines_;
+  // Open-addressing table: power-of-two size, at most half full.
+  std::vector<std::uint64_t> keys_;  ///< line number, or kNoLine
+  std::vector<LineState> states_;
+  std::size_t used_ = 0;
 };
 
 /// Decorator adding the ECC read path (fault penalties + counters) to any
 /// DL1 organization. Timing-only: the wrapped organization's contents,
 /// replacement decisions, and counters are untouched; this wrapper adds
-/// penalty cycles to load completions and overlays the `ecc_corrections`
-/// / `ecc_refills` counters onto the inner stats.
+/// penalty cycles to load completions and, in sync_stats(), overlays the
+/// `ecc_corrections` / `ecc_refills` counters onto a copy of the inner
+/// stats. Between syncs stats() lags the accesses.
 class FaultyDl1System final : public core::Dl1System {
  public:
   FaultyDl1System(std::unique_ptr<core::Dl1System> inner,
                   const FaultConfig& faults, const EccConfig& ecc,
                   std::uint64_t line_bytes);
 
-  sim::Cycle load(Addr addr, unsigned size, sim::Cycle now) override;
-  sim::Cycle store(Addr addr, unsigned size, sim::Cycle now) override;
-  void prefetch(Addr addr, sim::Cycle now) override;
+  sim::Cycle load(Addr addr, unsigned size, sim::Cycle now) override {
+    const sim::Cycle done = inner_->load(addr, size, now);
+    return done + injector_.on_load(addr, size, now).total();
+  }
+  sim::Cycle store(Addr addr, unsigned size, sim::Cycle now) override {
+    const sim::Cycle done = inner_->store(addr, size, now);
+    injector_.on_store(addr, size, now);
+    return done;
+  }
+  void prefetch(Addr addr, sim::Cycle now) override {
+    inner_->prefetch(addr, now);
+  }
+  /// Copies the inner organization's counters and overlays the ECC ones.
+  void sync_stats() override;
   std::string name() const override;
   const mem::SetAssocCache& array() const override;
   void reset() override;
@@ -150,8 +189,6 @@ class FaultyDl1System final : public core::Dl1System {
   const core::Dl1System& inner() const { return *inner_; }
 
  private:
-  void sync_stats();
-
   std::unique_ptr<core::Dl1System> inner_;
   FaultInjector injector_;
 };

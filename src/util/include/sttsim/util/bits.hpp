@@ -46,15 +46,3 @@ constexpr std::uint64_t kKiB = 1024;
 constexpr std::uint64_t kMiB = 1024 * kKiB;
 
 }  // namespace sttsim
-
-/// Marks the following loop as dependence-free so the compiler may
-/// vectorize it without a runtime alias check. Used on the branchless
-/// tag-compare loop of core::VeryWideBuffer::find_line_index: a plain array
-/// of uint64 compared elementwise; correctness never depends on the hint.
-#if defined(__clang__)
-#define STTSIM_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define STTSIM_VEC_LOOP _Pragma("GCC ivdep")
-#else
-#define STTSIM_VEC_LOOP
-#endif

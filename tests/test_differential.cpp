@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <sstream>
 
 #include "sttsim/check/differential.hpp"
 #include "sttsim/cpu/system.hpp"
@@ -225,8 +225,9 @@ TEST(FaultInjection, SkippedEccCorrectionLatencyIsCaughtAndMinimized) {
   const std::string path = check::write_reproducer(dir, "ecc_skip", cfg, min);
   EXPECT_EQ(cpu::read_trace_file(path), min.trace);
   std::ifstream txt(dir + "/ecc_skip.txt");
-  const std::string body((std::istreambuf_iterator<char>(txt)),
-                         std::istreambuf_iterator<char>());
+  std::ostringstream ss;
+  ss << txt.rdbuf();
+  const std::string body = ss.str();
   EXPECT_NE(body.find("--faults="), std::string::npos);
   EXPECT_NE(body.find("--ecc="), std::string::npos);
   std::filesystem::remove_all(dir);

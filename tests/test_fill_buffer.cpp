@@ -1,4 +1,5 @@
-// Unit tests: MSHR fill registers (src/mem/fill_buffer.hpp).
+// Unit tests: MSHR fill registers (src/mem/fill_buffer.hpp). lookup() and
+// consume() return the data-ready cycle, 0 when the line is absent.
 #include <gtest/gtest.h>
 
 #include "sttsim/mem/fill_buffer.hpp"
@@ -9,15 +10,14 @@ namespace {
 
 TEST(FillBuffer, EmptyLookupMisses) {
   FillBuffer fb(4);
-  EXPECT_FALSE(fb.lookup(0x1000).has_value());
+  EXPECT_EQ(fb.lookup(0x1000), 0u);
   EXPECT_EQ(fb.occupancy(), 0u);
 }
 
 TEST(FillBuffer, InsertThenLookup) {
   FillBuffer fb(4);
   fb.insert(0x1000, 42);
-  ASSERT_TRUE(fb.lookup(0x1000).has_value());
-  EXPECT_EQ(*fb.lookup(0x1000), 42u);
+  EXPECT_EQ(fb.lookup(0x1000), 42u);
   EXPECT_EQ(fb.occupancy(), 1u);
 }
 
@@ -25,15 +25,16 @@ TEST(FillBuffer, LookupIsNonDestructive) {
   FillBuffer fb(4);
   fb.insert(0x1000, 42);
   fb.lookup(0x1000);
-  EXPECT_TRUE(fb.lookup(0x1000).has_value());
+  EXPECT_EQ(fb.lookup(0x1000), 42u);
 }
 
 TEST(FillBuffer, ConsumeRemoves) {
   FillBuffer fb(4);
   fb.insert(0x1000, 42);
-  ASSERT_TRUE(fb.consume(0x1000).has_value());
-  EXPECT_FALSE(fb.lookup(0x1000).has_value());
-  EXPECT_FALSE(fb.consume(0x1000).has_value());
+  EXPECT_EQ(fb.consume(0x1000), 42u);
+  EXPECT_EQ(fb.lookup(0x1000), 0u);
+  EXPECT_EQ(fb.consume(0x1000), 0u);
+  EXPECT_EQ(fb.occupancy(), 0u);
 }
 
 TEST(FillBuffer, DuplicateInsertRefreshes) {
@@ -41,7 +42,7 @@ TEST(FillBuffer, DuplicateInsertRefreshes) {
   fb.insert(0x1000, 42);
   fb.insert(0x1000, 99);
   EXPECT_EQ(fb.occupancy(), 1u);
-  EXPECT_EQ(*fb.lookup(0x1000), 99u);
+  EXPECT_EQ(fb.lookup(0x1000), 99u);
 }
 
 TEST(FillBuffer, LruDisplacementWhenFull) {
@@ -51,16 +52,16 @@ TEST(FillBuffer, LruDisplacementWhenFull) {
   fb.lookup(0x1000);  // lookup does NOT refresh LRU (passive read)
   fb.insert(0x3000, 3);
   // 0x1000 was the LRU (insert order governs).
-  EXPECT_FALSE(fb.lookup(0x1000).has_value());
-  EXPECT_TRUE(fb.lookup(0x2000).has_value());
-  EXPECT_TRUE(fb.lookup(0x3000).has_value());
+  EXPECT_EQ(fb.lookup(0x1000), 0u);
+  EXPECT_EQ(fb.lookup(0x2000), 2u);
+  EXPECT_EQ(fb.lookup(0x3000), 3u);
 }
 
 TEST(FillBuffer, InvalidateDropsEntry) {
   FillBuffer fb(4);
   fb.insert(0x1000, 1);
   fb.invalidate(0x1000);
-  EXPECT_FALSE(fb.lookup(0x1000).has_value());
+  EXPECT_EQ(fb.lookup(0x1000), 0u);
   fb.invalidate(0x2000);  // absent: no-op
 }
 
@@ -71,8 +72,8 @@ TEST(FillBuffer, InvalidatedSlotIsReused) {
   fb.invalidate(0x1000);
   fb.insert(0x3000, 3);
   // 0x2000 must survive: the freed slot was used.
-  EXPECT_TRUE(fb.lookup(0x2000).has_value());
-  EXPECT_TRUE(fb.lookup(0x3000).has_value());
+  EXPECT_EQ(fb.lookup(0x2000), 2u);
+  EXPECT_EQ(fb.lookup(0x3000), 3u);
 }
 
 TEST(FillBuffer, RejectsZeroEntries) { EXPECT_THROW(FillBuffer(0), ConfigError); }
@@ -82,7 +83,7 @@ TEST(FillBuffer, ResetEmpties) {
   fb.insert(0x1000, 1);
   fb.reset();
   EXPECT_EQ(fb.occupancy(), 0u);
-  EXPECT_FALSE(fb.lookup(0x1000).has_value());
+  EXPECT_EQ(fb.lookup(0x1000), 0u);
 }
 
 TEST(FillBuffer, CapacityReported) {
@@ -92,11 +93,18 @@ TEST(FillBuffer, CapacityReported) {
 
 TEST(FillBuffer, ManyStreamsWithinCapacityAllSurvive) {
   FillBuffer fb(8);
-  for (Addr a = 0; a < 8 * 64; a += 64) fb.insert(a, a);
+  for (Addr a = 0; a < 8 * 64; a += 64) fb.insert(a, a + 1);
   EXPECT_EQ(fb.occupancy(), 8u);
   for (Addr a = 0; a < 8 * 64; a += 64) {
-    EXPECT_TRUE(fb.lookup(a).has_value()) << a;
+    EXPECT_EQ(fb.lookup(a), a + 1) << a;
   }
+}
+
+TEST(FillBuffer, InsertWithReadyCycleZeroFailsCheck) {
+  // 0 is lookup()'s "absent": a deposit that claimed to arrive at cycle 0
+  // would read back as missing.
+  FillBuffer fb(4);
+  EXPECT_DEATH(fb.insert(0x1000, 0), "ready != 0");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sttsim/cpu/system.hpp"
+#include "sttsim/experiments/harness.hpp"
 #include "sttsim/mem/set_assoc_cache.hpp"
 #include "sttsim/reliability/endurance.hpp"
 #include "sttsim/reliability/fault.hpp"
@@ -523,6 +524,62 @@ TEST(FaultyDl1, AddsPenaltiesAndSurfacesCountersThroughStats) {
   EXPECT_EQ(clean_stats.mem.ecc_refills, 0u);
   // The decorator preserves the inner organization's identity.
   EXPECT_EQ(faulty.dl1().name(), clean.dl1().name());
+}
+
+TEST(FaultyDl1, CountersCurrentAtEveryObservedOp) {
+  // The decorator copies the inner counters once per run; an observed run
+  // must still see every counter current after each op, because the
+  // differential oracle compares every MemStats field there.
+  cpu::SystemConfig cfg;
+  cfg.organization = cpu::Dl1Organization::kNvmVwb;
+  cfg.faults = test_faults(300'000, 20);
+  ASSERT_TRUE(cfg.faults_active());
+  const cpu::DecodedTrace trace = cpu::decode(workloads::emit(
+      workloads::CodegenOptions::none(), workloads::jacobi_1d_into, 2048, 4));
+  cpu::System sys(cfg);
+  std::uint64_t events = 0;
+  std::uint64_t loads = 0;
+  bool monotone = true;
+  bool loads_current = true;
+  const sim::RunStats stats =
+      sys.run_observed(trace, [&](const cpu::OpEvent& ev) {
+        const sim::MemStats& m = sys.dl1().stats();
+        const std::uint64_t now_events = m.ecc_corrections + m.ecc_refills;
+        monotone = monotone && now_events >= events;
+        events = now_events;
+        if (trace.ops[ev.index].kind == cpu::OpKind::kLoad) ++loads;
+        loads_current = loads_current && m.loads == loads;
+      });
+  EXPECT_TRUE(monotone);
+  EXPECT_TRUE(loads_current) << "inner counters lag the observed op";
+  EXPECT_GT(events, 0u) << "campaign parameters never delivered a fault";
+  EXPECT_EQ(events, stats.mem.ecc_corrections + stats.mem.ecc_refills);
+}
+
+TEST(FaultyDl1, ZeroRateReplaysOnTheFaultFreePath) {
+  // fail_ppm == 0 can never deliver a fault, so the config is not faulted:
+  // it replays undecorated, and keys the result store as fault-free.
+  cpu::SystemConfig clean_cfg;
+  clean_cfg.organization = cpu::Dl1Organization::kNvmVwb;
+  cpu::SystemConfig zero_cfg = clean_cfg;
+  zero_cfg.faults = test_faults(0);
+  EXPECT_FALSE(zero_cfg.faults_active());
+
+  const auto trace = workloads::emit(workloads::CodegenOptions::none(),
+                                     workloads::jacobi_1d_into, 2048, 4);
+  cpu::System clean(clean_cfg);
+  cpu::System zero(zero_cfg);
+  EXPECT_EQ(dynamic_cast<const FaultyDl1System*>(&zero.dl1()), nullptr);
+  EXPECT_EQ(sim::to_json(zero.run(trace)), sim::to_json(clean.run(trace)));
+
+  const workloads::CodegenOptions none = workloads::CodegenOptions::none();
+  EXPECT_EQ(experiments::simulation_digest("gemm", none, zero_cfg),
+            experiments::simulation_digest("gemm", none, clean_cfg));
+  // A nonzero rate still folds the campaign into the key.
+  cpu::SystemConfig faulty_cfg = clean_cfg;
+  faulty_cfg.faults = test_faults(1);
+  EXPECT_NE(experiments::simulation_digest("gemm", none, faulty_cfg),
+            experiments::simulation_digest("gemm", none, clean_cfg));
 }
 
 TEST(FaultyDl1, SramBaselineIgnoresFaultConfig) {

@@ -37,8 +37,11 @@ TEST(TraceIo, AssignStoreValuesIsDeterministicAndNonzero) {
   assign_store_values(b, 42);
   EXPECT_TRUE(a == b);
   for (const TraceOp& op : a) {
-    if (op.kind == OpKind::kStore) EXPECT_NE(op.value, 0u);
-    if (op.kind != OpKind::kStore) EXPECT_EQ(op.value, 0u);
+    if (op.kind == OpKind::kStore) {
+      EXPECT_NE(op.value, 0u);
+    } else {
+      EXPECT_EQ(op.value, 0u);
+    }
   }
   Trace c = sample_trace();
   assign_store_values(c, 43);  // a different seed gives different payloads
