@@ -121,7 +121,7 @@ void BM_FullSuiteTraceGen(benchmark::State& state) {
   for (auto _ : state) {
     for (const auto& k : workloads::polybench_suite()) {
       auto t = k.generate_decoded(workloads::CodegenOptions::none());
-      benchmark::DoNotOptimize(t.ops.data());
+      benchmark::DoNotOptimize(t.chunk(0).data());
       break;  // first kernel only; perfbench times the full sweep
     }
   }

@@ -1,15 +1,18 @@
 // Microbenchmark for the replay engine, self-checking.
 //
-//   replay   System::run of the suite's gemm trace, under `none` and `all`
-//            codegen, on every organization's default system and on a
-//            faulted nvm-vwb (1e5 ppm): host ns per trace op, min and
-//            median over the repetitions
-//   cursor   CompressedCursor streaming decode of the compressed gemm
-//            trace (the trace store's decode path)
+//   replay    System::run of the suite's gemm trace, under `none` and `all`
+//             codegen, on every organization's default system and on a
+//             faulted nvm-vwb (1e5 ppm): host ns per trace op, min and
+//             median over the repetitions
+//   generate  synthesis of the same two traces (Kernel::generate_decoded):
+//             host ns per emitted op, min and median over the repetitions
+//   cursor    CompressedCursor streaming decode of the compressed gemm
+//             trace (the trace store's decode path)
 //
-// Each replay must reproduce its first repetition's cycle count, and the
-// cursor pass is checked against the decoded trace it was compressed from:
-// a mismatch prints both values and exits 1.
+// Each replay must reproduce its first repetition's cycle count, each
+// generation its first repetition's op count, and the cursor pass is
+// checked against the decoded trace it was compressed from: a mismatch
+// prints both values and exits 1.
 //
 // Usage: replay_micro [--reps=N] [--quick]
 //   --reps=N  timing repetitions, N >= 1 (default 5)
@@ -33,6 +36,9 @@ namespace {
 
 using sttsim::cpu::Dl1Organization;
 using sttsim::workloads::CodegenOptions;
+
+const CodegenOptions kCodegens[] = {CodegenOptions::none(),
+                                    CodegenOptions::all()};
 
 /// Wall time of `fn()`, in seconds.
 template <typename Fn>
@@ -76,15 +82,22 @@ std::vector<ReplayPoint> replay_points() {
   return points;
 }
 
+/// The first size() / 8 ops of `trace`. Replay reads the ops only, so the
+/// prefix carries no store payloads.
+sttsim::cpu::DecodedTrace eighth_of(const sttsim::cpu::DecodedTrace& trace) {
+  sttsim::cpu::DecodedTrace prefix;
+  for (std::size_t i = 0; i < trace.size() / 8; ++i) {
+    prefix.push_back(trace[i]);
+  }
+  return prefix;
+}
+
 void bench_replay(unsigned reps, bool quick) {
   const sttsim::workloads::Kernel& k = sttsim::workloads::find_kernel("gemm");
-  const CodegenOptions codegens[] = {CodegenOptions::none(),
-                                     CodegenOptions::all()};
   std::vector<sttsim::cpu::DecodedTrace> traces;
-  for (const CodegenOptions& o : codegens) {
+  for (const CodegenOptions& o : kCodegens) {
     traces.push_back(k.generate_decoded(o));
-    // Replay reads the ops only; the store payload sidecar stays whole.
-    if (quick) traces.back().ops.resize(traces.back().ops.size() / 8);
+    if (quick) traces.back() = eighth_of(traces.back());
   }
   std::printf("-- replay: gemm, %zu ops (none) / %zu ops (all); "
               "ns/op, min / median of %u\n",
@@ -118,6 +131,33 @@ void bench_replay(unsigned reps, bool quick) {
   }
 }
 
+void bench_generate(unsigned reps) {
+  const sttsim::workloads::Kernel& k = sttsim::workloads::find_kernel("gemm");
+  std::printf("-- generate: gemm; ns/op, min / median of %u\n", reps);
+  std::printf("   %-16s", "synthesize");
+  for (const CodegenOptions& o : kCodegens) {
+    std::vector<double> ns_per_op;
+    std::size_t ops = 0;
+    for (unsigned r = 0; r < reps; ++r) {
+      sttsim::cpu::DecodedTrace trace;
+      const double t = seconds([&] { trace = k.generate_decoded(o); });
+      if (r == 0) {
+        ops = trace.size();
+      } else if (trace.size() != ops) {
+        std::fprintf(stderr, "generate MISMATCH %s: %zu vs %zu ops\n",
+                     o.label().c_str(), trace.size(), ops);
+        std::exit(1);
+      }
+      ns_per_op.push_back(t / static_cast<double>(ops) * 1e9);
+    }
+    g_sink += ops;
+    std::printf("   %6.2f / %6.2f",
+                *std::min_element(ns_per_op.begin(), ns_per_op.end()),
+                median(ns_per_op));
+  }
+  std::printf("\n");
+}
+
 void bench_cursor_decode(unsigned reps) {
   const sttsim::workloads::Kernel& k = sttsim::workloads::find_kernel("gemm");
   const sttsim::cpu::DecodedTrace decoded =
@@ -128,8 +168,10 @@ void bench_cursor_decode(unsigned reps) {
       static_cast<double>(compressed.op_count);
   // Correctness witness: the streamed cursor must reproduce every op.
   std::uint64_t ref = 0;
-  for (const sttsim::cpu::DecodedOp& op : decoded.ops) {
-    ref += op.addr + op.count + op.size;
+  for (std::size_t c = 0; c < decoded.chunk_count(); ++c) {
+    for (const sttsim::cpu::DecodedOp& op : decoded.chunk(c)) {
+      ref += op.addr + op.count + op.size;
+    }
   }
   double best = 1e300;
   for (unsigned r = 0; r < reps; ++r) {
@@ -177,6 +219,7 @@ int main(int argc, char** argv) {
   if (quick) reps = std::min(reps, 3u);
   std::printf("replay_micro: reps=%u\n", reps);
   bench_replay(reps, quick);
+  bench_generate(reps);
   bench_cursor_decode(reps);
   std::printf("sink %#" PRIx64 "  OK\n", g_sink);
   return 0;

@@ -26,10 +26,8 @@ cpu::DecodedTrace saxpy_gather(std::uint64_t n,
   workloads::DataLayout mem;
   const workloads::Vector x = mem.vector("x", n);
   const workloads::Vector y = mem.vector("y", n);
-  // synthesize() runs the body twice (a sizing pass, then the fill), so the
-  // body seeds its own generator and emits the same sequence both times.
+  Rng rng(7);
   return workloads::synthesize(opts, [&](workloads::Emitter& em) {
-    Rng rng(7);
     workloads::vloop(em, 0, n, [&](std::uint64_t i, unsigned w) {
       em.stream_load(x.at(i), w);  // unit-stride: w elements in one access
       for (unsigned e = 0; e < w; ++e) {

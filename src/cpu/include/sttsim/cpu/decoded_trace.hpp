@@ -12,15 +12,21 @@
 //    512-bit STT-MRAM line / VWB sector) — is precomputed, so the replay loop
 //    can take a single-granule fast path without address arithmetic;
 //  * store payloads (ignored by the timing model, used only by the check::
-//    data-content shadow) move to a sidecar array indexed by store ordinal.
+//    data-content shadow) move to a sidecar array indexed by store ordinal;
+//  * the ops live in fixed-size chunks recycled through one process-wide
+//    free list (DecodedTrace), so a trace grows without reallocating and
+//    the memory of a dropped trace goes to the next one.
 //
 // decode()/reassemble() are exact inverses for any trace whose non-store ops
 // carry no payload (all generator- and fuzzer-produced traces do this), which
 // tests/test_fastpath verifies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sttsim/cpu/trace.hpp"
@@ -36,6 +42,8 @@ struct DecodedOp {
   std::uint8_t size = 0;    ///< access width in bytes (loads/stores)
   std::uint8_t span32 = 1;  ///< 32-byte granules covered (memory ops)
   std::uint8_t span64 = 1;  ///< 64-byte granules covered (memory ops)
+
+  bool operator==(const DecodedOp&) const = default;
 };
 static_assert(sizeof(DecodedOp) == 16, "DecodedOp must stay 16 bytes packed");
 
@@ -58,14 +66,63 @@ inline std::uint8_t span_of(Addr addr, unsigned size, unsigned shift) {
   return static_cast<std::uint8_t>((((addr & mask) + size - 1) >> shift) + 1);
 }
 
-struct DecodedTrace {
-  std::vector<DecodedOp> ops;
-  /// Store payloads in store-ordinal order (`ops` position of the i-th
-  /// kStore op maps to store_values[i]).
+/// Ops per trace chunk: 64 Ki ops, 1 MiB.
+inline constexpr std::size_t kChunkOps = std::size_t{1} << 16;
+
+/// A decoded trace: its ops in order, held in chunks of kChunkOps ops, and
+/// the store-payload sidecar.
+///
+/// Chunks come from one process-wide LIFO free list, and a trace's
+/// destructor gives its chunks back to it; no chunk is ever returned to the
+/// OS. A run generates, replays and drops hundreds of traces, so resident
+/// trace memory tracks the traces alive at once, and a recycled chunk is
+/// never faulted in again. A trace grows a chunk at a time without moving
+/// the ops it holds, so a generator writes each op once.
+///
+/// A copy is deep; a move leaves the source empty.
+class DecodedTrace {
+ public:
+  DecodedTrace() = default;
+  DecodedTrace(const DecodedTrace& other);
+  DecodedTrace& operator=(const DecodedTrace& other);
+  DecodedTrace(DecodedTrace&& other) noexcept;
+  DecodedTrace& operator=(DecodedTrace&& other) noexcept;
+  ~DecodedTrace();
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Appends `op`, taking a chunk from the free list when the last is full.
+  void push_back(const DecodedOp& op) {
+    const std::size_t at = size_ % kChunkOps;
+    if (at == 0) add_chunk();
+    chunks_.back()[at] = op;
+    ++size_;
+  }
+
+  const DecodedOp& operator[](std::size_t i) const {
+    return chunks_[i / kChunkOps][i % kChunkOps];
+  }
+
+  /// ⌈size() / kChunkOps⌉: the ops are chunk(0), chunk(1), … in order.
+  std::size_t chunk_count() const { return chunks_.size(); }
+  /// The ops of chunk `c`: kChunkOps of them in every chunk but the last.
+  std::span<const DecodedOp> chunk(std::size_t c) const {
+    return {chunks_[c],
+            c + 1 < chunks_.size() ? kChunkOps : size_ - c * kChunkOps};
+  }
+
+  /// Store payloads in store-ordinal order (the i-th kStore op's payload is
+  /// store_values[i]).
   std::vector<std::uint64_t> store_values;
 
-  std::size_t size() const { return ops.size(); }
-  bool empty() const { return ops.empty(); }
+ private:
+  void add_chunk();
+  /// Gives every chunk back to the free list.
+  void release() noexcept;
+
+  std::vector<DecodedOp*> chunks_;
+  std::size_t size_ = 0;
 };
 
 /// Precomputes the replay-ready form of `trace`.
@@ -75,75 +132,36 @@ DecodedTrace decode(const Trace& trace);
 /// fast-path tests round-trip through this).
 Trace reassemble(const DecodedTrace& decoded);
 
-/// Direct-to-decoded synthesis sink, used in two passes over one emission
-/// sequence. A counting builder stores nothing and only tallies the ops and
-/// store payloads it is handed; a filling builder, constructed from that
-/// tally, writes every op once into arrays reserved to their exact final
-/// size, so no op vector ever reallocates. Ops are packed 16-byte
-/// DecodedOps — granule spans precomputed with the same span_of the decode
-/// pass uses — byte-identical to decode(reassemble(·)) on the same emission
-/// sequence (tests/test_workloads pins this for every suite kernel × codegen).
+/// Direct-to-decoded synthesis sink: appends packed 16-byte DecodedOps —
+/// granule spans precomputed with the same span_of the decode pass uses —
+/// so its output is byte-identical to decode(reassemble(·)) on the same
+/// emission sequence (tests/test_workloads pins this for every suite
+/// kernel × codegen).
 class DecodedTraceBuilder {
  public:
-  /// Exact sizes of one emission sequence: what a counting builder
-  /// measures and a filling builder reserves.
-  struct Counts {
-    std::size_t ops = 0;
-    std::size_t stores = 0;
-  };
-
-  /// A counting builder.
-  DecodedTraceBuilder() = default;
-  /// A filling builder for exactly `counts`.
-  explicit DecodedTraceBuilder(const Counts& counts)
-      : filling_(true), counts_(counts) {
-    out_.ops.reserve(counts.ops);
-    out_.store_values.reserve(counts.stores);
-  }
-
   /// One bundle of `count` back-to-back non-memory instructions (count > 0).
   void exec(std::uint32_t count) {
-    emit(DecodedOp{0, count, OpKind::kExec, 0, 1, 1});
+    out_.push_back(DecodedOp{0, count, OpKind::kExec, 0, 1, 1});
   }
   void load(Addr addr, std::uint8_t size) {
-    emit(DecodedOp{addr, 1, OpKind::kLoad, size, span_of(addr, size, 5),
-                   span_of(addr, size, 6)});
+    out_.push_back(DecodedOp{addr, 1, OpKind::kLoad, size,
+                             span_of(addr, size, 5), span_of(addr, size, 6)});
   }
   void store(Addr addr, std::uint8_t size, std::uint64_t value = 0) {
-    emit(DecodedOp{addr, 1, OpKind::kStore, size, span_of(addr, size, 5),
-                   span_of(addr, size, 6)});
-    if (filling_) {
-      out_.store_values.push_back(value);
-    } else {
-      ++counts_.stores;
-    }
+    out_.push_back(DecodedOp{addr, 1, OpKind::kStore, size,
+                             span_of(addr, size, 5), span_of(addr, size, 6)});
+    out_.store_values.push_back(value);
   }
   /// Prefetch hints carry no size; spans stay 1/1 exactly as decode() leaves
   /// non-memory ops.
   void prefetch(Addr addr) {
-    emit(DecodedOp{addr, 1, OpKind::kPrefetch, 0, 1, 1});
+    out_.push_back(DecodedOp{addr, 1, OpKind::kPrefetch, 0, 1, 1});
   }
 
-  bool filling() const { return filling_; }
-  /// A counting builder's tally so far; a filling builder's reservation.
-  const Counts& counts() const { return counts_; }
-
-  /// Yields the filled trace. Checks that this is a filling builder and
-  /// that the fill ended exactly at the reserved sizes — an emission
-  /// sequence that differed between its two passes is a generator bug.
-  DecodedTrace take();
+  /// Yields the trace built so far and leaves the builder empty.
+  DecodedTrace take() { return std::move(out_); }
 
  private:
-  void emit(const DecodedOp& op) {
-    if (filling_) {
-      out_.ops.push_back(op);
-    } else {
-      ++counts_.ops;
-    }
-  }
-
-  bool filling_ = false;
-  Counts counts_;
   DecodedTrace out_;
 };
 

@@ -35,6 +35,7 @@
 
 #include <concepts>
 #include <functional>
+#include <span>
 #include <type_traits>
 
 #include "sttsim/core/dl1_system.hpp"
@@ -82,64 +83,69 @@ sim::RunStats replay(const DecodedTrace& trace, Dl1& dl1,
   sim::Cycle now = 0;
   unsigned shift = 0;
   if constexpr (SingleGranuleDl1<Dl1>) shift = dl1.granule_shift();
-  const DecodedOp* const ops = trace.ops.data();
-  const std::size_t n = trace.ops.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const DecodedOp& op = ops[i];
-    const sim::Cycle issue = now;
-    switch (op.kind) {
-      case OpKind::kExec: {
-        now += op.count;
-        core.instructions += op.count;
-        core.exec_cycles += op.count;
-        break;
-      }
-      case OpKind::kLoad: {
-        core.instructions += 1;
-        core.mem_instructions += 1;
-        const sim::Cycle issue_done = now + 1;
-        sim::Cycle data;
-        if constexpr (SingleGranuleDl1<Dl1>) {
-          data = decoded_span(op, shift) == 1
-                     ? dl1.load_single(op.addr, now)
-                     : dl1.load(op.addr, op.size, now);
-        } else {
-          data = dl1.load(op.addr, op.size, now);
+  // Chunk by chunk (DecodedTrace), with `first` the trace index of ops[0].
+  for (std::size_t c = 0; c < trace.chunk_count(); ++c) {
+    const std::span<const DecodedOp> chunk = trace.chunk(c);
+    const DecodedOp* const ops = chunk.data();
+    const std::size_t n = chunk.size();
+    const std::size_t first = c * kChunkOps;
+    for (std::size_t i = 0; i < n; ++i) {
+      const DecodedOp& op = ops[i];
+      const sim::Cycle issue = now;
+      switch (op.kind) {
+        case OpKind::kExec: {
+          now += op.count;
+          core.instructions += op.count;
+          core.exec_cycles += op.count;
+          break;
         }
-        const sim::Cycle done = data > issue_done ? data : issue_done;
-        core.read_stall_cycles += done - issue_done;
-        core.exec_cycles += 1;  // the issue cycle itself
-        now = done;
-        break;
-      }
-      case OpKind::kStore: {
-        core.instructions += 1;
-        core.mem_instructions += 1;
-        const sim::Cycle issue_done = now + 1;
-        sim::Cycle accepted;
-        if constexpr (SingleGranuleDl1<Dl1>) {
-          accepted = decoded_span(op, shift) == 1
-                         ? dl1.store_single(op.addr, now)
-                         : dl1.store(op.addr, op.size, now);
-        } else {
-          accepted = dl1.store(op.addr, op.size, now);
+        case OpKind::kLoad: {
+          core.instructions += 1;
+          core.mem_instructions += 1;
+          const sim::Cycle issue_done = now + 1;
+          sim::Cycle data;
+          if constexpr (SingleGranuleDl1<Dl1>) {
+            data = decoded_span(op, shift) == 1
+                       ? dl1.load_single(op.addr, now)
+                       : dl1.load(op.addr, op.size, now);
+          } else {
+            data = dl1.load(op.addr, op.size, now);
+          }
+          const sim::Cycle done = data > issue_done ? data : issue_done;
+          core.read_stall_cycles += done - issue_done;
+          core.exec_cycles += 1;  // the issue cycle itself
+          now = done;
+          break;
         }
-        const sim::Cycle done = accepted > issue_done ? accepted : issue_done;
-        core.write_stall_cycles += done - issue_done;
-        core.exec_cycles += 1;
-        now = done;
-        break;
+        case OpKind::kStore: {
+          core.instructions += 1;
+          core.mem_instructions += 1;
+          const sim::Cycle issue_done = now + 1;
+          sim::Cycle accepted;
+          if constexpr (SingleGranuleDl1<Dl1>) {
+            accepted = decoded_span(op, shift) == 1
+                           ? dl1.store_single(op.addr, now)
+                           : dl1.store(op.addr, op.size, now);
+          } else {
+            accepted = dl1.store(op.addr, op.size, now);
+          }
+          const sim::Cycle done = accepted > issue_done ? accepted : issue_done;
+          core.write_stall_cycles += done - issue_done;
+          core.exec_cycles += 1;
+          now = done;
+          break;
+        }
+        case OpKind::kPrefetch: {
+          core.instructions += 1;
+          dl1.prefetch(op.addr, now);
+          core.exec_cycles += 1;
+          now += 1;
+          break;
+        }
       }
-      case OpKind::kPrefetch: {
-        core.instructions += 1;
-        dl1.prefetch(op.addr, now);
-        core.exec_cycles += 1;
-        now += 1;
-        break;
-      }
+      if constexpr (!std::is_same_v<Observe, NoObserver>) dl1.sync_stats();
+      observe(OpEvent{first + i, issue, now});
     }
-    if constexpr (!std::is_same_v<Observe, NoObserver>) dl1.sync_stats();
-    observe(OpEvent{i, issue, now});
   }
   core.total_cycles = now;
   dl1.sync_stats();

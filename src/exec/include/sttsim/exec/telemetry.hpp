@@ -35,10 +35,10 @@ struct TelemetrySnapshot {
   std::uint64_t tasks_cancelled = 0;  ///< tasks skipped: interrupted
   std::uint64_t trace_store_hits = 0;   ///< traces decoded from the store
   std::uint64_t trace_store_misses = 0; ///< store probes that regenerated
-  std::uint64_t generate_ns = 0;      ///< wall ns synthesizing traces:
-                                      ///< both emission passes (sizing and
-                                      ///< fill), not the compression a
-                                      ///< trace-store append adds
+  std::uint64_t generate_ns = 0;      ///< wall ns synthesizing traces
+                                      ///< (the one emission pass), not the
+                                      ///< compression a trace-store append
+                                      ///< adds
   std::uint64_t decode_ns = 0;        ///< wall ns deserializing/decompressing
                                       ///< stored traces (warm path)
   std::uint64_t replay_ns = 0;        ///< wall ns inside System::run

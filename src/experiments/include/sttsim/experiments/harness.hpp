@@ -31,8 +31,8 @@ double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
 
 /// Memoizes generated traces per (kernel, codegen). The one in-memory form
-/// is the replay-optimized decoded trace, synthesized straight into exactly
-/// sized packed arrays (Kernel::generate_decoded) and shared read-only by
+/// is the replay-optimized decoded trace, synthesized in one pass straight
+/// into packed, chunked ops (Kernel::generate_decoded) and shared read-only by
 /// every grid point that replays this (kernel, codegen), so grid replays
 /// never touch a raw TraceOp vector or a decode() pass.
 /// Concurrency-safe: a shared_mutex guards the index and a per-key

@@ -15,31 +15,28 @@
 // Consecutive exec cycles are merged into single trace ops to keep traces
 // compact.
 //
-// Emission is direct-to-decoded and runs twice per trace (synthesize()): a
-// counting pass through an Emitter that stores nothing measures the exact
-// op and store-payload counts, then a fill pass writes packed 16-byte
-// DecodedOps — granule spans precomputed — into a cpu::DecodedTrace
-// reserved to exactly that size. Callers that need raw TraceOps take
-// emit(), which reassembles them from the decoded trace.
+// Emission is direct-to-decoded and runs once per trace (synthesize()):
+// each op is written once, as a packed 16-byte DecodedOp with its granule
+// spans precomputed, into a chunked cpu::DecodedTrace. Callers that need
+// raw TraceOps take emit(), which reassembles them from the decoded trace.
+// The per-op methods are inline: kernel bodies make one call per emitted
+// op.
 #pragma once
 
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace.hpp"
+#include "sttsim/util/check.hpp"
 #include "sttsim/workloads/codegen.hpp"
 #include "sttsim/workloads/data_layout.hpp"
 
 namespace sttsim::workloads {
 
+// A vector access is one trace op, whose size field is 8 bits.
+static_assert(kVectorWidth >= 2 && kVectorWidth * kElem <= 255);
+
 class Emitter {
  public:
-  using Counts = cpu::DecodedTraceBuilder::Counts;
-
-  /// A counting emitter: runs an emission body and stores nothing.
   explicit Emitter(const CodegenOptions& opts) : opts_(opts) {}
-  /// A filling emitter: writes an emission body's ops into a trace reserved
-  /// to exactly `counts` — what a counting pass measured for the same body.
-  Emitter(const CodegenOptions& opts, const Counts& counts)
-      : opts_(opts), builder_(counts) {}
 
   const CodegenOptions& options() const { return opts_; }
 
@@ -47,43 +44,83 @@ class Emitter {
   unsigned width() const { return opts_.vectorize ? kVectorWidth : 1; }
 
   /// `n` plain non-memory instructions.
-  void exec(std::uint32_t n);
+  void exec(std::uint32_t n) { pending_exec_ += n; }
 
-  /// Per-iteration loop overhead (index update, compare, branch).
-  void loop_iter();
+  /// Per-iteration loop overhead: index update, compare/branch and
+  /// per-iteration addressing. The alignment/branch-hint optimizations fold
+  /// these into one slot (branchless compare, strength-reduced/unrolled
+  /// addressing).
+  void loop_iter() { exec(opts_.branch_opts ? 1 : 3); }
 
   /// Loop-entry overhead (trip-count setup, alignment checks).
-  void loop_setup();
+  void loop_setup() { exec(opts_.branch_opts ? 1 : 3); }
 
   /// `n` arithmetic operations (scalar or SIMD — one op either way).
-  void flop(std::uint32_t n = 1);
+  void flop(std::uint32_t n = 1) { exec(n); }
 
   /// Random-access load/store of `n_elems` doubles.
-  void load(Addr a, unsigned n_elems = 1);
-  void store(Addr a, unsigned n_elems = 1);
+  void load(Addr a, unsigned n_elems = 1) {
+    const std::uint8_t size = access_size(n_elems);
+    flush_exec();
+    builder_.load(a, size);
+  }
+  void store(Addr a, unsigned n_elems = 1) {
+    const std::uint8_t size = access_size(n_elems);
+    flush_exec();
+    builder_.store(a, size);
+  }
 
   /// Unit-stride streaming access: same as load/store plus an automatic
   /// prefetch hint kPrefetchDistanceBytes ahead whenever the access is the
   /// first to touch its DL1 line.
-  void stream_load(Addr a, unsigned n_elems = 1);
-  void stream_store(Addr a, unsigned n_elems = 1);
+  void stream_load(Addr a, unsigned n_elems = 1) {
+    if (opts_.prefetch && first_in_line(a, n_elems * kElem)) {
+      prefetch(a + kPrefetchDistanceBytes);
+    }
+    load(a, n_elems);
+  }
+  void stream_store(Addr a, unsigned n_elems = 1) {
+    if (opts_.prefetch && first_in_line(a, n_elems * kElem)) {
+      prefetch(a + kPrefetchDistanceBytes);
+    }
+    store(a, n_elems);
+  }
 
   /// Explicit software prefetch (no-op unless prefetching is enabled).
-  void prefetch(Addr a);
+  void prefetch(Addr a) {
+    if (!opts_.prefetch) return;
+    flush_exec();
+    builder_.prefetch(a);
+  }
 
-  /// Finishes a counting pass and yields the sizes its fill pass reserves.
-  Counts counts();
-
-  /// Finishes a fill pass and yields the packed decoded trace.
-  cpu::DecodedTrace take_decoded();
+  /// Finishes the emission and yields the packed decoded trace.
+  cpu::DecodedTrace take_decoded() {
+    flush_exec();
+    return builder_.take();
+  }
 
  private:
   /// Granularity at which streaming prefetches are dropped: one hint per
   /// new 64-byte DL1 line entered.
   static constexpr std::uint64_t kStreamLineBytes = 64;
 
-  void flush_exec();
-  static bool first_in_line(Addr a, unsigned bytes);
+  static std::uint8_t access_size(unsigned n_elems) {
+    const unsigned size = n_elems * kElem;
+    STTSIM_CHECK(size > 0 && size <= 255);
+    return static_cast<std::uint8_t>(size);
+  }
+
+  /// True when [a, a+bytes) begins a new stream line, i.e. the previous
+  /// access of a unit-stride walk lived in the preceding line.
+  static bool first_in_line(Addr a, unsigned bytes) {
+    return (a & (kStreamLineBytes - 1)) < bytes;
+  }
+
+  void flush_exec() {
+    if (pending_exec_ == 0) return;
+    builder_.exec(pending_exec_);
+    pending_exec_ = 0;
+  }
 
   CodegenOptions opts_;
   cpu::DecodedTraceBuilder builder_;
@@ -91,18 +128,13 @@ class Emitter {
 };
 
 /// Synthesizes the trace of one emission body — any callable taking an
-/// Emitter& — by running it twice: a counting pass that stores nothing, then
-/// a fill pass into a trace reserved to the exact op and store-value counts.
-/// Every workload generator produces its trace through here, so no op
-/// vector ever reallocates. The body must emit the same sequence on both
-/// passes (kernel bodies are pure functions of their sizes and `opts`).
+/// Emitter& — in one pass. Every workload generator produces its trace
+/// through here.
 template <typename Body>
 cpu::DecodedTrace synthesize(const CodegenOptions& opts, const Body& body) {
-  Emitter counter(opts);
-  body(counter);
-  Emitter filler(opts, counter.counts());
-  body(filler);
-  return filler.take_decoded();
+  Emitter em(opts);
+  body(em);
+  return em.take_decoded();
 }
 
 /// The raw TraceOps of `body(em, args...)` through synthesize(),

@@ -11,10 +11,9 @@
 //              at a time, with scalar epilogues for remainders (vloop).
 // Prefetch and branch/alignment options lower inside the Emitter.
 //
-// Bodies are pure functions of their sizes and options, so synthesize() can
-// run each twice: a counting pass, then a fill pass into an exactly sized
-// trace. The suite (suite.hpp) wires each kernel at its default size; other
-// sizes go through synthesize() or emit().
+// Bodies are pure functions of their sizes and options; synthesize() runs
+// one once to produce its trace. The suite (suite.hpp) wires each kernel at
+// its default size; other sizes go through synthesize() or emit().
 //
 // Doc comments give the exact scalar memory-op counts; tests assert them.
 #pragma once

@@ -17,9 +17,9 @@ struct Kernel {
   std::string name;
   std::string description;
   std::uint64_t footprint_bytes = 0;  ///< total array bytes at default size
-  /// The kernel's trace under `o`, synthesized straight into packed
-  /// DecodedOps in arrays sized exactly (workloads::synthesize). Callers
-  /// that need raw TraceOps take cpu::reassemble of it.
+  /// The kernel's trace under `o`, synthesized in one pass straight into
+  /// packed DecodedOps (workloads::synthesize). Callers that need raw
+  /// TraceOps take cpu::reassemble of it.
   std::function<cpu::DecodedTrace(const CodegenOptions&)> generate_decoded;
 };
 

@@ -11,8 +11,8 @@ namespace {
 std::vector<Kernel> build_suite() {
   std::vector<Kernel> s;
   // Each suite entry is wired once, as its emission body (X_into), which
-  // the synthesize() pass pair turns into exactly-sized packed ops (no
-  // TraceOp vector, no decode pass, no regrowth).
+  // synthesize() runs once into packed ops (no TraceOp vector, no decode
+  // pass).
   const auto add = [&](std::string name, std::string desc,
                        std::uint64_t footprint,
                        std::function<void(Emitter&)> emit) {

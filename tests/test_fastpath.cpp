@@ -163,6 +163,52 @@ TEST(FastPath, ObservedRunMatchesRunWithAndWithoutFaults) {
   }
 }
 
+// A trace over three chunks that ends 17 ops into the last.
+cpu::DecodedTrace chunk_spanning_trace() {
+  return cpu::decode(
+      testutil::random_trace(31, 2 * cpu::kChunkOps + 17, 96 * kKiB));
+}
+
+TEST(FastPath, MatchesReferenceAcrossChunkBoundaries) {
+  const cpu::DecodedTrace decoded = chunk_spanning_trace();
+  ASSERT_EQ(decoded.chunk_count(), 3u);
+  for (const cpu::Dl1Organization org : kAllOrgs) {
+    cpu::SystemConfig cfg;
+    cfg.organization = org;
+    cpu::System system(cfg);
+    expect_identical(system.run(decoded), system.run_reference(decoded),
+                     cpu::to_string(org));
+  }
+}
+
+TEST(FastPath, ObservedRunIndexesEveryOpAcrossChunkBoundaries) {
+  // OpEvent::index is the op's index in the whole trace, not in its chunk.
+  const cpu::DecodedTrace decoded = chunk_spanning_trace();
+  for (const cpu::Dl1Organization org : kAllOrgs) {
+    SCOPED_TRACE(cpu::to_string(org));
+    cpu::SystemConfig cfg;
+    cfg.organization = org;
+    cpu::System system(cfg);
+    std::size_t events = 0;
+    bool in_order = true;
+    system.run_observed(decoded, [&](const cpu::OpEvent& ev) {
+      in_order = in_order && ev.index == events;
+      ++events;
+    });
+    EXPECT_EQ(events, decoded.size());
+    EXPECT_TRUE(in_order);
+  }
+}
+
+TEST(DecodedTrace, RoundTripsAcrossChunkBoundaries) {
+  const cpu::Trace trace =
+      testutil::random_trace(31, 2 * cpu::kChunkOps + 17, 96 * kKiB);
+  const cpu::DecodedTrace decoded = cpu::decode(trace);
+  ASSERT_EQ(decoded.chunk_count(), 3u);
+  EXPECT_EQ(decoded.chunk(2).size(), 17u);
+  EXPECT_TRUE(cpu::reassemble(decoded) == trace);
+}
+
 TEST(DecodedTrace, RoundTripsExactly) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     const cpu::Trace trace = testutil::random_trace(seed, 1000, 256 * kKiB);
@@ -188,7 +234,7 @@ TEST(DecodedTrace, StoreValuesLandInSidecarInOrder) {
   EXPECT_EQ(d.store_values[0], 0xAAu);
   EXPECT_EQ(d.store_values[1], 0xBBu);
   EXPECT_EQ(d.store_values[2], 0xCCu);
-  EXPECT_EQ(d.ops.size(), trace.size());
+  EXPECT_EQ(d.size(), trace.size());
 }
 
 TEST(DecodedTrace, PrecomputedSpansMatchOnTheFly) {
@@ -197,7 +243,7 @@ TEST(DecodedTrace, PrecomputedSpansMatchOnTheFly) {
     const Addr addr = rng.next_below(1 * kMiB);
     const unsigned size = 1u + static_cast<unsigned>(rng.next_below(64));
     cpu::Trace one{cpu::make_load(addr, size)};
-    const cpu::DecodedOp op = cpu::decode(one).ops[0];
+    const cpu::DecodedOp op = cpu::decode(one)[0];
     for (const unsigned shift : {5u, 6u, 7u}) {
       const Addr mask = (Addr{1} << shift) - 1;
       const unsigned expected = static_cast<unsigned>(
@@ -211,9 +257,9 @@ TEST(DecodedTrace, PrecomputedSpansMatchOnTheFly) {
 TEST(DecodedTrace, ExecOpsCarryCountAndNoSpans) {
   cpu::Trace trace{cpu::make_exec(17), cpu::make_prefetch(0x1234)};
   const cpu::DecodedTrace d = cpu::decode(trace);
-  EXPECT_EQ(d.ops[0].count, 17u);
-  EXPECT_EQ(d.ops[0].kind, cpu::OpKind::kExec);
-  EXPECT_EQ(d.ops[1].kind, cpu::OpKind::kPrefetch);
+  EXPECT_EQ(d[0].count, 17u);
+  EXPECT_EQ(d[0].kind, cpu::OpKind::kExec);
+  EXPECT_EQ(d[1].kind, cpu::OpKind::kPrefetch);
   EXPECT_TRUE(d.store_values.empty());
 }
 

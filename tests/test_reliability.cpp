@@ -547,7 +547,7 @@ TEST(FaultyDl1, CountersCurrentAtEveryObservedOp) {
         const std::uint64_t now_events = m.ecc_corrections + m.ecc_refills;
         monotone = monotone && now_events >= events;
         events = now_events;
-        if (trace.ops[ev.index].kind == cpu::OpKind::kLoad) ++loads;
+        if (trace[ev.index].kind == cpu::OpKind::kLoad) ++loads;
         loads_current = loads_current && m.loads == loads;
       });
   EXPECT_TRUE(monotone);

@@ -444,15 +444,16 @@ TEST(TraceStoreOpenErrors, MissingParentDirectory) {
 // ---- Compressed trace representation ---------------------------------
 
 void expect_ops_equal(const cpu::DecodedTrace& a, const cpu::DecodedTrace& b) {
-  ASSERT_EQ(a.ops.size(), b.ops.size());
-  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] == b[i]) continue;
     SCOPED_TRACE("op " + std::to_string(i));
-    EXPECT_EQ(a.ops[i].addr, b.ops[i].addr);
-    EXPECT_EQ(a.ops[i].count, b.ops[i].count);
-    EXPECT_EQ(a.ops[i].kind, b.ops[i].kind);
-    EXPECT_EQ(a.ops[i].size, b.ops[i].size);
-    EXPECT_EQ(a.ops[i].span32, b.ops[i].span32);
-    EXPECT_EQ(a.ops[i].span64, b.ops[i].span64);
+    EXPECT_EQ(a[i].addr, b[i].addr);
+    EXPECT_EQ(a[i].count, b[i].count);
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].size, b[i].size);
+    EXPECT_EQ(a[i].span32, b[i].span32);
+    EXPECT_EQ(a[i].span64, b[i].span64);
   }
   EXPECT_EQ(a.store_values, b.store_values);
 }
@@ -476,6 +477,18 @@ TEST(CompressedTrace, ExactRoundTripOnGeneratedTraces) {
   expect_ops_equal(cpu::decompress(cpu::compress(decoded)), decoded);
 }
 
+TEST(CompressedTrace, ExactRoundTripAcrossChunkBoundaries) {
+  // Three chunks, the last holding 17 ops: the compressed stream runs on
+  // across chunks and expands back into the same chunk layout.
+  const cpu::Trace trace =
+      testutil::random_trace(17, 2 * cpu::kChunkOps + 17, 1 << 18);
+  const cpu::DecodedTrace decoded = cpu::decode(trace);
+  ASSERT_EQ(decoded.chunk_count(), 3u);
+  const cpu::DecodedTrace back = cpu::decompress(cpu::compress(decoded));
+  EXPECT_EQ(back.chunk_count(), 3u);
+  expect_ops_equal(back, decoded);
+}
+
 TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
   // Ops the compact form cannot carry must survive via the 0xFF escape:
   // exec with a nonzero addr, memory ops with count != 1, ops whose stored
@@ -485,7 +498,7 @@ TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
   exec_addr.kind = cpu::OpKind::kExec;
   exec_addr.addr = 0xdead;
   exec_addr.count = 5;
-  weird.ops.push_back(exec_addr);
+  weird.push_back(exec_addr);
 
   cpu::DecodedOp multi_load;
   multi_load.kind = cpu::OpKind::kLoad;
@@ -494,7 +507,7 @@ TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
   multi_load.count = 3;  // decode() never emits this
   multi_load.span32 = 1;
   multi_load.span64 = 1;
-  weird.ops.push_back(multi_load);
+  weird.push_back(multi_load);
 
   cpu::DecodedOp bad_span;
   bad_span.kind = cpu::OpKind::kStore;
@@ -502,12 +515,12 @@ TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
   bad_span.size = 16;
   bad_span.span32 = 7;  // disagrees with span_of(0x2000, 16, 5)
   bad_span.span64 = 1;
-  weird.ops.push_back(bad_span);
+  weird.push_back(bad_span);
 
   cpu::DecodedOp zero_exec;
   zero_exec.kind = cpu::OpKind::kExec;
   zero_exec.count = 0;
-  weird.ops.push_back(zero_exec);
+  weird.push_back(zero_exec);
 
   // A normal op after the escapes: prev_addr/prev_size tracking must have
   // stayed consistent across the escape path.
@@ -517,7 +530,7 @@ TEST(CompressedTrace, EscapePathRoundTripsDegenerateOps) {
   normal.size = 16;
   normal.span32 = cpu::span_of(0x2008, 16, 5);
   normal.span64 = cpu::span_of(0x2008, 16, 6);
-  weird.ops.push_back(normal);
+  weird.push_back(normal);
 
   expect_ops_equal(cpu::decompress(cpu::compress(weird)), weird);
 }
@@ -532,17 +545,17 @@ TEST(CompressedTrace, CursorMatchesDecompress) {
   cpu::DecodedOp op;
   std::size_t i = 0;
   while (cursor.next(op)) {
-    ASSERT_LT(i, expanded.ops.size());
+    ASSERT_LT(i, expanded.size());
     SCOPED_TRACE("op " + std::to_string(i));
-    EXPECT_EQ(op.addr, expanded.ops[i].addr);
-    EXPECT_EQ(op.count, expanded.ops[i].count);
-    EXPECT_EQ(op.kind, expanded.ops[i].kind);
-    EXPECT_EQ(op.size, expanded.ops[i].size);
-    EXPECT_EQ(op.span32, expanded.ops[i].span32);
-    EXPECT_EQ(op.span64, expanded.ops[i].span64);
+    EXPECT_EQ(op.addr, expanded[i].addr);
+    EXPECT_EQ(op.count, expanded[i].count);
+    EXPECT_EQ(op.kind, expanded[i].kind);
+    EXPECT_EQ(op.size, expanded[i].size);
+    EXPECT_EQ(op.span32, expanded[i].span32);
+    EXPECT_EQ(op.span64, expanded[i].span64);
     ++i;
   }
-  EXPECT_EQ(i, expanded.ops.size());
+  EXPECT_EQ(i, expanded.size());
 }
 
 // ---- Adversarial round-trip properties -------------------------------
@@ -588,7 +601,7 @@ TEST(CompressedTrace, MaxMagnitudeDeltasRoundTrip) {
   };
   cpu::DecodedTrace t;
   for (const Addr a : extremes) {
-    t.ops.push_back(mem_op(cpu::OpKind::kLoad, a, 8));
+    t.push_back(mem_op(cpu::OpKind::kLoad, a, 8));
   }
   expect_ops_equal(cpu::decompress(cpu::compress(t)), t);
 }
@@ -600,10 +613,10 @@ TEST(CompressedTrace, EscapeCollisionTagRoundTrips) {
   // prev_size tracking must stay consistent so the *next* delta-coded op
   // still expands correctly.
   cpu::DecodedTrace t;
-  t.ops.push_back(mem_op(cpu::OpKind::kLoad, 0x1000, 8));  // prev = (0x1000, 8)
+  t.push_back(mem_op(cpu::OpKind::kLoad, 0x1000, 8));  // prev = (0x1000, 8)
   cpu::DecodedOp collide = mem_op(cpu::OpKind::kPrefetch, 0x1400, 0);
-  t.ops.push_back(collide);  // delta 0x400, size 0 != 8 -> tag would be 0xFF
-  t.ops.push_back(mem_op(cpu::OpKind::kLoad, 0x1408, 8));  // delta vs 0x1400
+  t.push_back(collide);  // delta 0x400, size 0 != 8 -> tag would be 0xFF
+  t.push_back(mem_op(cpu::OpKind::kLoad, 0x1408, 8));  // delta vs 0x1400
   const cpu::CompressedTrace c = cpu::compress(t);
   // The collision op must have taken the 17-byte escape.
   std::size_t escapes = 0;
@@ -640,15 +653,15 @@ TEST(CompressedTrace, AdversarialPropertyFuzz) {
     for (unsigned i = 0; i < 200; ++i) {
       switch (rng.next_below(4)) {
         case 0:
-          t.ops.push_back(exec_op(counts[rng.next_below(std::size(counts))]));
+          t.push_back(exec_op(counts[rng.next_below(std::size(counts))]));
           break;
         case 1:
-          t.ops.push_back(mem_op(cpu::OpKind::kLoad,
+          t.push_back(mem_op(cpu::OpKind::kLoad,
                                  hot_spots[rng.next_below(std::size(hot_spots))],
                                  sizes[rng.next_below(std::size(sizes))]));
           break;
         case 2: {
-          t.ops.push_back(
+          t.push_back(
               mem_op(cpu::OpKind::kStore,
                      hot_spots[rng.next_below(std::size(hot_spots))],
                      sizes[rng.next_below(std::size(sizes))]));
@@ -656,7 +669,7 @@ TEST(CompressedTrace, AdversarialPropertyFuzz) {
           break;
         }
         default:
-          t.ops.push_back(
+          t.push_back(
               mem_op(cpu::OpKind::kPrefetch,
                      hot_spots[rng.next_below(std::size(hot_spots))],
                      sizes[rng.next_below(std::size(sizes))]));
@@ -664,13 +677,13 @@ TEST(CompressedTrace, AdversarialPropertyFuzz) {
     }
     SCOPED_TRACE("seed " + std::to_string(seed));
     const cpu::CompressedTrace c = cpu::compress(t);
-    EXPECT_EQ(c.size(), t.ops.size());
+    EXPECT_EQ(c.size(), t.size());
     expect_ops_equal(cpu::decompress(c), t);
     cpu::CompressedCursor cursor(c);
     cpu::DecodedOp op;
     std::size_t n = 0;
     while (cursor.next(op)) ++n;
-    EXPECT_EQ(n, t.ops.size());
+    EXPECT_EQ(n, t.size());
   }
 }
 
@@ -802,11 +815,7 @@ TEST(TraceStoreIntegration, StoredTraceDecodesToIdenticalWorkload) {
   ScopedTraceStore store(path);
   experiments::TraceCache cache;
   const cpu::DecodedTrace& warm = cache.get_decoded(kernel, opts);
-  ASSERT_EQ(warm.ops.size(), reference.ops.size());
-  EXPECT_EQ(std::memcmp(warm.ops.data(), reference.ops.data(),
-                        warm.ops.size() * sizeof(cpu::DecodedOp)),
-            0);
-  EXPECT_EQ(warm.store_values, reference.store_values);
+  expect_ops_equal(warm, reference);
   // The raw-trace view reassembles identically from the stored form too.
   const cpu::Trace& raw = cache.get(kernel, opts);
   const cpu::Trace& ref_raw = ref_cache.get(kernel, opts);
