@@ -82,8 +82,7 @@ std::vector<ReplayPoint> replay_points() {
   return points;
 }
 
-/// The first size() / 8 ops of `trace`. Replay reads the ops only, so the
-/// prefix carries no store payloads.
+/// The first size() / 8 ops of `trace`.
 sttsim::cpu::DecodedTrace eighth_of(const sttsim::cpu::DecodedTrace& trace) {
   sttsim::cpu::DecodedTrace prefix;
   for (std::size_t i = 0; i < trace.size() / 8; ++i) {

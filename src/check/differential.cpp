@@ -69,7 +69,7 @@ Divergence run_differential(const cpu::SystemConfig& config,
   Divergence div;
   std::size_t shadow_seen = 0;
   // The oracle reads each op, store payload included, from the raw trace
-  // by index (the decoded form keeps payloads in a store-ordinal sidecar).
+  // by index (the decoded form carries no payloads).
   system.run_observed(cpu::decode(trace), [&](const cpu::OpEvent& ev) {
     if (div.diverged) return;  // oracle stops at the first divergence
     const cpu::TraceOp& op = trace[ev.index];

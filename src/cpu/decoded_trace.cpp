@@ -64,7 +64,6 @@ ChunkPool& pool() {
 
 DecodedTrace::DecodedTrace(const DecodedTrace& other)
     : DecodedTrace() {  // fully constructed: a throw below releases chunks
-  store_values = other.store_values;
   chunks_.reserve(other.chunks_.size());
   for (std::size_t c = 0; c < other.chunk_count(); ++c) {
     const std::span<const DecodedOp> ops = other.chunk(c);
@@ -80,14 +79,12 @@ DecodedTrace& DecodedTrace::operator=(const DecodedTrace& other) {
 }
 
 DecodedTrace::DecodedTrace(DecodedTrace&& other) noexcept
-    : store_values(std::exchange(other.store_values, {})),
-      chunks_(std::exchange(other.chunks_, {})),
+    : chunks_(std::exchange(other.chunks_, {})),
       size_(std::exchange(other.size_, 0)) {}
 
 DecodedTrace& DecodedTrace::operator=(DecodedTrace&& other) noexcept {
   if (this != &other) {
     release();
-    store_values = std::exchange(other.store_values, {});
     chunks_ = std::exchange(other.chunks_, {});
     size_ = std::exchange(other.size_, 0);
   }
@@ -121,7 +118,6 @@ DecodedTrace decode(const Trace& trace) {
       d.span64 = span_of(op.addr, op.size, 6);
     }
     out.push_back(d);
-    if (op.kind == OpKind::kStore) out.store_values.push_back(op.value);
   }
   return out;
 }
@@ -129,7 +125,6 @@ DecodedTrace decode(const Trace& trace) {
 Trace reassemble(const DecodedTrace& decoded) {
   Trace out;
   out.reserve(decoded.size());
-  std::size_t store = 0;
   for (std::size_t c = 0; c < decoded.chunk_count(); ++c) {
     for (const DecodedOp& d : decoded.chunk(c)) {
       TraceOp op;
@@ -137,7 +132,6 @@ Trace reassemble(const DecodedTrace& decoded) {
       op.size = d.size;
       op.count = d.count;
       op.addr = d.addr;
-      if (d.kind == OpKind::kStore) op.value = decoded.store_values[store++];
       out.push_back(op);
     }
   }
@@ -166,7 +160,6 @@ bool compact_representable(const DecodedOp& op) {
 CompressedTrace compress(const DecodedTrace& decoded) {
   CompressedTrace out;
   out.op_count = decoded.size();
-  out.store_values = decoded.store_values;
   // ~2 bytes/op is typical for kernel traces; over-reserving slightly beats
   // regrowing the stream.
   out.bytes.reserve(decoded.size() * 3);
@@ -224,7 +217,6 @@ CompressedTrace compress(const DecodedTrace& decoded) {
 
 DecodedTrace decompress(const CompressedTrace& trace) {
   DecodedTrace out;
-  out.store_values = trace.store_values;
   CompressedCursor cursor(trace);
   DecodedOp op;
   while (cursor.next(op)) out.push_back(op);
@@ -245,41 +237,23 @@ std::uint64_t get_u64le(const std::uint8_t* p) {
 }  // namespace
 
 std::vector<std::uint8_t> serialize_compressed(const CompressedTrace& trace) {
-  std::vector<std::uint8_t> out(24 + trace.bytes.size() +
-                                8 * trace.store_values.size());
+  std::vector<std::uint8_t> out(16 + trace.bytes.size());
   put_u64le(out.data(), trace.op_count);
   put_u64le(out.data() + 8, trace.bytes.size());
-  put_u64le(out.data() + 16, trace.store_values.size());
   if (!trace.bytes.empty()) {
-    std::memcpy(out.data() + 24, trace.bytes.data(), trace.bytes.size());
-  }
-  std::uint8_t* p = out.data() + 24 + trace.bytes.size();
-  for (const std::uint64_t v : trace.store_values) {
-    put_u64le(p, v);
-    p += 8;
+    std::memcpy(out.data() + 16, trace.bytes.data(), trace.bytes.size());
   }
   return out;
 }
 
 bool deserialize_compressed(const std::uint8_t* data, std::size_t len,
                             CompressedTrace& out) {
-  if (len < 24) return false;
-  const std::uint64_t op_count = get_u64le(data);
-  const std::uint64_t stream_bytes = get_u64le(data + 8);
-  const std::uint64_t n_values = get_u64le(data + 16);
-  // Reject blobs whose recorded lengths disagree with the byte count before
-  // touching the payload (a corrupt length must not drive an allocation).
-  if (stream_bytes > len || n_values > len / 8 ||
-      24 + stream_bytes + 8 * n_values != len) {
-    return false;
-  }
-  out.op_count = op_count;
-  out.bytes.assign(data + 24, data + 24 + stream_bytes);
-  out.store_values.resize(static_cast<std::size_t>(n_values));
-  const std::uint8_t* p = data + 24 + stream_bytes;
-  for (std::uint64_t i = 0; i < n_values; ++i, p += 8) {
-    out.store_values[static_cast<std::size_t>(i)] = get_u64le(p);
-  }
+  // Reject a blob whose recorded stream length disagrees with its byte count
+  // before touching the payload (a corrupt length must not drive an
+  // allocation).
+  if (len < 16 || get_u64le(data + 8) != len - 16) return false;
+  out.op_count = get_u64le(data);
+  out.bytes.assign(data + 16, data + len);
   return true;
 }
 

@@ -11,15 +11,15 @@
 //    two granularities the paper's organizations use (256-bit SRAM line,
 //    512-bit STT-MRAM line / VWB sector) — is precomputed, so the replay loop
 //    can take a single-granule fast path without address arithmetic;
-//  * store payloads (ignored by the timing model, used only by the check::
-//    data-content shadow) move to a sidecar array indexed by store ordinal;
+//  * store payloads are dropped: the timing model ignores them, and the
+//    check:: data-content shadow reads them from the raw trace it decoded;
 //  * the ops live in fixed-size chunks recycled through one process-wide
 //    free list (DecodedTrace), so a trace grows without reallocating and
 //    the memory of a dropped trace goes to the next one.
 //
-// decode()/reassemble() are exact inverses for any trace whose non-store ops
-// carry no payload (all generator- and fuzzer-produced traces do this), which
-// tests/test_fastpath verifies.
+// reassemble() gives every store the payload 0, so decode()/reassemble() are
+// exact inverses for any trace without payloads (every generator trace),
+// which tests/test_fastpath verifies.
 #pragma once
 
 #include <cstddef>
@@ -69,8 +69,7 @@ inline std::uint8_t span_of(Addr addr, unsigned size, unsigned shift) {
 /// Ops per trace chunk: 64 Ki ops, 1 MiB.
 inline constexpr std::size_t kChunkOps = std::size_t{1} << 16;
 
-/// A decoded trace: its ops in order, held in chunks of kChunkOps ops, and
-/// the store-payload sidecar.
+/// A decoded trace: its ops in order, held in chunks of kChunkOps ops.
 ///
 /// Chunks come from one process-wide LIFO free list, and a trace's
 /// destructor gives its chunks back to it; no chunk is ever returned to the
@@ -112,10 +111,6 @@ class DecodedTrace {
             c + 1 < chunks_.size() ? kChunkOps : size_ - c * kChunkOps};
   }
 
-  /// Store payloads in store-ordinal order (the i-th kStore op's payload is
-  /// store_values[i]).
-  std::vector<std::uint64_t> store_values;
-
  private:
   void add_chunk();
   /// Gives every chunk back to the free list.
@@ -128,8 +123,8 @@ class DecodedTrace {
 /// Precomputes the replay-ready form of `trace`.
 DecodedTrace decode(const Trace& trace);
 
-/// Reconstructs the raw trace (inverse of decode for generator traces; the
-/// fast-path tests round-trip through this).
+/// Reconstructs the raw trace, every store with payload 0 (inverse of decode
+/// for generator traces; the fast-path tests round-trip through this).
 Trace reassemble(const DecodedTrace& decoded);
 
 /// Direct-to-decoded synthesis sink: appends packed 16-byte DecodedOps —
@@ -147,10 +142,9 @@ class DecodedTraceBuilder {
     out_.push_back(DecodedOp{addr, 1, OpKind::kLoad, size,
                              span_of(addr, size, 5), span_of(addr, size, 6)});
   }
-  void store(Addr addr, std::uint8_t size, std::uint64_t value = 0) {
+  void store(Addr addr, std::uint8_t size) {
     out_.push_back(DecodedOp{addr, 1, OpKind::kStore, size,
                              span_of(addr, size, 5), span_of(addr, size, 6)});
-    out_.store_values.push_back(value);
   }
   /// Prefetch hints carry no size; spans stay 1/1 exactly as decode() leaves
   /// non-memory ops.
@@ -190,8 +184,7 @@ class DecodedTraceBuilder {
 // get span_of, exec/prefetch keep 1/1); ops that would not round-trip take
 // the escape, so compress()/decompress() are exact inverses for ANY input.
 struct CompressedTrace {
-  std::vector<std::uint8_t> bytes;          ///< delta/RLE op stream
-  std::vector<std::uint64_t> store_values;  ///< sidecar, store-ordinal order
+  std::vector<std::uint8_t> bytes;  ///< delta/RLE op stream
   std::uint64_t op_count = 0;
 
   std::size_t size() const { return static_cast<std::size_t>(op_count); }
@@ -306,10 +299,11 @@ DecodedTrace decompress(const CompressedTrace& trace);
 // The persistent trace store (exec::TraceStore) holds CompressedTrace
 // payloads as opaque byte blobs; these two functions define the blob layout
 // (all fields little-endian):
-//   [op_count u64][stream_bytes u64][store_values u64][stream...][values...]
-// The layout changes whenever the compressed-stream format does, which is
-// exactly what kTraceFormatVersion tracks — the store key folds it in, so a
-// format bump makes every old blob unreachable rather than misread.
+//   [op_count u64][stream_bytes u64][stream...]
+// A change to the compressed-stream format bumps kTraceFormatVersion, and a
+// change to this layout alone bumps exec::TraceStore::kSchemaVersion; the
+// store key folds in both, so either bump makes every old blob unreachable
+// rather than misread.
 
 /// Serializes `trace` into a self-contained byte blob.
 std::vector<std::uint8_t> serialize_compressed(const CompressedTrace& trace);

@@ -28,8 +28,9 @@ struct TraceOp {
   std::uint32_t count = 1;   ///< instruction count (exec bundles)
   Addr addr = 0;
   std::uint64_t value = 0;   ///< store payload (repeated byte-wise over
-                             ///< `size`); ignored by the timing model, used
-                             ///< by the check:: data-content shadow
+                             ///< `size`); only the check:: data-content
+                             ///< shadow reads it. Decoded traces drop it, so
+                             ///< the timing model never sees it.
 
   bool is_memory() const {
     return kind == OpKind::kLoad || kind == OpKind::kStore;

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -12,6 +13,11 @@
 #include "sttsim/util/hash.hpp"
 
 namespace sttsim::exec {
+namespace {
+
+// digest u64 + len u32 precede the payload; the checksum u64 follows it.
+constexpr std::size_t kRecordHead = 8 + 4;
+constexpr std::size_t kRecordTail = 8;
 
 void put_u64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -30,11 +36,22 @@ std::uint32_t get_u32(const std::uint8_t* p) {
   return v;
 }
 
-FileLock::FileLock(std::FILE* file) : fd_(fileno(file)) {
-  while (flock(fd_, LOCK_EX) != 0 && errno == EINTR) {}
-}
+/// Advisory exclusive flock(2) on the store file for the guard's lifetime.
+/// Released automatically when the holder closes the file or dies.
+class FileLock {
+ public:
+  explicit FileLock(std::FILE* file) : fd_(fileno(file)) {
+    while (flock(fd_, LOCK_EX) != 0 && errno == EINTR) {}
+  }
+  ~FileLock() { flock(fd_, LOCK_UN); }
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
 
-FileLock::~FileLock() { flock(fd_, LOCK_UN); }
+ private:
+  int fd_;
+};
+
+}  // namespace
 
 AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
                      std::uint32_t version, std::uint32_t aux)
@@ -50,17 +67,14 @@ AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
   if (fd < 0) {
     const int err = errno;
     std::string reason = std::strerror(err);
-    if (err == EISDIR) {
+    struct stat st;
+    if (err == EISDIR ||
+        (stat(path_.c_str(), &st) == 0 && S_ISDIR(st.st_mode))) {
       reason = "path is a directory";
-    } else {
-      struct stat st;
-      if (stat(path_.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-        reason = "path is a directory";
-      } else if (err == ENOENT) {
-        reason = "parent directory does not exist";
-      } else if (err == EACCES) {
-        reason = "permission denied (unwritable directory or file)";
-      }
+    } else if (err == ENOENT) {
+      reason = "parent directory does not exist";
+    } else if (err == EACCES) {
+      reason = "permission denied (unwritable directory or file)";
     }
     throw std::runtime_error(what_ + ": cannot open " + path_ +
                              " read-write: " + reason);
@@ -71,13 +85,29 @@ AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
     throw std::runtime_error(what_ + ": cannot open " + path_ +
                              " read-write: " + std::strerror(errno));
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  FileLock file_lock(file_);
+  load_or_init_locked();
 }
 
-AppendLog::~AppendLog() {
-  if (file_ != nullptr) std::fclose(file_);
+AppendLog::~AppendLog() { std::fclose(file_); }
+
+std::size_t AppendLog::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return index_.size();
 }
 
-std::size_t AppendLog::size() const {
+std::size_t AppendLog::dropped_records() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
+std::size_t AppendLog::truncated_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return truncated_;
+}
+
+std::size_t AppendLog::file_size() const {
   struct stat st;
   if (fstat(fileno(file_), &st) != 0) return 0;
   return static_cast<std::size_t>(st.st_size);
@@ -93,7 +123,7 @@ void AppendLog::write_header() {
   std::fflush(file_);
 }
 
-void AppendLog::init_header() {
+void AppendLog::init_header_locked() {
   if (ftruncate(fileno(file_), 0) != 0) {
     throw std::runtime_error(what_ + ": cannot truncate " + path_ + ": " +
                              std::strerror(errno));
@@ -102,7 +132,7 @@ void AppendLog::init_header() {
   write_header();
 }
 
-bool AppendLog::check_header() const {
+bool AppendLog::header_matches_locked() const {
   std::uint8_t header[kHeaderBytes];
   std::fseek(file_, 0, SEEK_SET);
   return std::fread(header, 1, sizeof header, file_) == sizeof header &&
@@ -111,8 +141,154 @@ bool AppendLog::check_header() const {
          get_u64(header + 16) == util::hash_bytes(header, 16);
 }
 
-bool AppendLog::truncate_to(std::size_t bytes) {
-  return ftruncate(fileno(file_), static_cast<off_t>(bytes)) == 0;
+void AppendLog::load_or_init_locked() {
+  index_.clear();
+  arena_.clear();
+  scan_end_ = kHeaderBytes;
+  if (file_size() == 0) {
+    // A fresh file: this process created it, or won the creation race.
+    init_header_locked();
+  } else if (!header_matches_locked()) {
+    // Wrong magic, schema, aux word or checksum: recompute everything
+    // rather than misread old records.
+    std::fprintf(stderr,
+                 "[sttsim] %s %s: header/schema mismatch, re-initializing "
+                 "empty (old records invalidated)\n",
+                 what_.c_str(), path_.c_str());
+    init_header_locked();
+  } else {
+    scan_new_locked();
+  }
+}
+
+std::size_t AppendLog::scan_new_locked() {
+  const std::size_t size = file_size();
+  if (size < scan_end_) {
+    // The file shrank below our high-water mark: a foreign process
+    // re-initialized it (schema change). Reload from scratch rather than
+    // serve an index the bytes no longer back.
+    load_or_init_locked();
+    return index_.size();
+  }
+  // Index every complete record whose checksum matches and skip complete
+  // corrupt ones in place. Under the exclusive lock nobody is mid-append,
+  // so a partial record can only be a crashed writer's leftovers. A
+  // corrupted length would desync the framing of everything after it, so a
+  // record whose stated extent does not fit ends the scan as torn tail.
+  std::size_t added = 0;
+  std::fseek(file_, static_cast<long>(scan_end_), SEEK_SET);
+  while (scan_end_ < size) {
+    std::uint8_t head[kRecordHead];
+    if (std::fread(head, 1, sizeof head, file_) < sizeof head) break;
+    const std::uint32_t len = get_u32(head + 8);
+    const std::size_t bytes = kRecordHead + len + kRecordTail;
+    if (len > kMaxPayloadBytes || bytes > size - scan_end_) break;
+    // Read the payload straight into the arena; give it back if the record
+    // is corrupt or its digest is already indexed.
+    const std::size_t at = arena_.size();
+    arena_.resize(at + len);
+    std::uint8_t tail[kRecordTail];
+    if ((len != 0 && std::fread(arena_.data() + at, 1, len, file_) < len) ||
+        std::fread(tail, 1, sizeof tail, file_) < sizeof tail) {
+      arena_.resize(at);
+      break;
+    }
+    scan_end_ += bytes;
+    const std::uint64_t digest = get_u64(head);
+    const bool intact =
+        get_u64(tail) ==
+        util::Hash64().bytes(head, sizeof head).bytes(arena_.data() + at, len)
+            .digest();
+    if (!intact) ++dropped_;
+    if (intact && index_.emplace(digest, Entry{at, len}).second) {
+      ++added;  // first write wins
+    } else {
+      arena_.resize(at);
+    }
+  }
+  if (scan_end_ < size) {
+    truncated_ += size - scan_end_;
+    truncate_tail_locked();
+  }
+  return added;
+}
+
+void AppendLog::truncate_tail_locked() {
+  std::clearerr(file_);
+  if (ftruncate(fileno(file_), static_cast<off_t>(scan_end_)) == 0) return;
+  // Cannot truncate (exotic filesystem): rewrite the log from the indexed
+  // records — still never abort. freopen drops the flock with the old
+  // descriptor; this process is the only one that can see the torn file
+  // anyway. A record that fails to write here is dropped from the index
+  // with every record after it, and the bytes past scan_end_ are torn tail
+  // for the next scan.
+  rewrite_begin();
+  scan_end_ = kHeaderBytes;
+  for (auto it = index_.begin(); it != index_.end(); ++it) {
+    const Entry& e = it->second;
+    if (!write_record_locked(it->first, arena_.data() + e.offset, e.len)) {
+      std::fprintf(stderr,
+                   "[sttsim] %s %s: cannot rewrite the log (%s); %zu "
+                   "records stay out of the store\n",
+                   what_.c_str(), path_.c_str(), std::strerror(errno),
+                   static_cast<std::size_t>(std::distance(it, index_.end())));
+      std::clearerr(file_);
+      index_.erase(it, index_.end());
+      return;
+    }
+    scan_end_ += kRecordHead + e.len + kRecordTail;
+  }
+}
+
+bool AppendLog::write_record_locked(std::uint64_t digest,
+                                    const std::uint8_t* payload,
+                                    std::uint32_t len) {
+  std::uint8_t head[kRecordHead];
+  std::uint8_t tail[kRecordTail];
+  put_u64(head, digest);
+  put_u32(head + 8, len);
+  put_u64(tail,
+          util::Hash64().bytes(head, sizeof head).bytes(payload, len).digest());
+  const bool written =
+      std::fwrite(head, 1, sizeof head, file_) == sizeof head &&
+      (len == 0 || std::fwrite(payload, 1, len, file_) == len) &&
+      std::fwrite(tail, 1, sizeof tail, file_) == sizeof tail;
+  // Flush even after a failed write, so nothing of the record stays
+  // buffered for a later flush to land past the cut.
+  return std::fflush(file_) == 0 && written;
+}
+
+void AppendLog::append(std::uint64_t digest, const void* payload,
+                       std::size_t len) {
+  if (len > kMaxPayloadBytes) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (index_.count(digest) != 0) return;  // first write wins (this process)
+  FileLock file_lock(file_);
+  // Pick up records concurrent campaigns appended since our last scan:
+  // first-write-wins must hold across processes too, so a digest another
+  // writer just landed is never duplicated or overwritten.
+  scan_new_locked();
+  if (index_.count(digest) != 0) return;  // first write wins (cross-process)
+  const auto* p = static_cast<const std::uint8_t*>(payload);
+  const auto n = static_cast<std::uint32_t>(len);
+  std::fseek(file_, static_cast<long>(scan_end_), SEEK_SET);
+  if (!write_record_locked(digest, p, n)) {
+    std::fprintf(stderr,
+                 "[sttsim] %s %s: cannot append a record (%s); it stays out "
+                 "of the store\n",
+                 what_.c_str(), path_.c_str(), std::strerror(errno));
+    truncate_tail_locked();
+    return;
+  }
+  scan_end_ += kRecordHead + len + kRecordTail;
+  index_.emplace(digest, Entry{arena_.size(), n});
+  arena_.insert(arena_.end(), p, p + len);
+}
+
+std::size_t AppendLog::refresh() {
+  std::lock_guard<std::mutex> lock(mu_);
+  FileLock file_lock(file_);
+  return scan_new_locked();
 }
 
 void AppendLog::rewrite_begin() {

@@ -1,64 +1,78 @@
-// Shared machinery for digest-keyed append-only log files — the common
-// substrate of the persistent result store (exec::ResultStore) and the
-// persistent compressed-trace store (exec::TraceStore).
+// The one digest-keyed store engine: an append-only log file of
+// (digest, payload) records plus its in-memory index. The persistent result
+// store (exec::ResultStore, `--store=PATH`) and the persistent
+// compressed-trace store (exec::TraceStore, `--trace-store=PATH`) are thin
+// wrappers that choose a magic, a name for diagnostics, a schema version
+// and an aux word; the format, the recovery rules and the sharing rules
+// below are this engine's and hold for both.
 //
-// One AppendLog owns the open file and the on-disk framing every such store
-// shares:
-//  * a 24-byte header — magic (8), schema version (4), an aux field the
-//    store interprets (4, e.g. the ResultStore's fixed payload size), and an
-//    FNV checksum of the first 16 bytes (8) — written on initialization and
-//    verified on load;
-//  * open(2) with targeted diagnostics (path is a directory, parent missing,
-//    unwritable) so a store that can never work throws a clear
-//    std::runtime_error instead of a bare errno;
-//  * advisory exclusive flock(2) RAII (FileLock) for multi-process sharing —
-//    flock locks belong to the kernel's open file description, so a crashed
-//    writer can never leave a stale lock behind;
-//  * torn-tail truncation with the freopen-and-rewrite fallback for
-//    filesystems that cannot ftruncate.
+// On-disk format, all little-endian:
+//  * a 24-byte header: magic (8), schema version (4), an aux word the store
+//    interprets (4; the result store's payload size, the trace store's
+//    content version), and an FNV-1a checksum of the first 16 bytes (8);
+//  * then records [digest u64][len u32][payload, len bytes][checksum u64],
+//    the checksum an FNV-1a hash of (digest || len || payload).
 //
-// Record framing and indexing stay in the stores (fixed-size records for
-// results, length-prefixed blobs for traces); this layer only guarantees
-// that both agree byte-for-byte on everything an external process must
-// parse to interoperate.
+// Durability — crash-safe, never abort:
+//  * every append writes one complete record and flushes it. A write that
+//    fails (disk full, file-size limit) is cut back to the last complete
+//    record, reported in one `[sttsim]` line on stderr and left out of the
+//    index: its key misses and is recomputed;
+//  * on load and on refresh, a torn tail (a writer crashed or was killed
+//    mid-append) is truncated back to the last complete record, so later
+//    appends stay record-aligned. A record whose stated length overruns the
+//    file or kMaxPayloadBytes cannot be framed, so it and everything after
+//    it count as torn tail;
+//  * a complete record whose checksum does not match its bytes (bit rot,
+//    tampering) is skipped in place: its key misses;
+//  * a header with the wrong magic, schema, aux word or checksum
+//    re-initializes the whole file empty (recompute everything, never
+//    refuse to run). Paths that cannot work at all — a directory, a missing
+//    or unwritable parent — throw a std::runtime_error naming the path and
+//    the reason;
+//  * on a filesystem that cannot ftruncate, the log is rewritten from the
+//    index instead of truncated.
+//
+// Multi-process sharing — any number of processes may open one path:
+//  * every mutation (load, append, refresh) holds an advisory exclusive
+//    flock(2) on the file, so concurrent writers never tear each other's
+//    records. flock locks belong to the kernel's open file description: a
+//    writer that dies, even by SIGKILL mid-append, leaves no stale lock;
+//  * append() first indexes the records other processes appended since the
+//    last scan, so first write wins across processes exactly as it does
+//    across threads;
+//  * lookup() probes the in-memory index only; refresh() is the point where
+//    other processes' appends become visible, and it truncates a torn tail
+//    a killed writer left.
+//
+// Simulation-agnostic (payloads are opaque bytes), so the ThreadSanitizer
+// exec test target compiles it without the simulation libraries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 namespace sttsim::exec {
 
-// Little-endian byte (de)serialization shared by the store record codecs.
-void put_u64(std::uint8_t* p, std::uint64_t v);
-void put_u32(std::uint8_t* p, std::uint32_t v);
-std::uint64_t get_u64(const std::uint8_t* p);
-std::uint32_t get_u32(const std::uint8_t* p);
-
-/// Advisory exclusive lock on a store file for the guard's lifetime.
-/// Released automatically when the holder closes the file or dies.
-class FileLock {
- public:
-  explicit FileLock(std::FILE* file);
-  ~FileLock();
-  FileLock(const FileLock&) = delete;
-  FileLock& operator=(const FileLock&) = delete;
-
- private:
-  int fd_;
-};
-
-/// The open file + header framing of one append-only store.
 class AppendLog {
  public:
   /// magic (8) + version (4) + aux (4) + checksum of the first 16 bytes (8).
   static constexpr std::size_t kHeaderBytes = 24;
+  /// Upper bound on one payload (1 GiB). A stated length beyond it is a
+  /// corrupted record, not a large payload; append() ignores such payloads.
+  static constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 
   /// Opens `path` read-write, creating it if absent (O_CREAT without
-  /// O_TRUNC keeps the open race-free between concurrent campaigns).
-  /// `what` names the store in diagnostics ("result store", "trace store").
-  /// Throws std::runtime_error when the path is a directory or cannot be
-  /// opened read-write (missing/unwritable parent, permissions).
+  /// O_TRUNC keeps the open race-free between concurrent campaigns), and
+  /// indexes its records. A file whose header does not match (`magic`,
+  /// `version`, `aux`) is re-initialized empty. `what` names the store in
+  /// diagnostics ("result store", "trace store"). Throws std::runtime_error
+  /// when the path is a directory or cannot be opened read-write.
   AppendLog(std::string path, std::string what, std::uint64_t magic,
             std::uint32_t version, std::uint32_t aux);
   ~AppendLog();
@@ -67,41 +81,77 @@ class AppendLog {
   AppendLog& operator=(const AppendLog&) = delete;
 
   const std::string& path() const { return path_; }
-  const std::string& what() const { return what_; }
-  std::FILE* file() { return file_; }
 
-  /// Current file size (fstat; 0 on error).
-  std::size_t size() const;
+  /// Number of indexed (valid) records.
+  std::size_t entries() const;
+  /// Complete records skipped so far because their checksum did not match.
+  std::size_t dropped_records() const;
+  /// Bytes of torn tail discarded so far (load + refresh).
+  std::size_t truncated_bytes() const;
 
-  /// Truncates to empty and writes a fresh header. Caller holds the lock.
-  /// Throws when the file cannot be truncated or written.
-  void init_header();
+  /// Calls `read(payload, len)` on the record indexed under `digest` and
+  /// returns its result; false on a miss. `read` runs under the store's
+  /// mutex and `payload` is valid only during the call: an append may move
+  /// the arena. Probes the in-memory index only: call refresh() first to
+  /// see other processes' appends. Thread-safe.
+  template <typename Read>
+  bool lookup(std::uint64_t digest, Read&& read) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(digest);
+    return it != index_.end() &&
+           read(arena_.data() + it->second.offset,
+                static_cast<std::size_t>(it->second.len));
+  }
 
-  /// Reads the header and verifies magic/version/aux/checksum. Caller holds
-  /// the lock. False means the whole file must be re-initialized.
-  bool check_header() const;
+  /// Appends one record and indexes it. A digest already present, including
+  /// one another process appended since the last scan, is ignored (first
+  /// write wins), and so is a payload longer than kMaxPayloadBytes.
+  /// Thread-safe; the record is written and flushed under the file lock.
+  void append(std::uint64_t digest, const void* payload, std::size_t len);
 
-  /// Truncates the file to `bytes` (torn-tail recovery). Returns false when
-  /// the filesystem cannot truncate — the store then falls back to
-  /// rewrite_begin()/rewrite_end().
-  bool truncate_to(std::size_t bytes);
-
-  /// Fallback tail recovery for filesystems without ftruncate: reopens the
-  /// file empty ("w+b") and writes a fresh header; the store then re-appends
-  /// its indexed records and calls std::fflush. Throws when the reopen
-  /// fails. (freopen drops the flock with the old descriptor; the caller is
-  /// the only process that can see the torn file anyway.)
-  void rewrite_begin();
+  /// Indexes the records other processes appended since the last scan and
+  /// truncates any torn tail. Returns the number of newly indexed records.
+  /// Thread-safe.
+  std::size_t refresh();
 
  private:
-  void write_header();
+  struct Entry {
+    std::size_t offset;  ///< into arena_
+    std::uint32_t len;
+  };
 
-  std::string path_;
-  std::string what_;
-  std::uint64_t magic_;
-  std::uint32_t version_;
-  std::uint32_t aux_;
+  // Every *_locked function runs with mu_ and the exclusive flock held.
+  void load_or_init_locked();
+  void init_header_locked();
+  bool header_matches_locked() const;
+  /// Indexes the complete records in [scan_end_, EOF) and truncates a torn
+  /// or unframeable tail. Returns the number of newly indexed records.
+  std::size_t scan_new_locked();
+  /// Cuts the file back to scan_end_, the end of the last complete record.
+  void truncate_tail_locked();
+  /// Writes and flushes one record at the file position; false on failure.
+  bool write_record_locked(std::uint64_t digest, const std::uint8_t* payload,
+                           std::uint32_t len);
+  /// Reopens the file empty ("w+b") with a fresh header: tail recovery on
+  /// filesystems without ftruncate. Throws when the reopen fails.
+  void rewrite_begin();
+  void write_header();
+  std::size_t file_size() const;
+
+  const std::string path_;
+  const std::string what_;
+  const std::uint64_t magic_;
+  const std::uint32_t version_;
+  const std::uint32_t aux_;
   std::FILE* file_ = nullptr;
+
+  mutable std::mutex mu_;
+  // Payloads live in one flat arena; the index maps a digest to its slice.
+  std::unordered_map<std::uint64_t, Entry> index_;
+  std::vector<std::uint8_t> arena_;
+  std::size_t scan_end_ = 0;  ///< file offset after the last indexed record
+  std::size_t dropped_ = 0;
+  std::size_t truncated_ = 0;
 };
 
 }  // namespace sttsim::exec

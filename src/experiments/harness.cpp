@@ -231,31 +231,40 @@ const cpu::Trace& TraceCache::get(const workloads::Kernel& kernel,
       [&] { return cpu::reassemble(*acquire(kernel, opts)); });
 }
 
+std::optional<sim::RunStats> lookup_result(const exec::ResultStore* store,
+                                           std::uint64_t digest) {
+  if (store == nullptr) return std::nullopt;
+  std::uint8_t payload[sim::kRunStatsBytes];
+  if (!store->lookup(digest, payload)) {
+    exec::Telemetry::instance().count_memo_miss();
+    return std::nullopt;
+  }
+  exec::Telemetry::instance().count_memo_hit();
+  return sim::decode_run_stats(payload);
+}
+
+void record_result(exec::ResultStore* store, std::uint64_t digest,
+                   const sim::RunStats& stats) {
+  if (store == nullptr) return;
+  std::uint8_t payload[sim::kRunStatsBytes];
+  sim::encode_run_stats(stats, payload);
+  store->append(digest, payload);
+}
+
 sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
                          const cpu::SystemConfig& config,
                          const workloads::CodegenOptions& opts) {
   exec::ResultStore* store = exec::result_store();
-  std::uint64_t digest = 0;
-  if (store != nullptr) {
-    digest = simulation_digest(kernel.name, opts, config);
-    std::uint8_t payload[sim::kRunStatsBytes];
-    if (store->lookup(digest, payload)) {
-      exec::Telemetry::instance().count_memo_hit();
-      return sim::decode_run_stats(payload);
-    }
-    exec::Telemetry::instance().count_memo_miss();
-  }
+  const std::uint64_t digest =
+      store != nullptr ? simulation_digest(kernel.name, opts, config) : 0;
+  if (const auto hit = lookup_result(store, digest)) return *hit;
   const TraceCache::Handle trace = cache.acquire(kernel, opts);
   cpu::System system(config);
   const std::uint64_t t0 = now_ns();
   const sim::RunStats stats = system.run(*trace);
   exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
   exec::Telemetry::instance().count_simulation(trace->size());
-  if (store != nullptr) {
-    std::uint8_t payload[sim::kRunStatsBytes];
-    sim::encode_run_stats(stats, payload);
-    store->append(digest, payload);
-  }
+  record_result(store, digest, stats);
   return stats;
 }
 
@@ -268,14 +277,6 @@ struct GridPoint {
   std::size_t k = 0;
   std::uint64_t digest = 0;
 };
-
-void store_append(exec::ResultStore* store, std::uint64_t digest,
-                  const sim::RunStats& stats) {
-  if (store == nullptr) return;
-  std::uint8_t payload[sim::kRunStatsBytes];
-  sim::encode_run_stats(stats, payload);
-  store->append(digest, payload);
-}
 
 /// Post-request policy of a grid. Points the request skipped (timed-out or
 /// cancelled) keep default RunStats in their result slots; the telemetry
@@ -383,7 +384,7 @@ void run_points(TraceCache& cache,
           exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
           exec::Telemetry::instance().count_simulation(trace->size());
         }
-        store_append(store, p.digest, stats);
+        record_result(store, p.digest, stats);
         if (pending[trace_of(p)].fetch_sub(1) == 1) drop(trace_of(p));
         return stats;
       });
@@ -444,14 +445,11 @@ std::vector<std::vector<sim::RunStats>> run_grid(
       if (store != nullptr) {
         p.digest =
             simulation_digest(kernels[k].name, jobs[j].opts, jobs[j].config);
-        std::uint8_t payload[sim::kRunStatsBytes];
-        if (store->lookup(p.digest, payload)) {
-          out[j][k] = sim::decode_run_stats(payload);
-          exec::Telemetry::instance().count_memo_hit();
-          ++hits;
-          continue;
-        }
-        exec::Telemetry::instance().count_memo_miss();
+      }
+      if (const auto hit = lookup_result(store, p.digest)) {
+        out[j][k] = *hit;
+        ++hits;
+        continue;
       }
       points.push_back(p);
     }

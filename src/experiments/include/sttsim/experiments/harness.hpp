@@ -5,12 +5,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/exec/memo_cache.hpp"
+#include "sttsim/exec/result_store.hpp"
 #include "sttsim/sim/stats.hpp"
 #include "sttsim/tech/energy.hpp"
 #include "sttsim/workloads/suite.hpp"
@@ -140,6 +142,16 @@ std::uint64_t simulation_digest(std::string_view kernel_name,
 /// kernel identity is replaced by a content digest over every trace op.
 std::uint64_t simulation_digest(const cpu::Trace& trace,
                                 const cpu::SystemConfig& config);
+
+/// The RunStats `store` holds under `digest`, counted as a memo hit or
+/// miss; nullopt on a miss, and (uncounted) when `store` is null. run_grid,
+/// run_kernel and the CLI's kernel mode probe the result store through it.
+std::optional<sim::RunStats> lookup_result(const exec::ResultStore* store,
+                                           std::uint64_t digest);
+
+/// Appends `stats` to `store` under `digest`; a no-op when `store` is null.
+void record_result(exec::ResultStore* store, std::uint64_t digest,
+                   const sim::RunStats& stats);
 
 /// Runs one kernel on one system configuration with the given codegen.
 /// When a persistent result store is active (exec::set_result_store), the

@@ -1,6 +1,7 @@
 // Unit tests for the parallel experiment engine: executor ordering and
 // exception propagation, the concurrent memo-cache's exactly-once
-// generation, and the throughput telemetry counters.
+// generation, the throughput telemetry counters, and both persistent
+// stores under pool workers.
 //
 // Deliberately includes only sttsim/exec headers: the test_exec_tsan
 // target recompiles this file together with the exec sources under
@@ -24,6 +25,7 @@
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
+#include "sttsim/exec/trace_store.hpp"
 
 namespace sttsim::exec {
 namespace {
@@ -326,6 +328,48 @@ TEST(ResultStoreConcurrency, PoolWorkersAppendAndLookupRaceFree) {
   ResultStore reopened(path, kPayload);
   EXPECT_EQ(reopened.entries(), kPoints + 1);
   EXPECT_EQ(reopened.dropped_records(), 0u);
+  std::remove(path.c_str());
+}
+
+// The same shape through the trace store's variable-length records: blobs
+// of varying length, as the trace cache appends them from pool workers.
+TEST(TraceStoreConcurrency, PoolWorkersAppendAndLookupRaceFree) {
+  const std::string path = ::testing::TempDir() + "sttsim_tstore_exec_" +
+                           std::to_string(::getpid()) + ".bin";
+  std::remove(path.c_str());
+  constexpr std::size_t kPoints = 256;
+  const auto blob_of = [](std::size_t i) {
+    std::vector<std::uint8_t> blob(1 + i % 61);
+    for (std::size_t b = 0; b < blob.size(); ++b) {
+      blob[b] = static_cast<std::uint8_t>(i + b);
+    }
+    return blob;
+  };
+  {
+    TraceStore store(path, 1);
+    set_trace_store(&store);
+    EXPECT_EQ(trace_store(), &store);
+    ParallelExecutor pool(8);
+    pool.map(kPoints, [&](std::size_t i) {
+      const std::vector<std::uint8_t> blob = blob_of(i);
+      store.append(i, blob.data(), blob.size());
+      store.append(1ull << 40, blob.data(), blob.size());  // contended
+      std::vector<std::uint8_t> out;
+      EXPECT_TRUE(store.lookup(i, out));
+      EXPECT_EQ(out, blob);
+      return 0;
+    });
+    set_trace_store(nullptr);
+    EXPECT_EQ(store.entries(), kPoints + 1);
+  }
+  TraceStore reopened(path, 1);
+  EXPECT_EQ(reopened.entries(), kPoints + 1);
+  EXPECT_EQ(reopened.dropped_records(), 0u);
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    ASSERT_TRUE(reopened.lookup(i, out));
+    EXPECT_EQ(out, blob_of(i));
+  }
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,11 @@
-// Tests: the persistent result store (exec/result_store) and the
-// incremental grid recomputation built on it — durability (truncated tail,
-// tampered records, wrong schema), concurrency, cross-process sharing
-// (forked second writers, first-write-wins across processes, recovery from
-// a writer killed mid-append), open-failure diagnostics, and the
+// Tests: the store engine behind both persistent stores (exec/append_log),
+// its durability matrix once — round trip and reopen, first write wins,
+// truncated tail, wrong schema, tampered record, corrupted length, a failed
+// write, eight-thread append, forked second writers, first-write-wins
+// across processes, recovery from a writer killed mid-append, refresh
+// visibility, open-failure diagnostics — then the result store on top of it
+// (payload-size header, wrong-length records, unwritable directory,
+// cross-reopen sharing), the simulation digest, the RunStats codec, and the
 // engine-level invariant that warm results are byte-identical to cold ones
 // at any pool width, with a one-parameter grid edit recomputing only the
 // dirty points.
@@ -20,33 +23,70 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "sttsim/exec/append_log.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/sim/stats.hpp"
+#include "sttsim/util/hash.hpp"
 #include "sttsim/workloads/suite.hpp"
 
 namespace sttsim {
 namespace {
 
-constexpr std::size_t kHeaderBytes = 24;           // magic, schema, size, check
-constexpr std::size_t kTestPayload = 16;
-constexpr std::size_t kTestRecord = 8 + kTestPayload + 8;
+constexpr std::size_t kHeaderBytes = 24;  // magic, schema, aux, check
+constexpr std::size_t kRecordHead = 12;   // digest u64 + len u32
+constexpr std::size_t kRecordTail = 8;    // checksum u64
+constexpr std::uint64_t kMagic = 0x474f4c5453455454ULL;  // "TTESTLOG"
+constexpr std::uint32_t kSchema = 1;
+constexpr std::size_t kTestPayload = 16;  // result-store payload size
+
+std::size_t record_bytes(std::size_t payload) {
+  return kRecordHead + payload + kRecordTail;
+}
 
 std::string temp_store_path(const char* name) {
   return ::testing::TempDir() + "sttsim_store_" + name + ".bin";
 }
 
-std::vector<std::uint8_t> make_payload(std::uint8_t seed) {
-  std::vector<std::uint8_t> p(kTestPayload);
+exec::AppendLog open_log(const std::string& path) {
+  return exec::AppendLog(path, "test log", kMagic, kSchema, 0);
+}
+
+std::vector<std::uint8_t> make_blob(std::uint8_t seed, std::size_t len) {
+  std::vector<std::uint8_t> p(len);
   for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = static_cast<std::uint8_t>(seed + i);
+    p[i] = static_cast<std::uint8_t>(seed + 3 * i);
   }
   return p;
+}
+
+std::vector<std::uint8_t> make_payload(std::uint8_t seed) {
+  return make_blob(seed, kTestPayload);
+}
+
+void put(exec::AppendLog& log, std::uint64_t digest,
+         const std::vector<std::uint8_t>& blob) {
+  log.append(digest, blob.data(), blob.size());
+}
+
+/// Copies the record under `digest` into `out`; false on a miss.
+bool read(const exec::AppendLog& log, std::uint64_t digest,
+          std::vector<std::uint8_t>& out) {
+  return log.lookup(digest, [&](const std::uint8_t* p, std::size_t n) {
+    out.assign(p, p + n);
+    return true;
+  });
+}
+
+bool has(const exec::AppendLog& log, std::uint64_t digest) {
+  std::vector<std::uint8_t> out;
+  return read(log, digest, out);
 }
 
 /// Overwrites one byte of the file in place (tampering helper).
@@ -60,103 +100,401 @@ void flip_byte(const std::string& path, std::size_t offset) {
   f.put(static_cast<char>(c ^ 0x5a));
 }
 
-TEST(ResultStore, RoundTripAndReopenFromDisk) {
+/// Forks, runs `child` in the child process, and _exits with its return
+/// code (bypassing gtest atexit and inherited stdio buffers). Returns the
+/// child's exit status in the parent.
+int run_forked(const std::function<int()>& child) {
+  std::fflush(nullptr);  // no double-flush of inherited buffers
+  const pid_t pid = fork();
+  if (pid == 0) {
+    _exit(child());
+  }
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return status;
+}
+
+// ---- The engine's durability matrix -----------------------------------
+
+TEST(AppendLog, RoundTripAndReopenFromDisk) {
   const std::string path = temp_store_path("roundtrip");
   std::remove(path.c_str());
+  // Varied lengths, the empty payload included.
+  const std::size_t lens[] = {0, 1, 7, 64, 1000};
   {
-    exec::ResultStore store(path, kTestPayload);
-    EXPECT_EQ(store.entries(), 0u);
-    for (std::uint8_t i = 1; i <= 5; ++i) {
-      store.append(1000 + i, make_payload(i).data());
+    exec::AppendLog log = open_log(path);
+    EXPECT_EQ(log.entries(), 0u);
+    for (std::size_t i = 0; i < std::size(lens); ++i) {
+      put(log, 100 + i, make_blob(static_cast<std::uint8_t>(i), lens[i]));
     }
-    EXPECT_EQ(store.entries(), 5u);
-    std::uint8_t out[kTestPayload];
-    EXPECT_TRUE(store.lookup(1003, out));
-    EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-              make_payload(3));
-    EXPECT_FALSE(store.lookup(9999, out));
+    EXPECT_EQ(log.entries(), std::size(lens));
+    EXPECT_FALSE(has(log, 9999));
   }
   // Reopen: everything must come back from the bytes on disk.
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), 5u);
-  EXPECT_EQ(store.dropped_records(), 0u);
-  EXPECT_EQ(store.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  for (std::uint8_t i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(store.lookup(1000 + i, out));
-    EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-              make_payload(i));
+  const exec::AppendLog log = open_log(path);
+  EXPECT_EQ(log.entries(), std::size(lens));
+  EXPECT_EQ(log.dropped_records(), 0u);
+  EXPECT_EQ(log.truncated_bytes(), 0u);
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < std::size(lens); ++i) {
+    ASSERT_TRUE(read(log, 100 + i, out)) << "record " << i;
+    EXPECT_EQ(out, make_blob(static_cast<std::uint8_t>(i), lens[i]));
   }
+  EXPECT_FALSE(has(log, 9999));
   std::remove(path.c_str());
 }
 
-TEST(ResultStore, FirstWriteWins) {
+TEST(AppendLog, FirstWriteWins) {
   const std::string path = temp_store_path("firstwrite");
   std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-  store.append(42, make_payload(1).data());
-  store.append(42, make_payload(2).data());  // ignored
-  EXPECT_EQ(store.entries(), 1u);
-  std::uint8_t out[kTestPayload];
-  ASSERT_TRUE(store.lookup(42, out));
-  EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(1));
+  exec::AppendLog log = open_log(path);
+  put(log, 42, make_blob(1, 32));
+  put(log, 42, make_blob(2, 48));  // ignored
+  EXPECT_EQ(log.entries(), 1u);
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(read(log, 42, out));
+  EXPECT_EQ(out, make_blob(1, 32));
   std::remove(path.c_str());
 }
 
-TEST(ResultStore, TruncatedTailIsDroppedAndFileRealigned) {
+TEST(AppendLog, TruncatedTailIsDroppedAndFileRealigned) {
   const std::string path = temp_store_path("truncated");
   std::remove(path.c_str());
   {
-    exec::ResultStore store(path, kTestPayload);
-    for (std::uint8_t i = 1; i <= 3; ++i) {
-      store.append(i, make_payload(i).data());
-    }
+    exec::AppendLog log = open_log(path);
+    for (std::uint8_t i = 1; i <= 3; ++i) put(log, i, make_blob(i, 40));
   }
-  // Chop the third record in half — a crash mid-append.
-  std::filesystem::resize_file(path,
-                               kHeaderBytes + 2 * kTestRecord + kTestRecord / 2);
+  // Chop the third record short — a crash mid-append.
+  std::filesystem::resize_file(path, kHeaderBytes + 2 * record_bytes(40) + 10);
   {
-    exec::ResultStore store(path, kTestPayload);
-    EXPECT_EQ(store.entries(), 2u);
-    EXPECT_EQ(store.truncated_bytes(), kTestRecord / 2);
-    std::uint8_t out[kTestPayload];
-    EXPECT_TRUE(store.lookup(1, out));
-    EXPECT_TRUE(store.lookup(2, out));
-    EXPECT_FALSE(store.lookup(3, out));
+    exec::AppendLog log = open_log(path);
+    EXPECT_EQ(log.entries(), 2u);
+    EXPECT_EQ(log.truncated_bytes(), 10u);
+    EXPECT_TRUE(has(log, 1));
+    EXPECT_TRUE(has(log, 2));
+    EXPECT_FALSE(has(log, 3));
     // Appending after recovery must stay record-aligned.
-    store.append(4, make_payload(4).data());
+    put(log, 4, make_blob(4, 24));
   }
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), 3u);
-  EXPECT_EQ(store.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  EXPECT_TRUE(store.lookup(4, out));
-  EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(4));
+  const exec::AppendLog log = open_log(path);
+  EXPECT_EQ(log.entries(), 3u);
+  EXPECT_EQ(log.truncated_bytes(), 0u);
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(read(log, 4, out));
+  EXPECT_EQ(out, make_blob(4, 24));
   std::remove(path.c_str());
 }
 
-TEST(ResultStore, WrongSchemaVersionReinitializesEmpty) {
+TEST(AppendLog, WrongSchemaVersionReinitializesEmpty) {
   const std::string path = temp_store_path("schema");
   std::remove(path.c_str());
   {
-    exec::ResultStore store(path, kTestPayload);
-    store.append(7, make_payload(7).data());
+    exec::AppendLog log = open_log(path);
+    put(log, 7, make_blob(7, 16));
   }
   flip_byte(path, 8);  // schema-version field of the header
   {
-    exec::ResultStore store(path, kTestPayload);
-    EXPECT_EQ(store.entries(), 0u);  // old records invalidated wholesale
-    store.append(8, make_payload(8).data());
+    exec::AppendLog log = open_log(path);
+    EXPECT_EQ(log.entries(), 0u);  // old records invalidated wholesale
+    put(log, 8, make_blob(8, 16));
   }
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), 1u);
-  std::uint8_t out[kTestPayload];
-  EXPECT_FALSE(store.lookup(7, out));
-  EXPECT_TRUE(store.lookup(8, out));
+  const exec::AppendLog log = open_log(path);
+  EXPECT_EQ(log.entries(), 1u);
+  EXPECT_FALSE(has(log, 7));
+  EXPECT_TRUE(has(log, 8));
   std::remove(path.c_str());
 }
+
+// Hit poisoning: a tampered record's checksum no longer matches, so the key
+// must MISS (forcing a recompute) rather than serve corrupt bytes. Framing
+// is intact, so records after the tampered one stay readable.
+TEST(AppendLog, TamperedRecordMissesInsteadOfServingCorruptBytes) {
+  const std::string path = temp_store_path("tampered");
+  std::remove(path.c_str());
+  {
+    exec::AppendLog log = open_log(path);
+    put(log, 1, make_blob(1, 30));
+    put(log, 2, make_blob(2, 30));
+  }
+  flip_byte(path, kHeaderBytes + kRecordHead + 3);  // payload of record #1
+  const exec::AppendLog log = open_log(path);
+  EXPECT_EQ(log.dropped_records(), 1u);
+  EXPECT_EQ(log.entries(), 1u);
+  EXPECT_FALSE(has(log, 1));  // recompute, don't trust
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(read(log, 2, out));
+  EXPECT_EQ(out, make_blob(2, 30));
+  std::remove(path.c_str());
+}
+
+// A corrupted LENGTH field cannot be skipped in place — it desyncs the
+// framing — so everything from the bad record on is discarded as a torn
+// tail, and the file realigns for future appends. Both stores frame their
+// records this way.
+TEST(AppendLog, CorruptedLengthTruncatesRestOfFile) {
+  const std::string path = temp_store_path("badlen");
+  std::remove(path.c_str());
+  {
+    exec::AppendLog log = open_log(path);
+    for (std::uint8_t i = 1; i <= 3; ++i) put(log, i, make_blob(i, 20));
+  }
+  // Blast the high byte of record #2's length: the stated extent now runs
+  // far past EOF.
+  flip_byte(path, kHeaderBytes + record_bytes(20) + 8 + 3);
+  {
+    exec::AppendLog log = open_log(path);
+    EXPECT_EQ(log.entries(), 1u);
+    EXPECT_EQ(log.truncated_bytes(), 2 * record_bytes(20));
+    EXPECT_TRUE(has(log, 1));
+    EXPECT_FALSE(has(log, 2));
+    EXPECT_FALSE(has(log, 3));
+    put(log, 9, make_blob(9, 20));
+  }
+  const exec::AppendLog log = open_log(path);
+  EXPECT_EQ(log.entries(), 2u);
+  EXPECT_EQ(log.dropped_records(), 0u);
+  EXPECT_EQ(log.truncated_bytes(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(AppendLog, ConcurrentAppendFromEightThreads) {
+  const std::string path = temp_store_path("concurrent");
+  std::remove(path.c_str());
+  constexpr unsigned kThreads = 8;
+  constexpr unsigned kPerThread = 64;
+  const auto blob_of = [](std::uint64_t d) {
+    return make_blob(static_cast<std::uint8_t>(d), 8 + d % 40);
+  };
+  {
+    exec::AppendLog log = open_log(path);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&log, &blob_of, t] {
+        for (unsigned i = 0; i < kPerThread; ++i) {
+          const std::uint64_t digest = t * kPerThread + i;
+          const auto blob = blob_of(digest);
+          put(log, digest, blob);
+          // Contended digest: every thread races to write it; first wins.
+          put(log, 1ull << 60, blob);
+          EXPECT_TRUE(has(log, digest));
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(log.entries(), kThreads * kPerThread + 1);
+  }
+  // Every record survives the reopen intact.
+  const exec::AppendLog log = open_log(path);
+  EXPECT_EQ(log.entries(), kThreads * kPerThread + 1);
+  EXPECT_EQ(log.dropped_records(), 0u);
+  EXPECT_EQ(log.truncated_bytes(), 0u);
+  std::vector<std::uint8_t> out;
+  for (std::uint64_t d = 0; d < kThreads * kPerThread; ++d) {
+    ASSERT_TRUE(read(log, d, out));
+    EXPECT_EQ(out, blob_of(d));
+  }
+  std::remove(path.c_str());
+}
+
+// A write that fails (here: the file-size limit, as on a full disk) must
+// not leave an indexed record that never reached the disk. The append cuts
+// the file back to the last complete record, reports the failure, keeps
+// running, and the record misses.
+TEST(AppendLogMultiProcess, FailedWriteStaysOutOfTheIndex) {
+  const std::string path = temp_store_path("failedwrite");
+  std::remove(path.c_str());
+  const int status = run_forked([&path]() -> int {
+    std::signal(SIGXFSZ, SIG_IGN);  // a failed write, not a dead process
+    rlimit limit{};
+    if (getrlimit(RLIMIT_FSIZE, &limit) != 0) return 10;
+    limit.rlim_cur = kHeaderBytes + record_bytes(32) * 3 / 2;
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) return 11;
+    exec::AppendLog log = open_log(path);
+    put(log, 1, make_blob(1, 32));
+    put(log, 2, make_blob(2, 32));  // crosses the limit
+    if (!has(log, 1)) return 1;
+    if (has(log, 2)) return 2;
+    return 0;
+  });
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  const exec::AppendLog log = open_log(path);
+  EXPECT_EQ(log.entries(), 1u);
+  EXPECT_EQ(log.truncated_bytes(), 0u);
+  EXPECT_TRUE(has(log, 1));
+  std::remove(path.c_str());
+}
+
+// Two processes appending concurrently to one path: every record from both
+// writers must be readable afterwards, with zero dropped or truncated bytes
+// — the flock around each append keeps records from tearing each other no
+// matter how the schedulers interleave them.
+TEST(AppendLogMultiProcess, ConcurrentForkedWriterInterleavesCleanly) {
+  const std::string path = temp_store_path("forkwriter");
+  std::remove(path.c_str());
+  exec::AppendLog log = open_log(path);
+  const auto blob_of = [](std::uint64_t d) {
+    return make_blob(static_cast<std::uint8_t>(d), 16 + d % 9);
+  };
+
+  const int status = run_forked([&path, &blob_of] {
+    exec::AppendLog child_log = open_log(path);
+    for (std::uint64_t d = 2000; d < 2064; ++d) put(child_log, d, blob_of(d));
+    return 0;
+  });
+  // Parent appends its own range while (and after) the child runs.
+  for (std::uint64_t d = 0; d < 64; ++d) put(log, d, blob_of(d));
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  // refresh() pulls the child's records into the parent's index.
+  log.refresh();
+  EXPECT_EQ(log.entries(), 128u);
+  for (std::uint64_t d = 0; d < 64; ++d) {
+    ASSERT_TRUE(has(log, d));
+    ASSERT_TRUE(has(log, 2000 + d));
+  }
+  // The interleaved file parses clean from scratch.
+  const exec::AppendLog reopened = open_log(path);
+  EXPECT_EQ(reopened.entries(), 128u);
+  EXPECT_EQ(reopened.dropped_records(), 0u);
+  EXPECT_EQ(reopened.truncated_bytes(), 0u);
+  std::remove(path.c_str());
+}
+
+// First-write-wins must hold ACROSS processes: a digest the child landed
+// first is never overwritten by the parent's later append, even though the
+// parent has not called refresh() — append itself scans foreign records
+// under the lock before writing.
+TEST(AppendLogMultiProcess, FirstWriteWinsAcrossProcesses) {
+  const std::string path = temp_store_path("forkfww");
+  std::remove(path.c_str());
+  exec::AppendLog log = open_log(path);
+
+  const int status = run_forked([&path] {
+    exec::AppendLog child_log = open_log(path);
+    put(child_log, 5000, make_blob(11, 25));
+    return 0;
+  });
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  // The child exited before this append, so it unambiguously wrote first.
+  put(log, 5000, make_blob(99, 50));
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(read(log, 5000, out));
+  EXPECT_EQ(out, make_blob(11, 25))
+      << "parent overwrote a record another process had already written";
+  const exec::AppendLog reopened = open_log(path);
+  EXPECT_EQ(reopened.entries(), 1u);
+  std::remove(path.c_str());
+}
+
+// A child killed mid-append — SIGKILL with the file lock held and half a
+// record written — must not poison the store: the kernel releases its
+// flock (no stale lock to recover), and the parent's next refresh()
+// truncates the torn tail so future appends stay record-aligned.
+TEST(AppendLogMultiProcess, KilledMidAppendChildTailIsTruncatedOnRefresh) {
+  const std::string path = temp_store_path("forkkill");
+  std::remove(path.c_str());
+  exec::AppendLog log = open_log(path);
+  put(log, 1, make_blob(1, 33));
+
+  const int status = run_forked([&path]() -> int {
+    // The exact on-disk state a writer killed mid-append leaves behind:
+    // exclusive flock held, half a record at the end of the file.
+    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+    if (fd < 0) return 1;
+    if (flock(fd, LOCK_EX) != 0) return 2;
+    const std::vector<std::uint8_t> half(record_bytes(33) / 2, 0xab);
+    if (write(fd, half.data(), half.size()) !=
+        static_cast<ssize_t>(half.size())) {
+      return 3;
+    }
+    raise(SIGKILL);  // dies holding the lock, mid-record
+    return 4;        // unreachable
+  });
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+  // The dead child's lock is gone (kernel-released): refresh() proceeds,
+  // finds no new complete record, and truncates the torn tail.
+  EXPECT_EQ(log.refresh(), 0u);
+  EXPECT_EQ(log.truncated_bytes(), record_bytes(33) / 2);
+  EXPECT_EQ(log.entries(), 1u);
+
+  // Post-recovery appends stay aligned and a fresh open parses clean.
+  put(log, 2, make_blob(2, 12));
+  const exec::AppendLog reopened = open_log(path);
+  EXPECT_EQ(reopened.entries(), 2u);
+  EXPECT_EQ(reopened.dropped_records(), 0u);
+  EXPECT_EQ(reopened.truncated_bytes(), 0u);
+  EXPECT_TRUE(has(reopened, 1));
+  EXPECT_TRUE(has(reopened, 2));
+  std::remove(path.c_str());
+}
+
+// lookup() deliberately probes only the in-memory index; refresh() is the
+// explicit synchronization point that makes another process's appends
+// visible (and reports how many arrived).
+TEST(AppendLogMultiProcess, RefreshMakesForeignAppendsVisible) {
+  const std::string path = temp_store_path("forkrefresh");
+  std::remove(path.c_str());
+  exec::AppendLog log = open_log(path);
+
+  const int status = run_forked([&path] {
+    exec::AppendLog child_log = open_log(path);
+    for (std::uint64_t d = 100; d < 103; ++d) {
+      put(child_log, d, make_blob(static_cast<std::uint8_t>(d), 10));
+    }
+    return 0;
+  });
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  EXPECT_FALSE(has(log, 100)) << "lookup must not do hidden I/O";
+  EXPECT_EQ(log.refresh(), 3u);
+  std::vector<std::uint8_t> out;
+  for (std::uint64_t d = 100; d < 103; ++d) {
+    ASSERT_TRUE(read(log, d, out));
+    EXPECT_EQ(out, make_blob(static_cast<std::uint8_t>(d), 10));
+  }
+  EXPECT_EQ(log.refresh(), 0u);  // idempotent when nothing new arrived
+  std::remove(path.c_str());
+}
+
+// ---- Open-failure diagnostics -----------------------------------------
+
+TEST(AppendLogOpenErrors, PathIsADirectory) {
+  const std::string dir = ::testing::TempDir() + "sttsim_store_dir_as_path";
+  std::filesystem::create_directory(dir);
+  try {
+    exec::AppendLog log = open_log(dir);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(dir), std::string::npos) << what;
+    EXPECT_NE(what.find("directory"), std::string::npos) << what;
+    EXPECT_NE(what.find("test log"), std::string::npos) << what;
+  }
+  std::filesystem::remove(dir);
+}
+
+TEST(AppendLogOpenErrors, MissingParentDirectory) {
+  const std::string path =
+      ::testing::TempDir() + "sttsim_no_such_dir/deeper/store.bin";
+  try {
+    exec::AppendLog log = open_log(path);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("parent directory does not exist"), std::string::npos)
+        << what;
+  }
+}
+
+// ---- The result store on the engine -----------------------------------
 
 TEST(ResultStore, MismatchedPayloadSizeReinitializesEmpty) {
   const std::string path = temp_store_path("payloadsize");
@@ -170,65 +508,65 @@ TEST(ResultStore, MismatchedPayloadSizeReinitializesEmpty) {
   std::remove(path.c_str());
 }
 
-// Hit poisoning: a tampered record's checksum no longer matches, so the key
-// must MISS (forcing a recompute) rather than serve corrupt bytes. Records
-// after the tampered one stay readable (alignment preserved).
-TEST(ResultStore, TamperedRecordMissesInsteadOfServingCorruptBytes) {
-  const std::string path = temp_store_path("tampered");
+/// Appends one well-formed record — valid checksum — to the file at `path`.
+void append_raw_record(const std::string& path, std::uint64_t digest,
+                       const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> rec;
+  const auto put_le = [&rec](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      rec.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put_le(digest, 8);
+  put_le(payload.size(), 4);
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  put_le(util::hash_bytes(rec.data(), rec.size()), 8);
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  f.write(reinterpret_cast<const char*>(rec.data()),
+          static_cast<std::streamsize>(rec.size()));
+}
+
+// The store file is input from outside the program: a record with a valid
+// checksum that is not payload_bytes() long must miss, and never be copied
+// into (or past the end of) the caller's buffer.
+TEST(ResultStore, WrongLengthRecordMisses) {
+  const std::string path = temp_store_path("wronglen");
   std::remove(path.c_str());
   {
     exec::ResultStore store(path, kTestPayload);
     store.append(1, make_payload(1).data());
-    store.append(2, make_payload(2).data());
   }
-  flip_byte(path, kHeaderBytes + 8 + 3);  // payload byte of record #1
+  append_raw_record(path, 2, make_blob(2, kTestPayload - 1));
+  append_raw_record(path, 3, make_blob(3, kTestPayload + 1));
   exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.dropped_records(), 1u);
-  EXPECT_EQ(store.entries(), 1u);
+  EXPECT_EQ(store.dropped_records(), 0u);  // the checksums hold
+  EXPECT_EQ(store.truncated_bytes(), 0u);
   std::uint8_t out[kTestPayload];
-  EXPECT_FALSE(store.lookup(1, out));  // recompute, don't trust
-  ASSERT_TRUE(store.lookup(2, out));
+  ASSERT_TRUE(store.lookup(1, out));
   EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(2));
+            make_payload(1));
+  EXPECT_FALSE(store.lookup(2, out));
+  EXPECT_FALSE(store.lookup(3, out));
   std::remove(path.c_str());
 }
 
-TEST(ResultStore, ConcurrentAppendFromEightThreads) {
-  const std::string path = temp_store_path("concurrent");
-  std::remove(path.c_str());
-  constexpr unsigned kThreads = 8;
-  constexpr unsigned kPerThread = 64;
-  {
-    exec::ResultStore store(path, kTestPayload);
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&store, t] {
-        for (unsigned i = 0; i < kPerThread; ++i) {
-          const std::uint64_t digest = t * kPerThread + i;
-          const auto payload =
-              make_payload(static_cast<std::uint8_t>(digest & 0xff));
-          store.append(digest, payload.data());
-          // Contended digest: every thread races to write it; first wins.
-          store.append(1ull << 60, payload.data());
-          std::uint8_t out[kTestPayload];
-          EXPECT_TRUE(store.lookup(digest, out));
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    EXPECT_EQ(store.entries(), kThreads * kPerThread + 1);
+TEST(ResultStoreOpenErrors, UnwritableDirectory) {
+  if (geteuid() == 0) {
+    GTEST_SKIP() << "permission checks are bypassed for root";
   }
-  // Every record survives the reopen intact.
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.entries(), kThreads * kPerThread + 1);
-  EXPECT_EQ(store.dropped_records(), 0u);
-  EXPECT_EQ(store.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  for (std::uint64_t d = 0; d < kThreads * kPerThread; ++d) {
-    ASSERT_TRUE(store.lookup(d, out));
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(d & 0xff));
+  const std::string dir = ::testing::TempDir() + "sttsim_store_readonly";
+  std::filesystem::create_directory(dir);
+  std::filesystem::permissions(dir, std::filesystem::perms::owner_read |
+                                        std::filesystem::perms::owner_exec);
+  try {
+    exec::ResultStore store(dir + "/store.bin", kTestPayload);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("permission denied"), std::string::npos) << what;
   }
-  std::remove(path.c_str());
+  std::filesystem::permissions(dir, std::filesystem::perms::owner_all);
+  std::filesystem::remove(dir);
 }
 
 // Cross-reopen interleaving — pins the multi-writer sharing model: any
@@ -236,13 +574,12 @@ TEST(ResultStore, ConcurrentAppendFromEightThreads) {
 // path. Every mutation holds an exclusive flock and scans foreign records
 // before appending, so a second instance opened mid-run always reads a
 // well-formed record-aligned snapshot, a digest any writer already landed
-// is never overwritten (first write wins, across instances), and — unlike
-// the pre-lifecycle engine — an interloper's append SURVIVES the original
-// writer's next append: each append seeks to the scanned end of file, so
-// records interleave instead of clobbering. The test pins all of it: the
-// prefix every reopen observes is exact, the original writer's records are
-// never lost or corrupted, and the interleaved file parses with zero
-// dropped records.
+// is never overwritten (first write wins, across instances), and an
+// interloper's append SURVIVES the original writer's next append: each
+// append seeks to the scanned end of file, so records interleave instead of
+// clobbering. The test pins all of it: the prefix every reopen observes is
+// exact, the original writer's records are never lost or corrupted, and
+// the interleaved file parses with zero dropped records.
 TEST(ResultStore, CrossReopenSeesConsistentSnapshotAndFirstWriteWins) {
   const std::string path = temp_store_path("crossreopen");
   std::remove(path.c_str());
@@ -283,214 +620,6 @@ TEST(ResultStore, CrossReopenSeesConsistentSnapshotAndFirstWriteWins) {
     EXPECT_EQ(out[0], static_cast<std::uint8_t>(r + 1));
   }
   std::remove(path.c_str());
-}
-
-// ---- Multi-process sharing (fork-based) -------------------------------
-
-/// Forks, runs `child` in the child process, and _exits with its return
-/// code (bypassing gtest atexit and inherited stdio buffers). Returns the
-/// child's exit status in the parent.
-int run_forked(const std::function<int()>& child) {
-  std::fflush(nullptr);  // no double-flush of inherited buffers
-  const pid_t pid = fork();
-  if (pid == 0) {
-    _exit(child());
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  return status;
-}
-
-// Two processes appending concurrently to one store path: every record
-// from both writers must be readable afterwards, with zero dropped or
-// truncated bytes — the flock around each append keeps records from
-// tearing each other no matter how the schedulers interleave them.
-TEST(ResultStoreMultiProcess, ConcurrentForkedWriterInterleavesCleanly) {
-  const std::string path = temp_store_path("forkwriter");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-
-  const int status = run_forked([&path] {
-    exec::ResultStore child_store(path, kTestPayload);
-    for (std::uint64_t d = 2000; d < 2064; ++d) {
-      child_store.append(
-          d, make_payload(static_cast<std::uint8_t>(d & 0xff)).data());
-    }
-    return 0;
-  });
-  // Parent appends its own range while (and after) the child runs.
-  for (std::uint64_t d = 0; d < 64; ++d) {
-    store.append(d, make_payload(static_cast<std::uint8_t>(d & 0xff)).data());
-  }
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // refresh() pulls the child's records into the parent's index.
-  store.refresh();
-  EXPECT_EQ(store.entries(), 128u);
-  std::uint8_t out[kTestPayload];
-  for (std::uint64_t d = 0; d < 64; ++d) {
-    ASSERT_TRUE(store.lookup(d, out));
-    ASSERT_TRUE(store.lookup(2000 + d, out));
-  }
-  // The interleaved file parses clean from scratch.
-  exec::ResultStore reopened(path, kTestPayload);
-  EXPECT_EQ(reopened.entries(), 128u);
-  EXPECT_EQ(reopened.dropped_records(), 0u);
-  EXPECT_EQ(reopened.truncated_bytes(), 0u);
-  std::remove(path.c_str());
-}
-
-// First-write-wins must hold ACROSS processes: a digest the child landed
-// first is never overwritten by the parent's later append, even though the
-// parent has not called refresh() — append itself scans foreign records
-// under the lock before writing.
-TEST(ResultStoreMultiProcess, FirstWriteWinsAcrossProcesses) {
-  const std::string path = temp_store_path("forkfww");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-
-  const int status = run_forked([&path] {
-    exec::ResultStore child_store(path, kTestPayload);
-    child_store.append(5000, make_payload(11).data());
-    return 0;
-  });
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-
-  // The child exited before this append, so it unambiguously wrote first.
-  store.append(5000, make_payload(99).data());
-  std::uint8_t out[kTestPayload];
-  ASSERT_TRUE(store.lookup(5000, out));
-  EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(11))
-      << "parent overwrote a record another process had already computed";
-  exec::ResultStore reopened(path, kTestPayload);
-  EXPECT_EQ(reopened.entries(), 1u);
-  std::remove(path.c_str());
-}
-
-// A child killed mid-append — SIGKILL with the file lock held and half a
-// record written — must not poison the store: the kernel releases its
-// flock (no stale lock to recover), and the parent's next refresh()
-// truncates the torn tail so future appends stay record-aligned.
-TEST(ResultStoreMultiProcess, KilledMidAppendChildTailIsTruncatedOnRefresh) {
-  const std::string path = temp_store_path("forkkill");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-  store.append(1, make_payload(1).data());
-
-  const int status = run_forked([&path]() -> int {
-    // The exact on-disk state a writer killed mid-append leaves behind:
-    // exclusive flock held, half a record at the end of the file.
-    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (fd < 0) return 1;
-    if (flock(fd, LOCK_EX) != 0) return 2;
-    const std::vector<std::uint8_t> half(kTestRecord / 2, 0xab);
-    if (write(fd, half.data(), half.size()) !=
-        static_cast<ssize_t>(half.size())) {
-      return 3;
-    }
-    raise(SIGKILL);  // dies holding the lock, mid-record
-    return 4;        // unreachable
-  });
-  ASSERT_TRUE(WIFSIGNALED(status));
-  ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-  // The dead child's lock is gone (kernel-released): refresh() proceeds,
-  // finds no new complete record, and truncates the torn tail.
-  EXPECT_EQ(store.refresh(), 0u);
-  EXPECT_EQ(store.truncated_bytes(), kTestRecord / 2);
-  EXPECT_EQ(store.entries(), 1u);
-
-  // Post-recovery appends stay aligned and a fresh open parses clean.
-  store.append(2, make_payload(2).data());
-  exec::ResultStore reopened(path, kTestPayload);
-  EXPECT_EQ(reopened.entries(), 2u);
-  EXPECT_EQ(reopened.dropped_records(), 0u);
-  EXPECT_EQ(reopened.truncated_bytes(), 0u);
-  std::uint8_t out[kTestPayload];
-  EXPECT_TRUE(reopened.lookup(1, out));
-  EXPECT_TRUE(reopened.lookup(2, out));
-  std::remove(path.c_str());
-}
-
-// lookup() deliberately probes only the in-memory index; refresh() is the
-// explicit synchronization point that makes another process's appends
-// visible (and reports how many arrived).
-TEST(ResultStoreMultiProcess, RefreshMakesForeignAppendsVisible) {
-  const std::string path = temp_store_path("forkrefresh");
-  std::remove(path.c_str());
-  exec::ResultStore store(path, kTestPayload);
-
-  const int status = run_forked([&path] {
-    exec::ResultStore child_store(path, kTestPayload);
-    for (std::uint64_t d = 100; d < 103; ++d) {
-      child_store.append(d, make_payload(static_cast<std::uint8_t>(d)).data());
-    }
-    return 0;
-  });
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-
-  std::uint8_t out[kTestPayload];
-  EXPECT_FALSE(store.lookup(100, out)) << "lookup must not do hidden I/O";
-  EXPECT_EQ(store.refresh(), 3u);
-  for (std::uint64_t d = 100; d < 103; ++d) {
-    ASSERT_TRUE(store.lookup(d, out));
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(d));
-  }
-  EXPECT_EQ(store.refresh(), 0u);  // idempotent when nothing new arrived
-  std::remove(path.c_str());
-}
-
-// ---- Open-failure diagnostics -----------------------------------------
-
-TEST(ResultStoreOpenErrors, PathIsADirectory) {
-  const std::string dir = ::testing::TempDir() + "sttsim_store_dir_as_path";
-  std::filesystem::create_directory(dir);
-  try {
-    exec::ResultStore store(dir, kTestPayload);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(dir), std::string::npos) << what;
-    EXPECT_NE(what.find("directory"), std::string::npos) << what;
-  }
-  std::filesystem::remove(dir);
-}
-
-TEST(ResultStoreOpenErrors, MissingParentDirectory) {
-  const std::string path =
-      ::testing::TempDir() + "sttsim_no_such_dir/deeper/store.bin";
-  try {
-    exec::ResultStore store(path, kTestPayload);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("parent directory does not exist"), std::string::npos)
-        << what;
-  }
-}
-
-TEST(ResultStoreOpenErrors, UnwritableDirectory) {
-  if (geteuid() == 0) {
-    GTEST_SKIP() << "permission checks are bypassed for root";
-  }
-  const std::string dir = ::testing::TempDir() + "sttsim_store_readonly";
-  std::filesystem::create_directory(dir);
-  std::filesystem::permissions(dir, std::filesystem::perms::owner_read |
-                                        std::filesystem::perms::owner_exec);
-  try {
-    exec::ResultStore store(dir + "/store.bin", kTestPayload);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("permission denied"), std::string::npos) << what;
-  }
-  std::filesystem::permissions(dir, std::filesystem::perms::owner_all);
-  std::filesystem::remove(dir);
 }
 
 // ---- Digest and engine-level behavior --------------------------------

@@ -44,7 +44,6 @@ DecodedTrace make_trace(std::uint64_t tag, std::size_t n) {
   DecodedTrace t;
   for (std::size_t i = 0; i < n; ++i) {
     t.push_back(op_at(tag, i));
-    if (i % 7 == 0) t.store_values.push_back(tag + i);
   }
   return t;
 }
@@ -92,12 +91,10 @@ TEST(TraceChunks, CopyIsDeep) {
   DecodedTrace source = make_trace(2, n);
   const DecodedTrace copy = source;
   EXPECT_TRUE(holds(copy, 2, n));
-  EXPECT_EQ(copy.store_values, source.store_values);
   EXPECT_NE(copy.chunk(0).data(), source.chunk(0).data());
   DecodedTrace assigned = make_trace(3, 5);
   assigned = source;
   EXPECT_TRUE(holds(assigned, 2, n));
-  EXPECT_EQ(assigned.store_values, source.store_values);
   // Growing the source leaves its copies as they were.
   source.push_back(op_at(2, n));
   EXPECT_TRUE(holds(source, 2, n + 1));
@@ -114,7 +111,6 @@ TEST(TraceChunks, MoveLeavesTheSourceEmpty) {
   DecodedTrace moved = std::move(source);
   EXPECT_TRUE(source.empty());
   EXPECT_EQ(source.chunk_count(), 0u);
-  EXPECT_TRUE(source.store_values.empty());
   EXPECT_EQ(moved.chunk(0).data(), first);  // no op was copied
   EXPECT_TRUE(holds(moved, 4, n));
 

@@ -531,6 +531,7 @@ TEST(DirectSynthesis, ByteIdenticalAcrossSuiteAndCodegen) {
                 (direct.size() + cpu::kChunkOps - 1) / cpu::kChunkOps);
       ASSERT_EQ(via_decode.chunk_count(), direct.chunk_count());
       h.u64(direct.size());
+      std::size_t stores = 0;
       for (std::size_t c = 0; c < direct.chunk_count(); ++c) {
         const std::span<const cpu::DecodedOp> ops = direct.chunk(c);
         // Packed 16-byte ops: byte identity, not just field equality.
@@ -540,10 +541,12 @@ TEST(DirectSynthesis, ByteIdenticalAcrossSuiteAndCodegen) {
         for (const cpu::DecodedOp& op : ops) {
           h.u64(op.addr).u32(op.count).u8(static_cast<std::uint8_t>(op.kind));
           h.u8(op.size).u8(op.span32).u8(op.span64);
+          stores += op.kind == cpu::OpKind::kStore;
         }
       }
-      EXPECT_EQ(direct.store_values, via_decode.store_values);
-      for (const std::uint64_t value : direct.store_values) h.u64(value);
+      // A 0 per store keeps kPinnedTraces valid: its digests were taken
+      // when each store's (always zero) payload was hashed here.
+      for (std::size_t s = 0; s < stores; ++s) h.u64(0);
     }
     EXPECT_STREQ(kPinnedTraces[i].kernel, k.name.c_str());
     EXPECT_EQ(h.digest(), kPinnedTraces[i].digest)

@@ -52,4 +52,11 @@ inline cpu::Trace random_trace(std::uint64_t seed, std::size_t ops,
   return t;
 }
 
+/// `trace` with every store payload zeroed: what reassemble(decode(trace))
+/// gives back, since decoded traces carry no payloads.
+inline cpu::Trace without_payloads(cpu::Trace trace) {
+  for (cpu::TraceOp& op : trace) op.value = 0;
+  return trace;
+}
+
 }  // namespace sttsim::testutil

@@ -52,7 +52,6 @@
 #include "sttsim/exec/parallel_executor.hpp"
 #include "sttsim/exec/request.hpp"
 #include "sttsim/exec/result_store.hpp"
-#include "sttsim/exec/telemetry.hpp"
 #include "sttsim/exec/trace_store.hpp"
 #include "sttsim/experiments/artifacts.hpp"
 #include "sttsim/experiments/harness.hpp"
@@ -455,20 +454,13 @@ int run(const CliOptions& o) {
                    ? experiments::simulation_digest(trace, validated)
                    : experiments::simulation_digest(o.kernel, o.codegen,
                                                     validated);
-      std::uint8_t payload[sim::kRunStatsBytes];
-      if (store->lookup(digest, payload)) {
-        exec::Telemetry::instance().count_memo_hit();
-        return sim::decode_run_stats(payload);
-      }
-      exec::Telemetry::instance().count_memo_miss();
+    }
+    if (const auto hit = experiments::lookup_result(store, digest)) {
+      return *hit;
     }
     cpu::System system(validated, cpu::System::kPrevalidated);
     const sim::RunStats stats = system.run(trace);
-    if (store != nullptr) {
-      std::uint8_t payload[sim::kRunStatsBytes];
-      sim::encode_run_stats(stats, payload);
-      store->append(digest, payload);
-    }
+    experiments::record_result(store, digest, stats);
     return stats;
   };
 
