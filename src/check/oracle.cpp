@@ -1,6 +1,7 @@
 #include "sttsim/check/oracle.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,27 +25,88 @@ std::uint8_t payload_byte(std::uint64_t value, std::uint64_t offset) {
 }
 
 // ---------------------------------------------------------------------------
-// Content ledger: the last bytes written at one level of the hierarchy,
-// keyed by absolute byte address. Whether a line is *resident* at a level is
-// tracked by the functional structures below; the ledger entry of a resident
-// line is always fresh because every fill overwrites its span. Unwritten
-// addresses read as zero, the architectural initial value.
+// Content ledger: the last bytes written at one level of the hierarchy, in
+// 4 KiB pages keyed by page number. Whether a line is *resident* at a level
+// is tracked by the functional structures below; the ledger bytes of a
+// resident line are always fresh because every fill overwrites its span. A
+// page is created zero-filled on its first write, and an absent page reads
+// as zero, so unwritten addresses read as zero, the architectural initial
+// value. Every ledger operation works on a span, one page run at a time.
 class ByteMap {
  public:
-  std::uint8_t read(Addr a) const {
-    auto it = bytes_.find(a);
-    return it == bytes_.end() ? 0 : it->second;
+  static constexpr std::uint64_t kPageBytes = 4096;
+  using Page = std::array<std::uint8_t, kPageBytes>;
+
+  /// Page `number`, or nullptr when none of its bytes was ever written.
+  Page* find(Addr number) {
+    auto it = pages_.find(number);
+    return it == pages_.end() ? nullptr : &it->second;
   }
-  void write(Addr a, std::uint8_t v) { bytes_[a] = v; }
+  const Page* find(Addr number) const {
+    return const_cast<ByteMap*>(this)->find(number);
+  }
+  /// Page `number`, created zero-filled on first use.
+  Page& page(Addr number) { return pages_[number]; }
 
  private:
-  std::unordered_map<Addr, std::uint8_t> bytes_;
+  std::unordered_map<Addr, Page> pages_;
 };
 
-void copy_span(ByteMap& dst, const ByteMap& src, Addr base, std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    dst.write(base + i, src.read(base + i));
+/// Splits [base, base + n) at page boundaries and calls
+/// f(page number, offset in the page, run length, offset in the span).
+template <typename F>
+void for_each_run(Addr base, std::uint64_t n, F f) {
+  for (std::uint64_t done = 0; done < n;) {
+    const std::uint64_t off = (base + done) % ByteMap::kPageBytes;
+    const std::uint64_t len = std::min(n - done, ByteMap::kPageBytes - off);
+    f((base + done) / ByteMap::kPageBytes, off, len, done);
+    done += len;
   }
+}
+
+void read_span(const ByteMap& src, Addr base, std::uint64_t n,
+               std::uint8_t* out) {
+  for_each_run(base, n, [&](Addr page, std::uint64_t off, std::uint64_t len,
+                            std::uint64_t done) {
+    const ByteMap::Page* p = src.find(page);
+    if (p == nullptr) {
+      std::fill_n(out + done, len, 0);
+    } else {
+      std::copy_n(p->data() + off, len, out + done);
+    }
+  });
+}
+
+void write_span(ByteMap& dst, Addr base, std::uint64_t n,
+                const std::uint8_t* in) {
+  for_each_run(base, n, [&](Addr page, std::uint64_t off, std::uint64_t len,
+                            std::uint64_t done) {
+    std::copy_n(in + done, len, dst.page(page).data() + off);
+  });
+}
+
+void copy_span(ByteMap& dst, const ByteMap& src, Addr base, std::uint64_t n) {
+  for_each_run(base, n, [&](Addr page, std::uint64_t off, std::uint64_t len,
+                            std::uint64_t) {
+    if (const ByteMap::Page* p = src.find(page)) {
+      std::copy_n(p->data() + off, len, dst.page(page).data() + off);
+    } else if (ByteMap::Page* d = dst.find(page)) {
+      std::fill_n(d->data() + off, len, 0);
+    }  // else zeros over an absent page: it reads zero already
+  });
+}
+
+/// Writes the store payload bytes `phase`, `phase + 1`, ... over
+/// [base, base + n).
+void payload_span(ByteMap& dst, Addr base, std::uint64_t n,
+                  std::uint64_t value, std::uint64_t phase) {
+  for_each_run(base, n, [&](Addr page, std::uint64_t off, std::uint64_t len,
+                            std::uint64_t done) {
+    std::uint8_t* d = dst.page(page).data() + off;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      d[i] = payload_byte(value, phase + done + i);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -479,18 +541,25 @@ class OracleBase : public ReferenceDl1 {
     if (shadow_violations_.size() >= kMaxShadowViolations) return;
     shadow_violations_.push_back(ShadowViolation{a, expected, observed, level});
   }
+  /// Compares the load span [addr, addr + size) of `level_bytes` with the
+  /// architectural image, recording mismatches in address order.
   void check_bytes(Addr addr, unsigned size, const ByteMap& level_bytes,
                    const char* level) {
-    for (unsigned i = 0; i < size; ++i) {
-      const std::uint8_t expected = arch_.read(addr + i);
-      const std::uint8_t observed = level_bytes.read(addr + i);
-      if (expected != observed) record(addr + i, expected, observed, level);
-    }
+    for_each_run(addr, size, [&](Addr page, std::uint64_t off,
+                                 std::uint64_t len, std::uint64_t done) {
+      const ByteMap::Page* want = arch_.find(page);
+      const ByteMap::Page* got = level_bytes.find(page);
+      for (std::uint64_t i = 0; i < len; ++i) {
+        const std::uint8_t expected = want == nullptr ? 0 : (*want)[off + i];
+        const std::uint8_t observed = got == nullptr ? 0 : (*got)[off + i];
+        if (expected != observed) {
+          record(addr + done + i, expected, observed, level);
+        }
+      }
+    });
   }
   void arch_store(Addr addr, unsigned size, std::uint64_t value) {
-    for (unsigned i = 0; i < size; ++i) {
-      arch_.write(addr + i, payload_byte(value, i));
-    }
+    payload_span(arch_, addr, size, value, 0);
   }
   /// Writes the overlap of the store [addr, addr+size) with the level
   /// segment [seg_lo, seg_hi) into `dst`.
@@ -498,7 +567,7 @@ class OracleBase : public ReferenceDl1 {
                             unsigned size, std::uint64_t value) {
     const Addr lo = std::max(seg_lo, addr);
     const Addr hi = std::min<Addr>(seg_hi, addr + size);
-    for (Addr a = lo; a < hi; ++a) dst.write(a, payload_byte(value, a - addr));
+    if (lo < hi) payload_span(dst, lo, hi - lo, value, lo - addr);
   }
 
   ByteMap arch_;
@@ -746,9 +815,7 @@ class VwbOracle final : public OracleBase {
  private:
   Bytes snapshot(Addr line) const {
     Bytes b(sector_);
-    for (std::uint64_t i = 0; i < sector_; ++i) {
-      b[i] = dl1_bytes_.read(line + i);
-    }
+    read_span(dl1_bytes_, line, sector_, b.data());
     return b;
   }
 
@@ -780,9 +847,9 @@ class VwbOracle final : public OracleBase {
     if (auto taken = fills_.consume(demand_line)) {
       demand_ready = std::max(taken->ready, now);
       stats_.prefetch_hits += 1;
-      for (std::uint64_t i = 0; i < sector_ && i < taken->data.size(); ++i) {
-        front_bytes_.write(demand_line + i, taken->data[i]);
-      }
+      write_span(front_bytes_, demand_line,
+                 std::min<std::uint64_t>(sector_, taken->data.size()),
+                 taken->data.data());
     } else if (array_.touch(demand_line, /*is_write=*/false)) {
       stats_.l1_read_hits += 1;
       const RefGrant g = banks_.acquire(demand_line, now, read_);
@@ -796,7 +863,8 @@ class VwbOracle final : public OracleBase {
     }
     vwb_.fill_sector(demand_line, demand_ready);
 
-    // Sibling sectors ride along only when their bank is idle.
+    // Sibling sectors ride along unless already valid, staged in a fill
+    // register, absent from the DL1, or on a busy bank.
     const Addr vbase = align_down(demand_addr, vline_);
     for (Addr s = vbase; s < vbase + vline_; s += sector_) {
       if (s == demand_line) continue;
@@ -889,15 +957,15 @@ class NarrowOracle final : public OracleBase {
     for (Addr s = first + entry_; s <= last; s += entry_) {
       ready = std::max(ready, load_entry(s, now + 1));
     }
-    // Each byte is served by the front entry when resident, else the array.
-    for (unsigned i = 0; i < size; ++i) {
-      const Addr a = addr + i;
-      const bool in_front = front_.probe(a).hit;
-      const std::uint8_t expected = arch_.read(a);
-      const std::uint8_t observed =
-          in_front ? front_bytes_.read(a) : dl1_bytes_.read(a);
-      if (expected != observed) {
-        record(a, expected, observed, in_front ? "front" : "dl1");
+    // Each entry's bytes are served by the front when resident, else the
+    // array.
+    for (Addr s = first; s <= last; s += entry_) {
+      const Addr lo = std::max(s, addr);
+      const Addr hi = std::min<Addr>(s + entry_, addr + size);
+      if (front_.probe(s).hit) {
+        check_bytes(lo, static_cast<unsigned>(hi - lo), front_bytes_, "front");
+      } else {
+        check_bytes(lo, static_cast<unsigned>(hi - lo), dl1_bytes_, "dl1");
       }
     }
     return ready;

@@ -96,14 +96,12 @@ sim::Cycle VwbDl1System::promote(Addr demand_addr, sim::Cycle now) {
   vwb_.fill_sector(slot, demand_line, demand_ready);
 
   // Remaining sectors of the VWB line ride along on the wide interface —
-  // but only opportunistically:
-  //  * a 1-entry stream detector gates the ride-along: sibling sectors are
-  //    worth fetching only when the demand stream is marching through
-  //    adjacent VWB lines (column walks would just pollute the banks);
-  //  * the ride-along read issues only when its bank is idle, so background
-  //    promotion never queues ahead of demand traffic.
-  // Only DL1-resident sectors are promoted; absent ones are not
-  // speculatively fetched from L2.
+  // but only opportunistically. A sibling sector is skipped when:
+  //  * it is already valid in the VWB line;
+  //  * it is staged in a fill register (the demand access consumes it);
+  //  * it is absent from the DL1: it is not speculatively fetched from L2;
+  //  * its bank is busy: the ride-along read issues only on an idle bank,
+  //    so background promotion never queues ahead of demand traffic.
   const Addr vline = vwb_.vline_addr(demand_addr);
   const std::uint64_t sector = cfg_.vwb.sector_bytes;
   for (Addr s = vline; s < vline + cfg_.vwb.line_bytes; s += sector) {

@@ -54,12 +54,14 @@ class FileLock {
 }  // namespace
 
 AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
-                     std::uint32_t version, std::uint32_t aux)
+                     std::uint32_t version, std::uint32_t aux,
+                     std::size_t record_len)
     : path_(std::move(path)),
       what_(std::move(what)),
       magic_(magic),
       version_(version),
-      aux_(aux) {
+      aux_(aux),
+      record_len_(record_len) {
   // Open read-write, creating if absent. O_CREAT (not O_TRUNC) keeps the
   // open race-free between concurrent campaigns: whoever opens second sees
   // the first one's header instead of clobbering it.
@@ -170,11 +172,12 @@ std::size_t AppendLog::scan_new_locked() {
     load_or_init_locked();
     return index_.size();
   }
-  // Index every complete record whose checksum matches and skip complete
-  // corrupt ones in place. Under the exclusive lock nobody is mid-append,
-  // so a partial record can only be a crashed writer's leftovers. A
-  // corrupted length would desync the framing of everything after it, so a
-  // record whose stated extent does not fit ends the scan as torn tail.
+  // Index every complete record whose checksum and length hold and skip
+  // the other complete ones in place. Under the exclusive lock nobody is
+  // mid-append, so a partial record can only be a crashed writer's
+  // leftovers. A corrupted length would desync the framing of everything
+  // after it, so a record whose stated extent does not fit ends the scan as
+  // torn tail.
   std::size_t added = 0;
   std::fseek(file_, static_cast<long>(scan_end_), SEEK_SET);
   while (scan_end_ < size) {
@@ -196,9 +199,11 @@ std::size_t AppendLog::scan_new_locked() {
     scan_end_ += bytes;
     const std::uint64_t digest = get_u64(head);
     const bool intact =
+        (record_len_ == 0 || len == record_len_) &&
         get_u64(tail) ==
-        util::Hash64().bytes(head, sizeof head).bytes(arena_.data() + at, len)
-            .digest();
+            util::Hash64().bytes(head, sizeof head)
+                .bytes(arena_.data() + at, len)
+                .digest();
     if (!intact) ++dropped_;
     if (intact && index_.emplace(digest, Entry{at, len}).second) {
       ++added;  // first write wins
@@ -260,7 +265,9 @@ bool AppendLog::write_record_locked(std::uint64_t digest,
 
 void AppendLog::append(std::uint64_t digest, const void* payload,
                        std::size_t len) {
-  if (len > kMaxPayloadBytes) return;
+  if (len > kMaxPayloadBytes || (record_len_ != 0 && len != record_len_)) {
+    return;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (index_.count(digest) != 0) return;  // first write wins (this process)
   FileLock file_lock(file_);

@@ -24,7 +24,9 @@
 //    file or kMaxPayloadBytes cannot be framed, so it and everything after
 //    it count as torn tail;
 //  * a complete record whose checksum does not match its bytes (bit rot,
-//    tampering) is skipped in place: its key misses;
+//    tampering), or whose length is not the store's fixed record length,
+//    is skipped in place: its key misses, and an append under that key
+//    lands and is indexed;
 //  * a header with the wrong magic, schema, aux word or checksum
 //    re-initializes the whole file empty (recompute everything, never
 //    refuse to run). Paths that cannot work at all — a directory, a missing
@@ -70,11 +72,12 @@ class AppendLog {
   /// Opens `path` read-write, creating it if absent (O_CREAT without
   /// O_TRUNC keeps the open race-free between concurrent campaigns), and
   /// indexes its records. A file whose header does not match (`magic`,
-  /// `version`, `aux`) is re-initialized empty. `what` names the store in
+  /// `version`, `aux`) is re-initialized empty. `record_len` fixes every
+  /// payload's length (0: any length). `what` names the store in
   /// diagnostics ("result store", "trace store"). Throws std::runtime_error
   /// when the path is a directory or cannot be opened read-write.
   AppendLog(std::string path, std::string what, std::uint64_t magic,
-            std::uint32_t version, std::uint32_t aux);
+            std::uint32_t version, std::uint32_t aux, std::size_t record_len);
   ~AppendLog();
 
   AppendLog(const AppendLog&) = delete;
@@ -84,7 +87,8 @@ class AppendLog {
 
   /// Number of indexed (valid) records.
   std::size_t entries() const;
-  /// Complete records skipped so far because their checksum did not match.
+  /// Complete records skipped so far because their checksum did not match
+  /// or their length was not the fixed record length.
   std::size_t dropped_records() const;
   /// Bytes of torn tail discarded so far (load + refresh).
   std::size_t truncated_bytes() const;
@@ -105,7 +109,8 @@ class AppendLog {
 
   /// Appends one record and indexes it. A digest already present, including
   /// one another process appended since the last scan, is ignored (first
-  /// write wins), and so is a payload longer than kMaxPayloadBytes.
+  /// write wins), and so is a payload longer than kMaxPayloadBytes or not
+  /// of the fixed record length.
   /// Thread-safe; the record is written and flushed under the file lock.
   void append(std::uint64_t digest, const void* payload, std::size_t len);
 
@@ -143,6 +148,7 @@ class AppendLog {
   const std::uint64_t magic_;
   const std::uint32_t version_;
   const std::uint32_t aux_;
+  const std::size_t record_len_;  ///< 0: any length
   std::FILE* file_ = nullptr;
 
   mutable std::mutex mu_;

@@ -44,8 +44,9 @@ class ResultStore : private AppendLog {
   std::size_t payload_bytes() const { return payload_bytes_; }
 
   /// Copies the payload for `digest` into `out` (payload_bytes() long).
-  /// A record of any other length misses: the file is input from outside
-  /// the program. Thread-safe; allocates nothing.
+  /// The engine indexes only records of that length (the file is input
+  /// from outside the program), so any other record misses. Thread-safe;
+  /// allocates nothing.
   bool lookup(std::uint64_t digest, void* out) const;
 
   /// Appends one payload_bytes()-long record; first write wins.

@@ -22,13 +22,12 @@ ResultStore* result_store() { return g_store.load(std::memory_order_acquire); }
 
 ResultStore::ResultStore(std::string path, std::size_t payload_bytes)
     : AppendLog(std::move(path), "result store", kMagic, kSchemaVersion,
-                static_cast<std::uint32_t>(payload_bytes)),
+                static_cast<std::uint32_t>(payload_bytes), payload_bytes),
       payload_bytes_(payload_bytes) {}
 
 bool ResultStore::lookup(std::uint64_t digest, void* out) const {
   return AppendLog::lookup(
       digest, [&](const std::uint8_t* payload, std::size_t len) {
-        if (len != payload_bytes_) return false;
         std::memcpy(out, payload, len);
         return true;
       });

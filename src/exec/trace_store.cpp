@@ -22,7 +22,7 @@ TraceStore* trace_store() {
 
 TraceStore::TraceStore(std::string path, std::uint32_t content_version)
     : AppendLog(std::move(path), "trace store", kMagic, kSchemaVersion,
-                content_version) {}
+                content_version, 0) {}
 
 bool TraceStore::lookup(std::uint64_t digest,
                         std::vector<std::uint8_t>& out) const {

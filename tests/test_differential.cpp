@@ -2,9 +2,10 @@
 // production cpu::System — the replay path the figures run — must
 // agree op-for-op with the independently written reference model
 // (src/check): completion cycles, every stats counter, and the
-// data-content shadow. The checker itself is validated by fault
-// injection: a deliberately wrong oracle must be caught, and the ddmin
-// minimizer must shrink the offending trace to a handful of ops.
+// data-content shadow, on random traces and on whole kernel traces. The
+// checker itself is validated by fault injection: a deliberately wrong
+// oracle must be caught, and the ddmin minimizer must shrink the offending
+// trace to a handful of ops.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,6 +16,8 @@
 #include "sttsim/check/differential.hpp"
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/cpu/trace_io.hpp"
+#include "sttsim/experiments/harness.hpp"
+#include "sttsim/workloads/suite.hpp"
 #include "trace_util.hpp"
 
 namespace sttsim {
@@ -277,6 +280,41 @@ TEST(Differential, CleanOracleNeverFlagsItself) {
     const check::Divergence b =
         check::run_differential(cfg, random_trace(1, 4000, 128 * kKiB));
     EXPECT_FALSE(b.diverged) << cpu::to_string(org) << ": " << b.detail;
+  }
+}
+
+TEST(Differential, KernelTracesMatchOpByOp) {
+  // Whole kernel traces, op by op: the golden figures' kernels under both
+  // codegen extremes, on every organization's default system and on an
+  // ECC-protected nvm-vwb with retention faults firing (1e5 ppm, a quarter
+  // of them double-bit, so both the correction and the refill path run).
+  std::vector<cpu::SystemConfig> configs;
+  for (const auto org : kAllOrgs) {
+    configs.push_back(experiments::make_config(org));
+  }
+  cpu::SystemConfig faulted =
+      experiments::make_config(Dl1Organization::kNvmVwb);
+  faulted.faults.enabled = true;
+  faulted.faults.fail_ppm = 100'000;
+  faulted.faults.double_fault_pct = 25;
+  configs.push_back(faulted);
+
+  for (const char* kernel : {"trisolv", "gesummv"}) {
+    for (const bool optimized : {false, true}) {
+      const workloads::CodegenOptions opts =
+          optimized ? workloads::CodegenOptions::all()
+                    : workloads::CodegenOptions::none();
+      cpu::Trace trace = cpu::reassemble(
+          workloads::find_kernel(kernel).generate_decoded(opts));
+      cpu::assign_store_values(trace, 1);
+      for (const cpu::SystemConfig& cfg : configs) {
+        const check::Divergence div = check::run_differential(cfg, trace);
+        EXPECT_FALSE(div.diverged)
+            << kernel << (optimized ? " all " : " none ")
+            << cpu::to_string(cfg.organization)
+            << (cfg.faults_active() ? " faulted: " : ": ") << div.detail;
+      }
+    }
   }
 }
 

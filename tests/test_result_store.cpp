@@ -55,7 +55,7 @@ std::string temp_store_path(const char* name) {
 }
 
 exec::AppendLog open_log(const std::string& path) {
-  return exec::AppendLog(path, "test log", kMagic, kSchema, 0);
+  return exec::AppendLog(path, "test log", kMagic, kSchema, 0, 0);
 }
 
 std::vector<std::uint8_t> make_blob(std::uint8_t seed, std::size_t len) {
@@ -527,8 +527,9 @@ void append_raw_record(const std::string& path, std::uint64_t digest,
 }
 
 // The store file is input from outside the program: a record with a valid
-// checksum that is not payload_bytes() long must miss, and never be copied
-// into (or past the end of) the caller's buffer.
+// checksum that is not payload_bytes() long is skipped like a corrupt one.
+// It misses, is never copied into (or past the end of) the caller's buffer,
+// and a correct append for its digest heals the point for good.
 TEST(ResultStore, WrongLengthRecordMisses) {
   const std::string path = temp_store_path("wronglen");
   std::remove(path.c_str());
@@ -538,15 +539,26 @@ TEST(ResultStore, WrongLengthRecordMisses) {
   }
   append_raw_record(path, 2, make_blob(2, kTestPayload - 1));
   append_raw_record(path, 3, make_blob(3, kTestPayload + 1));
-  exec::ResultStore store(path, kTestPayload);
-  EXPECT_EQ(store.dropped_records(), 0u);  // the checksums hold
-  EXPECT_EQ(store.truncated_bytes(), 0u);
   std::uint8_t out[kTestPayload];
-  ASSERT_TRUE(store.lookup(1, out));
+  {
+    exec::ResultStore store(path, kTestPayload);
+    EXPECT_EQ(store.dropped_records(), 2u);  // checksums hold, lengths do not
+    EXPECT_EQ(store.truncated_bytes(), 0u);
+    ASSERT_TRUE(store.lookup(1, out));
+    EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
+              make_payload(1));
+    EXPECT_FALSE(store.lookup(2, out));
+    EXPECT_FALSE(store.lookup(3, out));
+    store.append(2, make_payload(2).data());
+    ASSERT_TRUE(store.lookup(2, out));
+    EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
+              make_payload(2));
+  }
+  const exec::ResultStore reopened(path, kTestPayload);
+  ASSERT_TRUE(reopened.lookup(2, out));
   EXPECT_EQ(std::vector<std::uint8_t>(out, out + kTestPayload),
-            make_payload(1));
-  EXPECT_FALSE(store.lookup(2, out));
-  EXPECT_FALSE(store.lookup(3, out));
+            make_payload(2));
+  EXPECT_FALSE(reopened.lookup(3, out));
   std::remove(path.c_str());
 }
 
