@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <iterator>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -36,21 +35,6 @@ std::uint32_t get_u32(const std::uint8_t* p) {
   return v;
 }
 
-/// Advisory exclusive flock(2) on the store file for the guard's lifetime.
-/// Released automatically when the holder closes the file or dies.
-class FileLock {
- public:
-  explicit FileLock(std::FILE* file) : fd_(fileno(file)) {
-    while (flock(fd_, LOCK_EX) != 0 && errno == EINTR) {}
-  }
-  ~FileLock() { flock(fd_, LOCK_UN); }
-  FileLock(const FileLock&) = delete;
-  FileLock& operator=(const FileLock&) = delete;
-
- private:
-  int fd_;
-};
-
 }  // namespace
 
 AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
@@ -62,9 +46,8 @@ AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
       version_(version),
       aux_(aux),
       record_len_(record_len) {
-  // Open read-write, creating if absent. O_CREAT (not O_TRUNC) keeps the
-  // open race-free between concurrent campaigns: whoever opens second sees
-  // the first one's header instead of clobbering it.
+  // Open read-write, creating if absent. No O_TRUNC: an open that finds
+  // the path held must leave the holder's bytes alone.
   const int fd = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
     const int err = errno;
@@ -81,6 +64,19 @@ AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
     throw std::runtime_error(what_ + ": cannot open " + path_ +
                              " read-write: " + reason);
   }
+  // One writer per path, from before the first byte read to close. The
+  // kernel drops the lock with the descriptor, so a killed holder leaves
+  // none behind.
+  if (flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
+      throw StoreInUse(what_ + " " + path_ +
+                       ": in use by another open of this path");
+    }
+    throw std::runtime_error(what_ + ": cannot lock " + path_ + ": " +
+                             std::strerror(err));
+  }
   file_ = fdopen(fd, "r+b");
   if (file_ == nullptr) {
     ::close(fd);
@@ -88,7 +84,6 @@ AppendLog::AppendLog(std::string path, std::string what, std::uint64_t magic,
                              " read-write: " + std::strerror(errno));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  FileLock file_lock(file_);
   load_or_init_locked();
 }
 
@@ -115,23 +110,19 @@ std::size_t AppendLog::file_size() const {
   return static_cast<std::size_t>(st.st_size);
 }
 
-void AppendLog::write_header() {
-  std::uint8_t header[kHeaderBytes];
-  put_u64(header, magic_);
-  put_u32(header + 8, version_);
-  put_u32(header + 12, aux_);
-  put_u64(header + 16, util::hash_bytes(header, 16));
-  std::fwrite(header, 1, sizeof header, file_);
-  std::fflush(file_);
-}
-
 void AppendLog::init_header_locked() {
   if (ftruncate(fileno(file_), 0) != 0) {
     throw std::runtime_error(what_ + ": cannot truncate " + path_ + ": " +
                              std::strerror(errno));
   }
+  std::uint8_t header[kHeaderBytes];
+  put_u64(header, magic_);
+  put_u32(header + 8, version_);
+  put_u32(header + 12, aux_);
+  put_u64(header + 16, util::hash_bytes(header, 16));
   std::fseek(file_, 0, SEEK_SET);
-  write_header();
+  std::fwrite(header, 1, sizeof header, file_);
+  std::fflush(file_);
 }
 
 bool AppendLog::header_matches_locked() const {
@@ -144,11 +135,7 @@ bool AppendLog::header_matches_locked() const {
 }
 
 void AppendLog::load_or_init_locked() {
-  index_.clear();
-  arena_.clear();
-  scan_end_ = kHeaderBytes;
   if (file_size() == 0) {
-    // A fresh file: this process created it, or won the creation race.
     init_header_locked();
   } else if (!header_matches_locked()) {
     // Wrong magic, schema, aux word or checksum: recompute everything
@@ -159,26 +146,18 @@ void AppendLog::load_or_init_locked() {
                  what_.c_str(), path_.c_str());
     init_header_locked();
   } else {
-    scan_new_locked();
+    scan_locked();
   }
 }
 
-std::size_t AppendLog::scan_new_locked() {
-  const std::size_t size = file_size();
-  if (size < scan_end_) {
-    // The file shrank below our high-water mark: a foreign process
-    // re-initialized it (schema change). Reload from scratch rather than
-    // serve an index the bytes no longer back.
-    load_or_init_locked();
-    return index_.size();
-  }
+void AppendLog::scan_locked() {
   // Index every complete record whose checksum and length hold and skip
-  // the other complete ones in place. Under the exclusive lock nobody is
+  // the other complete ones in place. Under the one-writer lock nobody is
   // mid-append, so a partial record can only be a crashed writer's
   // leftovers. A corrupted length would desync the framing of everything
   // after it, so a record whose stated extent does not fit ends the scan as
   // torn tail.
-  std::size_t added = 0;
+  const std::size_t size = file_size();
   std::fseek(file_, static_cast<long>(scan_end_), SEEK_SET);
   while (scan_end_ < size) {
     std::uint8_t head[kRecordHead];
@@ -205,62 +184,26 @@ std::size_t AppendLog::scan_new_locked() {
                 .bytes(arena_.data() + at, len)
                 .digest();
     if (!intact) ++dropped_;
-    if (intact && index_.emplace(digest, Entry{at, len}).second) {
-      ++added;  // first write wins
-    } else {
-      arena_.resize(at);
+    if (!intact || !index_.emplace(digest, Entry{at, len}).second) {
+      arena_.resize(at);  // corrupt, or a later copy: first write wins
     }
   }
   if (scan_end_ < size) {
     truncated_ += size - scan_end_;
     truncate_tail_locked();
   }
-  return added;
 }
 
 void AppendLog::truncate_tail_locked() {
   std::clearerr(file_);
-  if (ftruncate(fileno(file_), static_cast<off_t>(scan_end_)) == 0) return;
-  // Cannot truncate (exotic filesystem): rewrite the log from the indexed
-  // records — still never abort. freopen drops the flock with the old
-  // descriptor; this process is the only one that can see the torn file
-  // anyway. A record that fails to write here is dropped from the index
-  // with every record after it, and the bytes past scan_end_ are torn tail
-  // for the next scan.
-  rewrite_begin();
-  scan_end_ = kHeaderBytes;
-  for (auto it = index_.begin(); it != index_.end(); ++it) {
-    const Entry& e = it->second;
-    if (!write_record_locked(it->first, arena_.data() + e.offset, e.len)) {
-      std::fprintf(stderr,
-                   "[sttsim] %s %s: cannot rewrite the log (%s); %zu "
-                   "records stay out of the store\n",
-                   what_.c_str(), path_.c_str(), std::strerror(errno),
-                   static_cast<std::size_t>(std::distance(it, index_.end())));
-      std::clearerr(file_);
-      index_.erase(it, index_.end());
-      return;
-    }
-    scan_end_ += kRecordHead + e.len + kRecordTail;
+  if (ftruncate(fileno(file_), static_cast<off_t>(scan_end_)) != 0) {
+    // The next append lands at scan_end_ all the same, and a leftover byte
+    // past it can only end a later scan as torn tail or a checksum miss.
+    std::fprintf(stderr,
+                 "[sttsim] %s %s: cannot truncate the torn tail (%s); "
+                 "later records overwrite it\n",
+                 what_.c_str(), path_.c_str(), std::strerror(errno));
   }
-}
-
-bool AppendLog::write_record_locked(std::uint64_t digest,
-                                    const std::uint8_t* payload,
-                                    std::uint32_t len) {
-  std::uint8_t head[kRecordHead];
-  std::uint8_t tail[kRecordTail];
-  put_u64(head, digest);
-  put_u32(head + 8, len);
-  put_u64(tail,
-          util::Hash64().bytes(head, sizeof head).bytes(payload, len).digest());
-  const bool written =
-      std::fwrite(head, 1, sizeof head, file_) == sizeof head &&
-      (len == 0 || std::fwrite(payload, 1, len, file_) == len) &&
-      std::fwrite(tail, 1, sizeof tail, file_) == sizeof tail;
-  // Flush even after a failed write, so nothing of the record stays
-  // buffered for a later flush to land past the cut.
-  return std::fflush(file_) == 0 && written;
 }
 
 void AppendLog::append(std::uint64_t digest, const void* payload,
@@ -269,17 +212,22 @@ void AppendLog::append(std::uint64_t digest, const void* payload,
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (index_.count(digest) != 0) return;  // first write wins (this process)
-  FileLock file_lock(file_);
-  // Pick up records concurrent campaigns appended since our last scan:
-  // first-write-wins must hold across processes too, so a digest another
-  // writer just landed is never duplicated or overwritten.
-  scan_new_locked();
-  if (index_.count(digest) != 0) return;  // first write wins (cross-process)
+  if (index_.count(digest) != 0) return;  // first write wins
   const auto* p = static_cast<const std::uint8_t*>(payload);
   const auto n = static_cast<std::uint32_t>(len);
+  std::uint8_t head[kRecordHead];
+  std::uint8_t tail[kRecordTail];
+  put_u64(head, digest);
+  put_u32(head + 8, n);
+  put_u64(tail, util::Hash64().bytes(head, sizeof head).bytes(p, n).digest());
   std::fseek(file_, static_cast<long>(scan_end_), SEEK_SET);
-  if (!write_record_locked(digest, p, n)) {
+  const bool written =
+      std::fwrite(head, 1, sizeof head, file_) == sizeof head &&
+      (n == 0 || std::fwrite(p, 1, n, file_) == n) &&
+      std::fwrite(tail, 1, sizeof tail, file_) == sizeof tail;
+  // Flush even after a failed write, so nothing of the record stays
+  // buffered for a later flush to land past the cut.
+  if (std::fflush(file_) != 0 || !written) {
     std::fprintf(stderr,
                  "[sttsim] %s %s: cannot append a record (%s); it stays out "
                  "of the store\n",
@@ -290,19 +238,6 @@ void AppendLog::append(std::uint64_t digest, const void* payload,
   scan_end_ += kRecordHead + len + kRecordTail;
   index_.emplace(digest, Entry{arena_.size(), n});
   arena_.insert(arena_.end(), p, p + len);
-}
-
-std::size_t AppendLog::refresh() {
-  std::lock_guard<std::mutex> lock(mu_);
-  FileLock file_lock(file_);
-  return scan_new_locked();
-}
-
-void AppendLog::rewrite_begin() {
-  if (std::freopen(path_.c_str(), "w+b", file_) == nullptr) {
-    throw std::runtime_error(what_ + ": cannot rewrite " + path_);
-  }
-  write_header();
 }
 
 }  // namespace sttsim::exec

@@ -3,7 +3,7 @@
 // store (exec::ResultStore, `--store=PATH`) and the persistent
 // compressed-trace store (exec::TraceStore, `--trace-store=PATH`) are thin
 // wrappers that choose a magic, a name for diagnostics, a schema version
-// and an aux word; the format, the recovery rules and the sharing rules
+// and an aux word; the format, the recovery rules and the one-writer rule
 // below are this engine's and hold for both.
 //
 // On-disk format, all little-endian:
@@ -18,11 +18,13 @@
 //    fails (disk full, file-size limit) is cut back to the last complete
 //    record, reported in one `[sttsim]` line on stderr and left out of the
 //    index: its key misses and is recomputed;
-//  * on load and on refresh, a torn tail (a writer crashed or was killed
-//    mid-append) is truncated back to the last complete record, so later
-//    appends stay record-aligned. A record whose stated length overruns the
-//    file or kMaxPayloadBytes cannot be framed, so it and everything after
-//    it count as torn tail;
+//  * on open, a torn tail (a writer crashed or was killed mid-append) is
+//    truncated back to the last complete record, so later appends stay
+//    record-aligned. A record whose stated length overruns the file or
+//    kMaxPayloadBytes cannot be framed, so it and everything after it count
+//    as torn tail. Where the filesystem cannot truncate, one `[sttsim]` line
+//    says so and the next append lands at the same offset; the checksums
+//    keep the leftover bytes from being served;
 //  * a complete record whose checksum does not match its bytes (bit rot,
 //    tampering), or whose length is not the store's fixed record length,
 //    is skipped in place: its key misses, and an append under that key
@@ -31,21 +33,19 @@
 //    re-initializes the whole file empty (recompute everything, never
 //    refuse to run). Paths that cannot work at all — a directory, a missing
 //    or unwritable parent — throw a std::runtime_error naming the path and
-//    the reason;
-//  * on a filesystem that cannot ftruncate, the log is rewritten from the
-//    index instead of truncated.
+//    the reason.
 //
-// Multi-process sharing — any number of processes may open one path:
-//  * every mutation (load, append, refresh) holds an advisory exclusive
-//    flock(2) on the file, so concurrent writers never tear each other's
-//    records. flock locks belong to the kernel's open file description: a
-//    writer that dies, even by SIGKILL mid-append, leaves no stale lock;
-//  * append() first indexes the records other processes appended since the
-//    last scan, so first write wins across processes exactly as it does
-//    across threads;
-//  * lookup() probes the in-memory index only; refresh() is the point where
-//    other processes' appends become visible, and it truncates a torn tail
-//    a killed writer left.
+// One writer per path:
+//  * the constructor takes a non-blocking exclusive flock(2) on the file
+//    before it reads or writes a byte, and holds it until the log closes.
+//    An open of a path that another AppendLog (in this process or another)
+//    or any other flock(2) holder has locked throws StoreInUse and leaves
+//    the file untouched;
+//  * flock locks belong to the kernel's open file description, so a holder
+//    that dies, even by SIGKILL mid-append, leaves no stale lock: the next
+//    open takes it at once and truncates the torn tail;
+//  * with no other writer, lookup() and append() trust the in-memory index:
+//    first write wins across threads.
 //
 // Simulation-agnostic (payloads are opaque bytes), so the ThreadSanitizer
 // exec test target compiles it without the simulation libraries.
@@ -55,11 +55,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace sttsim::exec {
+
+/// Thrown by the AppendLog constructor when another open (another log, or
+/// any flock(2) holder) has locked the path. The file is left as it was.
+class StoreInUse : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class AppendLog {
  public:
@@ -69,13 +77,14 @@ class AppendLog {
   /// corrupted record, not a large payload; append() ignores such payloads.
   static constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
 
-  /// Opens `path` read-write, creating it if absent (O_CREAT without
-  /// O_TRUNC keeps the open race-free between concurrent campaigns), and
-  /// indexes its records. A file whose header does not match (`magic`,
-  /// `version`, `aux`) is re-initialized empty. `record_len` fixes every
-  /// payload's length (0: any length). `what` names the store in
-  /// diagnostics ("result store", "trace store"). Throws std::runtime_error
-  /// when the path is a directory or cannot be opened read-write.
+  /// Opens `path` read-write, creating it if absent, takes the one-writer
+  /// lock and indexes the file's records. A file whose header does not
+  /// match (`magic`, `version`, `aux`) is re-initialized empty.
+  /// `record_len` fixes every payload's length (0: any length). `what`
+  /// names the store in diagnostics ("result store", "trace store").
+  /// Throws StoreInUse when another open has locked the path, and
+  /// std::runtime_error when the path is a directory or cannot be opened
+  /// read-write.
   AppendLog(std::string path, std::string what, std::uint64_t magic,
             std::uint32_t version, std::uint32_t aux, std::size_t record_len);
   ~AppendLog();
@@ -90,14 +99,13 @@ class AppendLog {
   /// Complete records skipped so far because their checksum did not match
   /// or their length was not the fixed record length.
   std::size_t dropped_records() const;
-  /// Bytes of torn tail discarded so far (load + refresh).
+  /// Bytes of torn tail discarded on open.
   std::size_t truncated_bytes() const;
 
   /// Calls `read(payload, len)` on the record indexed under `digest` and
   /// returns its result; false on a miss. `read` runs under the store's
   /// mutex and `payload` is valid only during the call: an append may move
-  /// the arena. Probes the in-memory index only: call refresh() first to
-  /// see other processes' appends. Thread-safe.
+  /// the arena. Probes the in-memory index only. Thread-safe.
   template <typename Read>
   bool lookup(std::uint64_t digest, Read&& read) const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -107,17 +115,11 @@ class AppendLog {
                 static_cast<std::size_t>(it->second.len));
   }
 
-  /// Appends one record and indexes it. A digest already present, including
-  /// one another process appended since the last scan, is ignored (first
-  /// write wins), and so is a payload longer than kMaxPayloadBytes or not
-  /// of the fixed record length.
-  /// Thread-safe; the record is written and flushed under the file lock.
+  /// Appends one record and indexes it. A digest already present is
+  /// ignored (first write wins), and so is a payload longer than
+  /// kMaxPayloadBytes or not of the fixed record length.
+  /// Thread-safe; the record is written and flushed under the mutex.
   void append(std::uint64_t digest, const void* payload, std::size_t len);
-
-  /// Indexes the records other processes appended since the last scan and
-  /// truncates any torn tail. Returns the number of newly indexed records.
-  /// Thread-safe.
-  std::size_t refresh();
 
  private:
   struct Entry {
@@ -125,22 +127,15 @@ class AppendLog {
     std::uint32_t len;
   };
 
-  // Every *_locked function runs with mu_ and the exclusive flock held.
+  // Every *_locked function runs with mu_ held.
   void load_or_init_locked();
   void init_header_locked();
   bool header_matches_locked() const;
-  /// Indexes the complete records in [scan_end_, EOF) and truncates a torn
-  /// or unframeable tail. Returns the number of newly indexed records.
-  std::size_t scan_new_locked();
+  /// Indexes the file's complete records and truncates a torn or
+  /// unframeable tail.
+  void scan_locked();
   /// Cuts the file back to scan_end_, the end of the last complete record.
   void truncate_tail_locked();
-  /// Writes and flushes one record at the file position; false on failure.
-  bool write_record_locked(std::uint64_t digest, const std::uint8_t* payload,
-                           std::uint32_t len);
-  /// Reopens the file empty ("w+b") with a fresh header: tail recovery on
-  /// filesystems without ftruncate. Throws when the reopen fails.
-  void rewrite_begin();
-  void write_header();
   std::size_t file_size() const;
 
   const std::string path_;
@@ -155,7 +150,8 @@ class AppendLog {
   // Payloads live in one flat arena; the index maps a digest to its slice.
   std::unordered_map<std::uint64_t, Entry> index_;
   std::vector<std::uint8_t> arena_;
-  std::size_t scan_end_ = 0;  ///< file offset after the last indexed record
+  /// File offset after the last indexed record.
+  std::size_t scan_end_ = kHeaderBytes;
   std::size_t dropped_ = 0;
   std::size_t truncated_ = 0;
 };

@@ -7,7 +7,7 @@
 // store instead of simulating and a one-parameter grid edit recomputes only
 // the dirty points (experiments::lookup_result / record_result).
 //
-// The file, its record format, crash recovery and multi-process sharing are
+// The file, its record format, crash recovery and the one-writer lock are
 // exec::AppendLog's (append_log.hpp). This class fixes the magic
 // ("STTRSLT1"), the schema version and the aux word, which holds the
 // payload size: a file written with another payload size re-initializes
@@ -31,14 +31,14 @@ class ResultStore : private AppendLog {
   static constexpr std::uint32_t kSchemaVersion = 3;
 
   /// Opens (creating or loading) the store at `path` for payloads of
-  /// `payload_bytes` bytes. Throws std::runtime_error when the path cannot
-  /// be opened read-write (see AppendLog).
+  /// `payload_bytes` bytes. Throws StoreInUse when another open store holds
+  /// the path, and std::runtime_error when the path cannot be opened
+  /// read-write (see AppendLog).
   ResultStore(std::string path, std::size_t payload_bytes);
 
   using AppendLog::dropped_records;
   using AppendLog::entries;
   using AppendLog::path;
-  using AppendLog::refresh;
   using AppendLog::truncated_bytes;
 
   std::size_t payload_bytes() const { return payload_bytes_; }

@@ -11,7 +11,7 @@
 // from this store: the trace cache compresses a generated trace just to
 // append it, and keeps only the decompressed trace after a hit.
 //
-// The file, its record format, crash recovery and multi-process sharing are
+// The file, its record format, crash recovery and the one-writer lock are
 // exec::AppendLog's (append_log.hpp). This class fixes the magic
 // ("STTTRCS1"), the schema version and the aux word, which holds the
 // caller's content version: the harness passes cpu::kTraceFormatVersion,
@@ -42,15 +42,15 @@ class TraceStore : private AppendLog {
 
   /// Opens (creating or loading) the store at `path`. `content_version` is
   /// stamped into the header's aux word; a file recorded under another
-  /// content version re-initializes empty. Throws std::runtime_error when
-  /// the path cannot be opened read-write (see AppendLog).
+  /// content version re-initializes empty. Throws StoreInUse when another
+  /// open store holds the path, and std::runtime_error when the path cannot
+  /// be opened read-write (see AppendLog).
   explicit TraceStore(std::string path, std::uint32_t content_version = 0);
 
   using AppendLog::append;
   using AppendLog::dropped_records;
   using AppendLog::entries;
   using AppendLog::path;
-  using AppendLog::refresh;
   using AppendLog::truncated_bytes;
 
   /// Copies the blob for `digest` into `out` (replacing its contents).

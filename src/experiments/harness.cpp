@@ -422,17 +422,6 @@ std::vector<std::vector<sim::RunStats>> run_grid(
   // known results out of the task list eliminates head-of-line blocking on
   // a mostly-warm grid: the pool's whole width goes to the dirty slice.
   exec::ResultStore* store = exec::result_store();
-  if (store != nullptr) {
-    // Pick up records concurrent campaigns (other processes sharing this
-    // store file) appended since our last scan, so their finished points
-    // probe warm here instead of being re-simulated.
-    store->refresh();
-  }
-  if (exec::TraceStore* tstore = exec::trace_store(); tstore != nullptr) {
-    // Same for traces: blobs appended by concurrent campaigns sharing the
-    // trace-store file serve this grid's misses without regeneration.
-    tstore->refresh();
-  }
   const exec::TelemetrySnapshot before = exec::Telemetry::instance().snapshot();
   std::vector<std::vector<sim::RunStats>> out(
       jobs.size(), std::vector<sim::RunStats>(n_kernels));

@@ -191,8 +191,7 @@ struct SuiteJob {
 /// one-parameter edit recomputes only the dirty slice. Each miss appends
 /// its record as its task completes. Warm results decode to bit-identical
 /// RunStats, so figure outputs are byte-identical cold vs warm at any
-/// --jobs width. The store is refreshed before probing, so records
-/// appended by concurrent processes sharing the file count as hits too.
+/// --jobs width.
 ///
 /// The whole grid runs as one exec::run_request() under
 /// exec::default_request() (the CLI's --deadline flag). Each point

@@ -3,8 +3,7 @@
 // sleep, throw, or trip the interrupt flag from inside a grid point's task
 // (a deadline skips only points that have not started, a failing point
 // aborts the grid with the lowest-index error, an interrupted campaign
-// resumes from the store), plus fork-based two-process campaigns sharing
-// one store file.
+// resumes from the store).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "sttsim/exec/parallel_executor.hpp"
@@ -30,8 +28,11 @@
 namespace sttsim {
 namespace {
 
+/// The process id keeps concurrent runs of this binary (other build trees
+/// share the temp directory) off each other's store paths.
 std::string temp_store_path(const char* name) {
-  return ::testing::TempDir() + "sttsim_campaign_" + name + ".bin";
+  return ::testing::TempDir() + "sttsim_campaign_" + name + "_" +
+         std::to_string(::getpid()) + ".bin";
 }
 
 /// RAII: installs a fresh store for one test and restores the previous
@@ -225,125 +226,6 @@ TEST_F(CampaignTest, InterruptedCampaignResumesOnlyMissingPoints) {
     EXPECT_EQ(resumed, reference);
     EXPECT_EQ(store.get().entries(), 2u);
   }
-  std::remove(path.c_str());
-}
-
-// ---- Two-process campaigns over one store ------------------------------
-
-// A forked child campaign and the parent campaign run CONCURRENTLY against
-// one store file (child: atax, parent: atax+mvt — overlapping grids). The
-// resulting store must equal the single-process union: a warm re-run of
-// the superset grid is all hits, zero simulations, byte-identical to the
-// no-store reference.
-TEST_F(CampaignTest, TwoProcessCampaignsUnionIntoOneStore) {
-  const auto kernels_child = experiments::select_kernels({"atax"});
-  const auto kernels_parent = experiments::select_kernels({"atax", "mvt"});
-  const auto jobs = small_grid();
-  const std::size_t union_points = jobs.size() * kernels_parent.size();
-  const std::string path = temp_store_path("twoprocess");
-  std::remove(path.c_str());
-
-  experiments::TraceCache ref_cache;
-  const std::string reference = grid_fingerprint(
-      experiments::run_grid(ref_cache, kernels_parent, jobs));
-
-  std::fflush(nullptr);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    // Child process: its own store instance on the shared path.
-    int code = 0;
-    try {
-      exec::ResultStore child_store(path, sim::kRunStatsBytes);
-      exec::set_result_store(&child_store);
-      experiments::TraceCache cache;
-      experiments::run_grid(cache, kernels_child, jobs);
-      exec::set_result_store(nullptr);
-    } catch (...) {
-      code = 1;
-    }
-    _exit(code);
-  }
-  ASSERT_GT(pid, 0);
-  {
-    // Parent campaign runs while the child is running.
-    ScopedStore store(path);
-    experiments::TraceCache cache;
-    experiments::run_grid(cache, kernels_parent, jobs);
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0) << "child campaign failed";
-
-  // The store now holds exactly the union (overlapping points deduplicated
-  // by cross-process first-write-wins), and a warm re-run of the superset
-  // grid never simulates.
-  auto& telemetry = exec::Telemetry::instance();
-  {
-    ScopedStore store(path);  // fresh open indexes the whole shared file
-    EXPECT_EQ(store.get().entries(), union_points);
-    const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
-    const std::string warm = grid_fingerprint(
-        experiments::run_grid(cache, kernels_parent, jobs));
-    const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-    EXPECT_EQ(delta.memo_hits, union_points);
-    EXPECT_EQ(delta.memo_misses, 0u);
-    EXPECT_EQ(delta.simulations, 0u);
-    EXPECT_EQ(warm, reference)
-        << "two-process union diverged from the single-process result";
-  }
-  std::remove(path.c_str());
-}
-
-// Disjoint grids: neither campaign's records shadow the other's; the
-// parent sees the child's half only after run_grid's refresh, and both
-// halves re-run warm.
-TEST_F(CampaignTest, DisjointTwoProcessCampaignsBothStayWarm) {
-  const auto kernels_a = experiments::select_kernels({"atax"});
-  const auto kernels_b = experiments::select_kernels({"mvt"});
-  const auto jobs = small_grid();
-  const std::string path = temp_store_path("disjoint");
-  std::remove(path.c_str());
-
-  std::fflush(nullptr);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    int code = 0;
-    try {
-      exec::ResultStore child_store(path, sim::kRunStatsBytes);
-      exec::set_result_store(&child_store);
-      experiments::TraceCache cache;
-      experiments::run_grid(cache, kernels_a, jobs);
-      exec::set_result_store(nullptr);
-    } catch (...) {
-      code = 1;
-    }
-    _exit(code);
-  }
-  ASSERT_GT(pid, 0);
-  {
-    ScopedStore store(path);
-    experiments::TraceCache cache;
-    experiments::run_grid(cache, kernels_b, jobs);
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // Warm re-runs of BOTH halves from one fresh process: all hits — the
-  // run_grid refresh makes the other process's appends visible.
-  auto& telemetry = exec::Telemetry::instance();
-  ScopedStore store(path);
-  const exec::TelemetrySnapshot before = telemetry.snapshot();
-  experiments::TraceCache cache;
-  experiments::run_grid(cache, kernels_a, jobs);
-  experiments::run_grid(cache, kernels_b, jobs);
-  const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-  EXPECT_EQ(delta.memo_hits, 2 * jobs.size());
-  EXPECT_EQ(delta.memo_misses, 0u);
-  EXPECT_EQ(delta.simulations, 0u);
   std::remove(path.c_str());
 }
 

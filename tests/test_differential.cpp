@@ -61,6 +61,23 @@ TEST_P(DifferentialCampaign, SimulatorMatchesOracleOnRandomTraces) {
   }
 }
 
+// The L2's dirty-victim path: under a 128 KiB 4-way L2, a 1 MiB region
+// evicts dirty L2 lines, which neither the 2 MiB default L2 above nor any
+// artifact reaches. A fixed 30 seeds keep it a quick-tier cost.
+TEST_P(DifferentialCampaign, SmallL2DirtyVictimsMatchOracle) {
+  cpu::SystemConfig cfg;
+  cfg.organization = GetParam();
+  cfg.l2.capacity_bytes = 128 * kKiB;
+  cfg.l2.associativity = 4;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const cpu::Trace trace = random_trace(seed, 4000, kMiB);
+    const check::Divergence div = check::run_differential(cfg, trace);
+    ASSERT_FALSE(div.diverged)
+        << cpu::to_string(GetParam()) << " seed " << seed << ": "
+        << div.detail;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOrgs, DifferentialCampaign,
                          ::testing::ValuesIn(kAllOrgs),
                          [](const auto& param_info) {

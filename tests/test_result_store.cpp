@@ -1,11 +1,10 @@
 // Tests: the store engine behind both persistent stores (exec/append_log),
 // its durability matrix once — round trip and reopen, first write wins,
 // truncated tail, wrong schema, tampered record, corrupted length, a failed
-// write, eight-thread append, forked second writers, first-write-wins
-// across processes, recovery from a writer killed mid-append, refresh
-// visibility, open-failure diagnostics — then the result store on top of it
-// (payload-size header, wrong-length records, unwritable directory,
-// cross-reopen sharing), the simulation digest, the RunStats codec, and the
+// write, eight-thread append, a second open refused while the path is held,
+// recovery from a writer killed mid-append, open-failure diagnostics — then
+// the result store on top of it (payload-size header, wrong-length records,
+// unwritable directory), the simulation digest, the RunStats codec, and the
 // engine-level invariant that warm results are byte-identical to cold ones
 // at any pool width, with a one-parameter grid edit recomputing only the
 // dirty points.
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/file.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -50,8 +48,11 @@ std::size_t record_bytes(std::size_t payload) {
   return kRecordHead + payload + kRecordTail;
 }
 
+/// The process id keeps concurrent runs of this binary (other build trees
+/// share the temp directory) off each other's store paths.
 std::string temp_store_path(const char* name) {
-  return ::testing::TempDir() + "sttsim_store_" + name + ".bin";
+  return ::testing::TempDir() + "sttsim_store_" + name + "_" +
+         std::to_string(::getpid()) + ".bin";
 }
 
 exec::AppendLog open_log(const std::string& path) {
@@ -87,6 +88,13 @@ bool read(const exec::AppendLog& log, std::uint64_t digest,
 bool has(const exec::AppendLog& log, std::uint64_t digest) {
   std::vector<std::uint8_t> out;
   return read(log, digest, out);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::string bytes(std::filesystem::file_size(path), '\0');
+  std::ifstream(path, std::ios::binary)
+      .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return bytes;
 }
 
 /// Overwrites one byte of the file in place (tampering helper).
@@ -296,6 +304,46 @@ TEST(AppendLog, ConcurrentAppendFromEightThreads) {
   std::remove(path.c_str());
 }
 
+// One writer per path: while a log holds the path, a second open (from
+// this process, from another one, or with another store's header, which
+// would re-initialize the file) throws StoreInUse and leaves the bytes
+// alone. Once the holder closes, a reopen indexes every record.
+TEST(AppendLog, SecondOpenWhileHeldThrowsInUseAndLeavesTheFileAlone) {
+  const std::string path = temp_store_path("inuse");
+  std::remove(path.c_str());
+  {
+    exec::AppendLog holder = open_log(path);
+    for (std::uint8_t i = 1; i <= 3; ++i) put(holder, i, make_blob(i, 24));
+    const std::string before = file_bytes(path);
+    EXPECT_THROW(open_log(path), exec::StoreInUse);
+    EXPECT_THROW(exec::AppendLog(path, "other log", kMagic + 1, kSchema, 0, 0),
+                 exec::StoreInUse);
+    const int status = run_forked([&path] {
+      try {
+        open_log(path);
+      } catch (const exec::StoreInUse&) {
+        return 0;
+      }
+      return 1;
+    });
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "another process opened a held path";
+    EXPECT_EQ(file_bytes(path), before);
+    put(holder, 4, make_blob(4, 24));
+    EXPECT_EQ(holder.entries(), 4u);
+  }
+  const exec::AppendLog reopened = open_log(path);
+  EXPECT_EQ(reopened.entries(), 4u);
+  EXPECT_EQ(reopened.dropped_records(), 0u);
+  EXPECT_EQ(reopened.truncated_bytes(), 0u);
+  std::vector<std::uint8_t> out;
+  for (std::uint8_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(read(reopened, i, out));
+    EXPECT_EQ(out, make_blob(i, 24));
+  }
+  std::remove(path.c_str());
+}
+
 // A write that fails (here: the file-size limit, as on a full disk) must
 // not leave an indexed record that never reached the disk. The append cuts
 // the file back to the last complete record, reports the failure, keeps
@@ -325,141 +373,49 @@ TEST(AppendLogMultiProcess, FailedWriteStaysOutOfTheIndex) {
   std::remove(path.c_str());
 }
 
-// Two processes appending concurrently to one path: every record from both
-// writers must be readable afterwards, with zero dropped or truncated bytes
-// — the flock around each append keeps records from tearing each other no
-// matter how the schedulers interleave them.
-TEST(AppendLogMultiProcess, ConcurrentForkedWriterInterleavesCleanly) {
-  const std::string path = temp_store_path("forkwriter");
-  std::remove(path.c_str());
-  exec::AppendLog log = open_log(path);
-  const auto blob_of = [](std::uint64_t d) {
-    return make_blob(static_cast<std::uint8_t>(d), 16 + d % 9);
-  };
-
-  const int status = run_forked([&path, &blob_of] {
-    exec::AppendLog child_log = open_log(path);
-    for (std::uint64_t d = 2000; d < 2064; ++d) put(child_log, d, blob_of(d));
-    return 0;
-  });
-  // Parent appends its own range while (and after) the child runs.
-  for (std::uint64_t d = 0; d < 64; ++d) put(log, d, blob_of(d));
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // refresh() pulls the child's records into the parent's index.
-  log.refresh();
-  EXPECT_EQ(log.entries(), 128u);
-  for (std::uint64_t d = 0; d < 64; ++d) {
-    ASSERT_TRUE(has(log, d));
-    ASSERT_TRUE(has(log, 2000 + d));
-  }
-  // The interleaved file parses clean from scratch.
-  const exec::AppendLog reopened = open_log(path);
-  EXPECT_EQ(reopened.entries(), 128u);
-  EXPECT_EQ(reopened.dropped_records(), 0u);
-  EXPECT_EQ(reopened.truncated_bytes(), 0u);
-  std::remove(path.c_str());
-}
-
-// First-write-wins must hold ACROSS processes: a digest the child landed
-// first is never overwritten by the parent's later append, even though the
-// parent has not called refresh() — append itself scans foreign records
-// under the lock before writing.
-TEST(AppendLogMultiProcess, FirstWriteWinsAcrossProcesses) {
-  const std::string path = temp_store_path("forkfww");
-  std::remove(path.c_str());
-  exec::AppendLog log = open_log(path);
-
-  const int status = run_forked([&path] {
-    exec::AppendLog child_log = open_log(path);
-    put(child_log, 5000, make_blob(11, 25));
-    return 0;
-  });
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-
-  // The child exited before this append, so it unambiguously wrote first.
-  put(log, 5000, make_blob(99, 50));
-  std::vector<std::uint8_t> out;
-  ASSERT_TRUE(read(log, 5000, out));
-  EXPECT_EQ(out, make_blob(11, 25))
-      << "parent overwrote a record another process had already written";
-  const exec::AppendLog reopened = open_log(path);
-  EXPECT_EQ(reopened.entries(), 1u);
-  std::remove(path.c_str());
-}
-
-// A child killed mid-append — SIGKILL with the file lock held and half a
-// record written — must not poison the store: the kernel releases its
-// flock (no stale lock to recover), and the parent's next refresh()
-// truncates the torn tail so future appends stay record-aligned.
-TEST(AppendLogMultiProcess, KilledMidAppendChildTailIsTruncatedOnRefresh) {
+// A writer killed mid-append — SIGKILL while it holds the store open, half
+// a record past its last complete one — must not poison the store: the
+// kernel drops its lock with it (no stale lock to recover), and the next
+// open truncates exactly the torn half, so later appends stay aligned.
+TEST(AppendLogMultiProcess, KilledMidAppendChildTailIsTruncatedOnReopen) {
   const std::string path = temp_store_path("forkkill");
   std::remove(path.c_str());
-  exec::AppendLog log = open_log(path);
-  put(log, 1, make_blob(1, 33));
-
+  {
+    exec::AppendLog log = open_log(path);
+    put(log, 1, make_blob(1, 33));
+  }
   const int status = run_forked([&path]() -> int {
-    // The exact on-disk state a writer killed mid-append leaves behind:
-    // exclusive flock held, half a record at the end of the file.
+    exec::AppendLog log = open_log(path);
+    put(log, 2, make_blob(2, 21));
+    // What a write cut short by the kill leaves: half a record after the
+    // last complete one.
     const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
     if (fd < 0) return 1;
-    if (flock(fd, LOCK_EX) != 0) return 2;
     const std::vector<std::uint8_t> half(record_bytes(33) / 2, 0xab);
     if (write(fd, half.data(), half.size()) !=
         static_cast<ssize_t>(half.size())) {
-      return 3;
+      return 2;
     }
-    raise(SIGKILL);  // dies holding the lock, mid-record
-    return 4;        // unreachable
+    raise(SIGKILL);  // dies holding the store open, mid-record
+    return 3;        // unreachable
   });
   ASSERT_TRUE(WIFSIGNALED(status));
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The dead child's lock is gone (kernel-released): refresh() proceeds,
-  // finds no new complete record, and truncates the torn tail.
-  EXPECT_EQ(log.refresh(), 0u);
-  EXPECT_EQ(log.truncated_bytes(), record_bytes(33) / 2);
-  EXPECT_EQ(log.entries(), 1u);
-
-  // Post-recovery appends stay aligned and a fresh open parses clean.
-  put(log, 2, make_blob(2, 12));
+  {
+    // Non-blocking: a stale lock would throw StoreInUse here.
+    exec::AppendLog log = open_log(path);
+    EXPECT_EQ(log.entries(), 2u);
+    EXPECT_EQ(log.truncated_bytes(), record_bytes(33) / 2);
+    EXPECT_EQ(std::filesystem::file_size(path),
+              kHeaderBytes + record_bytes(33) + record_bytes(21));
+    put(log, 3, make_blob(3, 12));
+  }
   const exec::AppendLog reopened = open_log(path);
-  EXPECT_EQ(reopened.entries(), 2u);
+  EXPECT_EQ(reopened.entries(), 3u);
   EXPECT_EQ(reopened.dropped_records(), 0u);
   EXPECT_EQ(reopened.truncated_bytes(), 0u);
-  EXPECT_TRUE(has(reopened, 1));
-  EXPECT_TRUE(has(reopened, 2));
-  std::remove(path.c_str());
-}
-
-// lookup() deliberately probes only the in-memory index; refresh() is the
-// explicit synchronization point that makes another process's appends
-// visible (and reports how many arrived).
-TEST(AppendLogMultiProcess, RefreshMakesForeignAppendsVisible) {
-  const std::string path = temp_store_path("forkrefresh");
-  std::remove(path.c_str());
-  exec::AppendLog log = open_log(path);
-
-  const int status = run_forked([&path] {
-    exec::AppendLog child_log = open_log(path);
-    for (std::uint64_t d = 100; d < 103; ++d) {
-      put(child_log, d, make_blob(static_cast<std::uint8_t>(d), 10));
-    }
-    return 0;
-  });
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
-
-  EXPECT_FALSE(has(log, 100)) << "lookup must not do hidden I/O";
-  EXPECT_EQ(log.refresh(), 3u);
-  std::vector<std::uint8_t> out;
-  for (std::uint64_t d = 100; d < 103; ++d) {
-    ASSERT_TRUE(read(log, d, out));
-    EXPECT_EQ(out, make_blob(static_cast<std::uint8_t>(d), 10));
-  }
-  EXPECT_EQ(log.refresh(), 0u);  // idempotent when nothing new arrived
+  for (std::uint64_t d = 1; d <= 3; ++d) EXPECT_TRUE(has(reopened, d));
   std::remove(path.c_str());
 }
 
@@ -579,59 +535,6 @@ TEST(ResultStoreOpenErrors, UnwritableDirectory) {
   }
   std::filesystem::permissions(dir, std::filesystem::perms::owner_all);
   std::filesystem::remove(dir);
-}
-
-// Cross-reopen interleaving — pins the multi-writer sharing model: any
-// number of ResultStore instances (same process or not) may write the same
-// path. Every mutation holds an exclusive flock and scans foreign records
-// before appending, so a second instance opened mid-run always reads a
-// well-formed record-aligned snapshot, a digest any writer already landed
-// is never overwritten (first write wins, across instances), and an
-// interloper's append SURVIVES the original writer's next append: each
-// append seeks to the scanned end of file, so records interleave instead of
-// clobbering. The test pins all of it: the prefix every reopen observes is
-// exact, the original writer's records are never lost or corrupted, and
-// the interleaved file parses with zero dropped records.
-TEST(ResultStore, CrossReopenSeesConsistentSnapshotAndFirstWriteWins) {
-  const std::string path = temp_store_path("crossreopen");
-  std::remove(path.c_str());
-  exec::ResultStore first(path, kTestPayload);
-  constexpr std::uint64_t kRounds = 32;
-  std::uint8_t out[kTestPayload];
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    first.append(r, make_payload(static_cast<std::uint8_t>(r)).data());
-
-    // Reopen between appends: every record the owner wrote so far must
-    // come back intact — no drops, no truncation, no torn bytes.
-    exec::ResultStore second(path, kTestPayload);
-    EXPECT_EQ(second.dropped_records(), 0u);
-    EXPECT_EQ(second.truncated_bytes(), 0u);
-    for (std::uint64_t d = 0; d <= r; ++d) {
-      ASSERT_TRUE(second.lookup(d, out)) << "round " << r << " digest " << d;
-      EXPECT_EQ(out[0], static_cast<std::uint8_t>(d));
-    }
-
-    // Re-appending a digest the snapshot holds is a no-op (first write
-    // wins), and a foreign append interleaves with the owner's stream.
-    second.append(r, make_payload(static_cast<std::uint8_t>(r + 100)).data());
-    second.append(1000 + r,
-                  make_payload(static_cast<std::uint8_t>(r + 1)).data());
-  }
-  // Final reopen: the owner's records all survive with their original
-  // bytes, every interloper record survives the owner's later appends,
-  // and the interleaved file parses with zero dropped (corrupt) records.
-  exec::ResultStore final_view(path, kTestPayload);
-  EXPECT_EQ(final_view.dropped_records(), 0u);
-  EXPECT_EQ(final_view.truncated_bytes(), 0u);
-  EXPECT_EQ(final_view.entries(), 2 * kRounds);
-  for (std::uint64_t r = 0; r < kRounds; ++r) {
-    ASSERT_TRUE(final_view.lookup(r, out)) << "owner record " << r << " lost";
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(r)) << "first write lost";
-    ASSERT_TRUE(final_view.lookup(1000 + r, out))
-        << "interloper record " << r << " lost";
-    EXPECT_EQ(out[0], static_cast<std::uint8_t>(r + 1));
-  }
-  std::remove(path.c_str());
 }
 
 // ---- Digest and engine-level behavior --------------------------------

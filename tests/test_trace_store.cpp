@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "sttsim/cpu/decoded_trace.hpp"
 #include "sttsim/cpu/trace_io.hpp"
 #include "sttsim/exec/telemetry.hpp"
@@ -27,8 +29,11 @@ namespace {
 
 constexpr std::uint32_t kContent = 7;  // content version used throughout
 
+/// The process id keeps concurrent runs of this binary (other build trees
+/// share the temp directory) off each other's store paths.
 std::string temp_store_path(const char* name) {
-  return ::testing::TempDir() + "sttsim_tstore_" + name + ".bin";
+  return ::testing::TempDir() + "sttsim_tstore_" + name + "_" +
+         std::to_string(::getpid()) + ".bin";
 }
 
 std::vector<std::uint8_t> make_blob(std::uint8_t seed, std::size_t len) {

@@ -36,7 +36,9 @@
 // and traces instead of recomputing them. --no-store and --no-trace-store
 // ignore the STTSIM_RESULT_STORE / STTSIM_TRACE_STORE defaults. A run opens
 // only the stores it reads: --list opens neither, and --trace-out,
-// --check-oracle and an --org list open no result store.
+// --check-oracle and an --org list open no result store. A store path
+// has one writer at a time: a run that finds it held prints one line and
+// goes on without that store.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +46,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sttsim/check/differential.hpp"
@@ -316,6 +319,20 @@ void print_stats(const sim::RunStats& s, bool csv) {
               static_cast<unsigned long long>(s.mem.l2_misses));
 }
 
+/// Opens one store. A path that another open store holds (another
+/// process, or this run's other store on the same path) costs one stderr
+/// line and returns nullptr: the run goes on without that store, and its
+/// output does not change.
+template <typename Store, typename... Args>
+std::unique_ptr<Store> open_store(Args&&... args) {
+  try {
+    return std::make_unique<Store>(std::forward<Args>(args)...);
+  } catch (const exec::StoreInUse& e) {
+    std::fprintf(stderr, "[sttsim] %s; running without it\n", e.what());
+    return nullptr;
+  }
+}
+
 /// Opens the result store if `results` and the trace store if `traces`,
 /// each only when its path is set. Callers pass what the run reads, so a
 /// store the run never reads is never created.
@@ -323,12 +340,12 @@ void open_stores(const CliOptions& o, bool results, bool traces) {
   static std::unique_ptr<exec::ResultStore> store_holder;
   if (results && !o.store.empty()) {
     store_holder =
-        std::make_unique<exec::ResultStore>(o.store, sim::kRunStatsBytes);
+        open_store<exec::ResultStore>(o.store, sim::kRunStatsBytes);
     exec::set_result_store(store_holder.get());
   }
   static std::unique_ptr<exec::TraceStore> trace_store_holder;
   if (traces && !o.trace_store.empty()) {
-    trace_store_holder = std::make_unique<exec::TraceStore>(
+    trace_store_holder = open_store<exec::TraceStore>(
         o.trace_store, cpu::kTraceFormatVersion);
     exec::set_trace_store(trace_store_holder.get());
   }
