@@ -1,12 +1,13 @@
 // Campaign lifecycle for the experiment engine. A grid point is a pure
-// function of its inputs, so a campaign can end early in only three ways:
-// an interrupt (Ctrl-C), a wall-clock deadline, or a bug. run_request()
-// handles all three with one check at the start of every task:
+// function of its inputs, so a campaign ends in one of three ways: it
+// finishes, an interrupt (Ctrl-C) drains it, or a bug aborts it.
+// run_request() handles the last two with one check at the start of every
+// task:
 //
-//   * interrupt_source() tripped  -> the task is skipped as cancelled;
-//   * the request's deadline passed -> the task is skipped as timed-out;
+//   * interrupt_source() tripped -> the task is skipped: its result holds
+//     neither a value nor an error;
 //   * otherwise the task runs to completion, and an exception it throws is
-//     kept as the task's failure.
+//     kept as the task's error.
 //
 // A task that has started always finishes: nothing interrupts a running
 // simulation, so a grid point that was started is always complete (and,
@@ -16,9 +17,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <optional>
 #include <stdexcept>
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "sttsim/exec/parallel_executor.hpp"
-#include "sttsim/exec/telemetry.hpp"
 
 namespace sttsim::exec {
 
@@ -61,59 +59,39 @@ class CampaignInterrupted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// How a campaign is bounded.
-struct CampaignRequest {
-  double deadline_s = 0.0;  ///< wall-clock budget from run start; 0 = none
-};
+/// Empty. It stays only because perfbench/ still passes one to
+/// set_default_request(), and goes when perfbench drops the call.
+struct CampaignRequest {};
 
-/// Process-wide request default (the CLIs' --deadline flag). run_grid
-/// runs every grid under it.
+/// Does nothing. A grid ends only by finishing, by an interrupt or by a
+/// failure; this entry point stays only because perfbench/ still calls
+/// it, and goes when perfbench drops the call.
 void set_default_request(const CampaignRequest& request);
-CampaignRequest default_request();
 
-enum class TaskStatus : std::uint8_t { kOk, kFailed, kTimedOut, kCancelled };
-
+/// One task's outcome. A task skipped after an interrupt has neither a
+/// value nor an error.
 template <typename T>
 struct TaskResult {
-  TaskStatus status = TaskStatus::kOk;
-  std::optional<T> value;     ///< engaged iff status == kOk
-  std::exception_ptr error;   ///< set iff status == kFailed
+  std::optional<T> value;     ///< engaged iff the task ran and returned
+  std::exception_ptr error;   ///< set iff the task ran and threw
 };
 
-/// Runs `fn(0) .. fn(count-1)` on `pool` under `request` and returns every
-/// task's status and value in input order, after all tasks have finished.
-/// Never throws for task-level failures: a failed task keeps its exception
-/// so the caller decides whether to rethrow it. Whether the campaign was
-/// interrupted is interrupt_source().cancelled() once this returns.
+/// Runs `fn(0) .. fn(count-1)` on `pool` and returns every task's result
+/// in input order, after all tasks have finished. Never throws for
+/// task-level failures: a failed task keeps its exception so the caller
+/// decides whether to rethrow it. Whether the campaign was interrupted is
+/// interrupt_source().cancelled() once this returns.
 template <typename F>
-auto run_request(ParallelExecutor& pool, const CampaignRequest& request,
-                 std::size_t count, F&& fn)
+auto run_request(ParallelExecutor& pool, std::size_t count, F&& fn)
     -> std::vector<TaskResult<std::invoke_result_t<F&, std::size_t>>> {
   using R = std::invoke_result_t<F&, std::size_t>;
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
-  // Compared in seconds as doubles: no deadline value can overflow a
-  // clock's integer tick count.
-  const auto past_deadline = [&] {
-    return request.deadline_s > 0.0 &&
-           std::chrono::duration<double>(Clock::now() - start).count() >=
-               request.deadline_s;
-  };
   return pool.map(count, [&](std::size_t i) {
     TaskResult<R> task;
-    if (interrupt_source().cancelled()) {
-      task.status = TaskStatus::kCancelled;
-      Telemetry::instance().count_task_cancelled();
-    } else if (past_deadline()) {
-      task.status = TaskStatus::kTimedOut;
-      Telemetry::instance().count_task_timed_out();
-    } else {
-      try {
-        task.value.emplace(fn(i));
-      } catch (...) {
-        task.status = TaskStatus::kFailed;
-        task.error = std::current_exception();
-      }
+    if (interrupt_source().cancelled()) return task;
+    try {
+      task.value.emplace(fn(i));
+    } catch (...) {
+      task.error = std::current_exception();
     }
     return task;
   });

@@ -5,8 +5,7 @@
 // waited for a trace another worker was generating. Readers subtract two
 // snapshots taken around a run: perfbench derives its throughput and
 // per-phase metrics that way, bench/perf_smoke its per-figure
-// trace_wait_ns, and run_grid the timed-out/cancelled counts of its stderr
-// summary line.
+// trace_wait_ns.
 #pragma once
 
 #include <atomic>
@@ -31,8 +30,6 @@ struct TelemetrySnapshot {
                                       ///< persistent result store
   std::uint64_t memo_misses = 0;      ///< grid points simulated because the
                                       ///< store had no (valid) record
-  std::uint64_t tasks_timed_out = 0;  ///< tasks skipped: deadline passed
-  std::uint64_t tasks_cancelled = 0;  ///< tasks skipped: interrupted
   std::uint64_t trace_store_hits = 0;   ///< traces decoded from the store
   std::uint64_t trace_store_misses = 0; ///< store probes that regenerated
   std::uint64_t generate_ns = 0;      ///< wall ns synthesizing traces
@@ -50,8 +47,6 @@ struct TelemetrySnapshot {
     return {simulations - rhs.simulations, trace_ops - rhs.trace_ops,
             traces_generated - rhs.traces_generated,
             memo_hits - rhs.memo_hits, memo_misses - rhs.memo_misses,
-            tasks_timed_out - rhs.tasks_timed_out,
-            tasks_cancelled - rhs.tasks_cancelled,
             trace_store_hits - rhs.trace_store_hits,
             trace_store_misses - rhs.trace_store_misses,
             generate_ns - rhs.generate_ns, decode_ns - rhs.decode_ns,
@@ -74,12 +69,6 @@ class Telemetry {
   void count_memo_hit() { memo_hits_.fetch_add(1, std::memory_order_relaxed); }
   void count_memo_miss() {
     memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_task_timed_out() {
-    tasks_timed_out_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_task_cancelled() {
-    tasks_cancelled_.fetch_add(1, std::memory_order_relaxed);
   }
   void count_trace_store_hit() {
     trace_store_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -106,8 +95,6 @@ class Telemetry {
             traces_generated_.load(std::memory_order_relaxed),
             memo_hits_.load(std::memory_order_relaxed),
             memo_misses_.load(std::memory_order_relaxed),
-            tasks_timed_out_.load(std::memory_order_relaxed),
-            tasks_cancelled_.load(std::memory_order_relaxed),
             trace_store_hits_.load(std::memory_order_relaxed),
             trace_store_misses_.load(std::memory_order_relaxed),
             generate_ns_.load(std::memory_order_relaxed),
@@ -122,8 +109,6 @@ class Telemetry {
     traces_generated_.store(0, std::memory_order_relaxed);
     memo_hits_.store(0, std::memory_order_relaxed);
     memo_misses_.store(0, std::memory_order_relaxed);
-    tasks_timed_out_.store(0, std::memory_order_relaxed);
-    tasks_cancelled_.store(0, std::memory_order_relaxed);
     trace_store_hits_.store(0, std::memory_order_relaxed);
     trace_store_misses_.store(0, std::memory_order_relaxed);
     generate_ns_.store(0, std::memory_order_relaxed);
@@ -138,8 +123,6 @@ class Telemetry {
   std::atomic<std::uint64_t> traces_generated_{0};
   std::atomic<std::uint64_t> memo_hits_{0};
   std::atomic<std::uint64_t> memo_misses_{0};
-  std::atomic<std::uint64_t> tasks_timed_out_{0};
-  std::atomic<std::uint64_t> tasks_cancelled_{0};
   std::atomic<std::uint64_t> trace_store_hits_{0};
   std::atomic<std::uint64_t> trace_store_misses_{0};
   std::atomic<std::uint64_t> generate_ns_{0};

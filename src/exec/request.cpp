@@ -1,7 +1,5 @@
 #include "sttsim/exec/request.hpp"
 
-#include <mutex>
-
 #include <signal.h>
 
 namespace sttsim::exec {
@@ -20,9 +18,6 @@ void interrupt_handler(int) {
   interrupt_source().cancel();
 }
 
-std::mutex g_request_mu;
-CampaignRequest g_default_request;  // guarded by g_request_mu
-
 }  // namespace
 
 void install_interrupt_handler() {
@@ -38,14 +33,6 @@ void install_interrupt_handler() {
   sigaction(SIGINT, &sa, nullptr);
 }
 
-void set_default_request(const CampaignRequest& request) {
-  std::lock_guard<std::mutex> lock(g_request_mu);
-  g_default_request = request;
-}
-
-CampaignRequest default_request() {
-  std::lock_guard<std::mutex> lock(g_request_mu);
-  return g_default_request;
-}
+void set_default_request(const CampaignRequest& /*request*/) {}
 
 }  // namespace sttsim::exec

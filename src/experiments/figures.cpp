@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sttsim/exec/parallel_executor.hpp"
-#include "sttsim/exec/telemetry.hpp"
 #include "sttsim/experiments/harness.hpp"
 #include "sttsim/reliability/endurance.hpp"
 #include "sttsim/report/table.hpp"
@@ -411,44 +409,33 @@ report::FigureData ablation_write_mitigation(const KernelFilter& filter) {
 std::string lifetime_report(const KernelFilter& filter) {
   const std::vector<Kernel> kernels = select_kernels(filter);
   TraceCache cache;
-  const CodegenOptions base = CodegenOptions::none();
   const auto stt = reliability::stt_mram_endurance();
   const auto reram = reliability::reram_endurance();
   const auto pram = reliability::pram_endurance();
   const cpu::SystemConfig cfg = make_config(Dl1Organization::kNvmVwb);
-  cfg.validate();
-  // Wear profiling needs the System's DL1 array after the run, so this
-  // report fans whole per-kernel jobs (run + profile + row formatting)
-  // across the pool rather than going through run_grid. Each trace has
-  // this one replay, so it is dropped right after it.
-  exec::ParallelExecutor pool;
-  const std::vector<std::vector<std::string>> rows =
-      pool.map(kernels.size(), [&](std::size_t i) {
-        const Kernel& k = kernels[i];
-        const TraceCache::Handle trace = cache.acquire(k, base);
-        cpu::System system(cfg, cpu::System::kPrevalidated);
-        const std::uint64_t t0 = exec::now_ns();
-        const sim::RunStats stats = system.run(*trace);
-        exec::Telemetry::instance().count_replay_ns(exec::now_ns() - t0);
-        cache.drop(k, base);
-        exec::Telemetry::instance().count_simulation(trace->size());
-        const auto wear = reliability::profile_wear(
-            system.dl1().array(), stats.core.total_cycles, 1.0);
-        return std::vector<std::string>{
-            k.name, strprintf("%.3g", wear.max_write_rate_hz()),
-            reliability::format_lifetime(
-                reliability::project_lifetime(wear, stt)),
-            reliability::format_lifetime(
-                reliability::project_lifetime(wear, reram)),
-            reliability::format_lifetime(
-                reliability::project_lifetime(wear, pram)),
-            reliability::format_lifetime(
-                reliability::project_lifetime_leveled(wear, pram))};
-      });
+  // The RunStats wear counters (hottest frame / total array writes) are
+  // enough to rebuild the profile, so this report is a one-job grid and
+  // memoizes in the result store like every other figure.
+  const auto grid = run_grid(cache, kernels, {{cfg, CodegenOptions::none()}});
+  const std::uint64_t frames = cfg.dl1_config().geometry.num_lines();
   report::TableBuilder t({"kernel", "max frame writes/s", "STT-MRAM (1e16)",
                           "ReRAM (1e8)", "PRAM (1e6)",
                           "PRAM + ideal levelling"});
-  for (const auto& row : rows) t.add_row(row);
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    const sim::RunStats& s = grid[0][i];
+    const auto wear = reliability::profile_from_counters(
+        s.mem.l1_frame_writes_max, s.mem.l1_frame_writes_total, frames,
+        s.core.total_cycles, 1.0);
+    t.add_row({kernels[i].name, strprintf("%.3g", wear.max_write_rate_hz()),
+               reliability::format_lifetime(
+                   reliability::project_lifetime(wear, stt)),
+               reliability::format_lifetime(
+                   reliability::project_lifetime(wear, reram)),
+               reliability::format_lifetime(
+                   reliability::project_lifetime(wear, pram)),
+               reliability::format_lifetime(
+                   reliability::project_lifetime_leveled(wear, pram))});
+  }
   return std::string(
              "A5 - Projected DL1 time-to-first-cell-failure under sustained "
              "kernel write pressure\n(Section II's technology triage made "
@@ -656,7 +643,7 @@ report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
   const auto grid = run_grid(cache, kernels, jobs);
   // The RunStats wear counters (hottest frame / total array writes) are
   // enough to rebuild the projection, so this figure memoizes in the
-  // result store — unlike lifetime_report, which needs the live array.
+  // result store.
   const auto years = [&](const sim::RunStats& s, bool leveled) {
     const std::uint64_t frames =
         make_config(Dl1Organization::kNvmDropIn).dl1_config().geometry

@@ -140,9 +140,7 @@ std::uint64_t simulation_digest(const cpu::Trace& trace,
 
 double penalty_pct(const sim::RunStats& variant,
                    const sim::RunStats& baseline) {
-  // A timed-out or cancelled grid point degrades to all-zero counters
-  // (skip-and-report); its derived metric is "no data", not an invariant
-  // violation. NaN prints as nan.
+  // A run of zero cycles has no ratio; NaN prints as nan.
   if (baseline.core.total_cycles == 0 || variant.core.total_cycles == 0) {
     return std::numeric_limits<double>::quiet_NaN();
   }
@@ -278,13 +276,11 @@ struct GridPoint {
   std::uint64_t digest = 0;
 };
 
-/// Post-request policy of a grid. Points the request skipped (timed-out or
-/// cancelled) keep default RunStats in their result slots; the telemetry
-/// counters and the grid summary carry the tally. A failed point rethrows
-/// its exception — the lowest-index one — once every task has finished,
-/// and an interrupt (SIGINT) surfaces as CampaignInterrupted after the
-/// in-flight points finished and appended their records, so a re-run
-/// resumes from the store.
+/// Post-request policy of a grid: it returns only when every point has its
+/// RunStats. A failed point rethrows its exception — the lowest-index one —
+/// once every task has finished, and an interrupt (SIGINT) surfaces as
+/// CampaignInterrupted after the in-flight points finished and appended
+/// their records, so a re-run resumes from the store.
 void finish_request(
     const std::vector<exec::TaskResult<sim::RunStats>>& tasks) {
   for (const exec::TaskResult<sim::RunStats>& t : tasks) {
@@ -370,26 +366,24 @@ void run_points(TraceCache& cache,
     cache.drop(kernels[t % n_kernels], *group_opts[t / n_kernels]);
   };
 
-  auto result = exec::run_request(
-      pool, exec::default_request(), order.size(), [&](std::size_t i) {
-        const GridPoint& p = points[order[i]];
-        const SuiteJob& job = jobs[p.j];
-        sim::RunStats stats;
-        {
-          const TraceCache::Handle trace =
-              cache.acquire(kernels[p.k], job.opts);
-          cpu::System system(job.config, cpu::System::kPrevalidated);
-          const std::uint64_t t0 = now_ns();
-          stats = system.run(*trace);
-          exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-          exec::Telemetry::instance().count_simulation(trace->size());
-        }
-        record_result(store, p.digest, stats);
-        if (pending[trace_of(p)].fetch_sub(1) == 1) drop(trace_of(p));
-        return stats;
-      });
-  // A skipped or failed point never counted down: drop what its trace
-  // left resident.
+  auto result = exec::run_request(pool, order.size(), [&](std::size_t i) {
+    const GridPoint& p = points[order[i]];
+    const SuiteJob& job = jobs[p.j];
+    sim::RunStats stats;
+    {
+      const TraceCache::Handle trace = cache.acquire(kernels[p.k], job.opts);
+      cpu::System system(job.config, cpu::System::kPrevalidated);
+      const std::uint64_t t0 = now_ns();
+      stats = system.run(*trace);
+      exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
+      exec::Telemetry::instance().count_simulation(trace->size());
+    }
+    record_result(store, p.digest, stats);
+    if (pending[trace_of(p)].fetch_sub(1) == 1) drop(trace_of(p));
+    return stats;
+  });
+  // A point skipped after an interrupt, or a failed one, never counted
+  // down: drop what its trace left resident.
   for (std::size_t t = 0; t < trace_points.size(); ++t) {
     if (pending[t].load() != 0) drop(t);
   }
@@ -422,7 +416,6 @@ std::vector<std::vector<sim::RunStats>> run_grid(
   // known results out of the task list eliminates head-of-line blocking on
   // a mostly-warm grid: the pool's whole width goes to the dirty slice.
   exec::ResultStore* store = exec::result_store();
-  const exec::TelemetrySnapshot before = exec::Telemetry::instance().snapshot();
   std::vector<std::vector<sim::RunStats>> out(
       jobs.size(), std::vector<sim::RunStats>(n_kernels));
   std::vector<GridPoint> points;
@@ -445,27 +438,11 @@ std::vector<std::vector<sim::RunStats>> run_grid(
   }
 
   if (!points.empty()) run_points(cache, kernels, jobs, points, store, out);
-  // Lifecycle tally for this grid (delta over the run). The happy path —
-  // no deadline, nothing cancelled — prints exactly the historical line,
-  // byte for byte.
-  const exec::TelemetrySnapshot delta =
-      exec::Telemetry::instance().snapshot() - before;
-  char lifecycle[96] = "";
-  if (delta.tasks_timed_out != 0 || delta.tasks_cancelled != 0) {
-    std::snprintf(lifecycle, sizeof lifecycle,
-                  ", %llu timed-out, %llu cancelled",
-                  static_cast<unsigned long long>(delta.tasks_timed_out),
-                  static_cast<unsigned long long>(delta.tasks_cancelled));
-  }
   if (store != nullptr) {
     std::fprintf(
         stderr,
-        "[sttsim] result store %s: %zu/%zu grid points warm, %zu simulated%s\n",
-        store->path().c_str(), hits, jobs.size() * n_kernels, points.size(),
-        lifecycle);
-  } else if (lifecycle[0] != '\0') {
-    std::fprintf(stderr, "[sttsim] grid: %zu points%s\n",
-                 jobs.size() * n_kernels, lifecycle);
+        "[sttsim] result store %s: %zu/%zu grid points warm, %zu simulated\n",
+        store->path().c_str(), hits, jobs.size() * n_kernels, points.size());
   }
   return out;
 }

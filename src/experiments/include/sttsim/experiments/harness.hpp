@@ -21,14 +21,13 @@ namespace sttsim::experiments {
 
 /// Performance penalty of `variant` relative to `baseline`, in percent —
 /// the paper's metric ("SRAM D-cache baseline = 100%"): 0% means equal
-/// runtime, 54% means 1.54x the baseline cycles. NaN when either side is a
-/// degraded (timed-out/cancelled, all-zero) grid point — "no data", which
-/// prints as nan.
+/// runtime, 54% means 1.54x the baseline cycles. NaN when either side ran
+/// zero cycles.
 double penalty_pct(const sim::RunStats& variant,
                    const sim::RunStats& baseline);
 
 /// Performance gain of `optimized` over `unoptimized` on the same system,
-/// in percent (Fig. 9's metric). NaN when either side is degraded.
+/// in percent (Fig. 9's metric). NaN when either side ran zero cycles.
 double gain_pct(const sim::RunStats& unoptimized,
                 const sim::RunStats& optimized);
 
@@ -193,18 +192,14 @@ struct SuiteJob {
 /// RunStats, so figure outputs are byte-identical cold vs warm at any
 /// --jobs width.
 ///
-/// The whole grid runs as one exec::run_request() under
-/// exec::default_request() (the CLI's --deadline flag). Each point
-/// checks the interrupt flag and the deadline when it starts: once either
-/// has tripped, the points that have not started are skipped and keep
-/// default RunStats (counted as timed-out or cancelled), while started
-/// points always finish — and are persisted when a store is active. A
-/// failed point rethrows the exception of the lowest j-major index after
-/// every task finished; an interrupt (SIGINT) throws
-/// exec::CampaignInterrupted after completed points are scattered, so
-/// re-running the same grid completes only the missing ones. With no
-/// deadline and no interrupt the lifecycle is invisible: output stays
-/// byte-identical.
+/// The whole grid runs as one exec::run_request(), and it either returns
+/// every point's RunStats or throws. Each point checks the interrupt flag
+/// when it starts: once it has tripped (SIGINT), the points that have not
+/// started are skipped, while started points always finish — and are
+/// persisted when a store is active — and run_grid then throws
+/// exec::CampaignInterrupted, so re-running the same grid completes only
+/// the missing ones. A failed point rethrows the exception of the lowest
+/// j-major index after every task finished.
 std::vector<std::vector<sim::RunStats>> run_grid(
     TraceCache& cache, const std::vector<workloads::Kernel>& kernels,
     const std::vector<SuiteJob>& jobs);

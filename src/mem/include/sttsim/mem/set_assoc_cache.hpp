@@ -101,11 +101,6 @@ class SetAssocCache {
   std::uint64_t max_frame_writes() const;
   /// Total writes across all frames.
   std::uint64_t total_writes() const;
-  /// Per-frame wear counters, set-major (frame = set * assoc + way) — the
-  /// raw material for reliability::WearMap.
-  const std::vector<std::uint64_t>& frame_write_counts() const {
-    return writes_;
-  }
 
   /// Drops all contents (wear counters included).
   void reset();

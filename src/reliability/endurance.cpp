@@ -1,6 +1,5 @@
 #include "sttsim/reliability/endurance.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -53,50 +52,6 @@ WearProfile profile_from_counters(std::uint64_t max_frame_writes,
   w.elapsed_cycles = elapsed_cycles;
   w.clock_ghz = clock_ghz;
   return w;
-}
-
-std::uint64_t WearMap::set_max(std::uint64_t set) const {
-  std::uint64_t m = 0;
-  for (std::uint64_t w = 0; w < ways; ++w) m = std::max(m, at(set, w));
-  return m;
-}
-
-double WearMap::imbalance() const {
-  std::uint64_t max = 0;
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : writes) {
-    max = std::max(max, w);
-    total += w;
-  }
-  if (total == 0 || writes.empty()) return 1.0;
-  const double mean = static_cast<double>(total) /
-                      static_cast<double>(writes.size());
-  return static_cast<double>(max) / mean;
-}
-
-double WearMap::writes_to_failure(const EnduranceSpec& endurance) const {
-  if (endurance.write_endurance <= 0) {
-    throw ConfigError("endurance must be positive");
-  }
-  std::uint64_t max = 0;
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : writes) {
-    max = std::max(max, w);
-    total += w;
-  }
-  if (max == 0) return std::numeric_limits<double>::infinity();
-  // The hottest frame receives max/total of every array write; it fails
-  // after endurance writes of its own.
-  const double share = static_cast<double>(max) / static_cast<double>(total);
-  return endurance.write_endurance / share;
-}
-
-WearMap wear_map(const mem::SetAssocCache& array) {
-  WearMap m;
-  m.sets = array.geometry().num_sets();
-  m.ways = array.geometry().associativity;
-  m.writes = array.frame_write_counts();
-  return m;
 }
 
 LifetimeEstimate project_lifetime(const WearProfile& wear,

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sttsim/mem/set_assoc_cache.hpp"
 #include "sttsim/sim/cycle.hpp"
@@ -57,32 +56,6 @@ WearProfile profile_from_counters(std::uint64_t max_frame_writes,
                                   std::uint64_t frames,
                                   sim::Cycle elapsed_cycles,
                                   double clock_ghz = 1.0);
-
-/// Per-set/per-way wear snapshot of one array: where the writes actually
-/// landed. Quantifies how uneven the write pressure is across physical
-/// frames — the headroom a wear-levelling scheme could recover — and
-/// projects writes-to-first-frame-failure per set.
-struct WearMap {
-  std::uint64_t sets = 0;
-  std::uint64_t ways = 0;
-  /// Set-major wear counters (frame = set * ways + way).
-  std::vector<std::uint64_t> writes;
-
-  std::uint64_t at(std::uint64_t set, std::uint64_t way) const {
-    return writes[set * ways + way];
-  }
-  /// Hottest frame within one set.
-  std::uint64_t set_max(std::uint64_t set) const;
-  /// max_frame_writes / mean_frame_writes — 1.0 means perfectly level.
-  double imbalance() const;
-  /// Further writes the array absorbs before its hottest frame exhausts
-  /// `endurance`, assuming the observed per-frame write shares persist.
-  /// Infinity if nothing was written.
-  double writes_to_failure(const EnduranceSpec& endurance) const;
-};
-
-/// Snapshots the array's wear counters into a WearMap.
-WearMap wear_map(const mem::SetAssocCache& array);
 
 /// Projected time to first cell failure, assuming the workload's write-rate
 /// profile is sustained indefinitely (no wear levelling).

@@ -1,5 +1,5 @@
 # One writer per store path. A run whose --store path another process
-# holds (flock(1) here) must exit 0, print exactly the --no-store output,
+# holds (flock(1) here) must exit 0, print exactly the storeless output,
 # write one stderr line naming the path, and leave the held file as it
 # was (empty). One path given to both --store and --trace-store keeps the
 # result store and runs without the trace store, so the second run is
@@ -10,20 +10,18 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(args --artifact=fig1_dropin_penalty --kernels=trisolv,gesummv --csv)
-set(clean_env ${CMAKE_COMMAND} -E env --unset=STTSIM_RESULT_STORE
-              --unset=STTSIM_TRACE_STORE)
 
 execute_process(
-  COMMAND ${clean_env} ${BINARY} ${args} --no-store --no-trace-store
+  COMMAND ${BINARY} ${args}
   RESULT_VARIABLE rc OUTPUT_VARIABLE reference ERROR_VARIABLE err)
 if(NOT rc STREQUAL "0")
-  message(FATAL_ERROR "--no-store run: exit '${rc}': ${err}")
+  message(FATAL_ERROR "storeless run: exit '${rc}': ${err}")
 endif()
 
 set(held "${WORK_DIR}/held.log")
 # A blocking lock would wait for flock(1) forever.
 execute_process(
-  COMMAND ${FLOCK} ${held} ${clean_env} ${BINARY} ${args} --store=${held}
+  COMMAND ${FLOCK} ${held} ${BINARY} ${args} --store=${held}
   TIMEOUT 60
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc STREQUAL "0")
@@ -47,8 +45,7 @@ endif()
 set(shared "${WORK_DIR}/shared.log")
 foreach(run cold warm)
   execute_process(
-    COMMAND ${clean_env} ${BINARY} ${args} --store=${shared}
-            --trace-store=${shared}
+    COMMAND ${BINARY} ${args} --store=${shared} --trace-store=${shared}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc STREQUAL "0")
     message(FATAL_ERROR "${run} run with one path for both stores: "

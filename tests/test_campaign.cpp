@@ -1,18 +1,15 @@
 // Engine-level campaign-lifecycle tests: whole grids run through
 // run_grid with hand-rolled workloads::Kernel objects whose generators
-// sleep, throw, or trip the interrupt flag from inside a grid point's task
-// (a deadline skips only points that have not started, a failing point
-// aborts the grid with the lowest-index error, an interrupted campaign
-// resumes from the store).
+// throw or trip the interrupt flag from inside a grid point's task (a
+// failing point aborts the grid with the lowest-index error, an
+// interrupted campaign resumes from the store).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -93,62 +90,12 @@ class CampaignTest : public ::testing::Test {
 
   static void reset_lifecycle() {
     exec::interrupt_source().reset();
-    exec::set_default_request(exec::CampaignRequest{});
     exec::set_result_store(nullptr);
     exec::set_default_jobs(0);
   }
 };
 
-// ---- Deadline, failure and interrupt -----------------------------------
-
-// A deadline skips the points that have not started, never a running one.
-// The first point's trace generation sleeps past the deadline, yet that
-// point finishes with the reference result and is persisted; every later
-// point starts past the deadline and keeps default RunStats. Width 1 fixes
-// the execution order (j-major).
-TEST_F(CampaignTest, DeadlineSkipsUnstartedPointsAndKeepsTheRunningOne) {
-  const auto kernels = experiments::select_kernels({"atax", "mvt"});
-  const auto jobs = small_grid();
-  const std::size_t n = jobs.size() * kernels.size();
-  const std::string path = temp_store_path("deadline");
-  std::remove(path.c_str());
-
-  experiments::TraceCache ref_cache;
-  const auto reference = experiments::run_grid(ref_cache, kernels, jobs);
-
-  exec::set_default_jobs(1);
-  exec::CampaignRequest request;
-  request.deadline_s = 0.5;
-  exec::set_default_request(request);
-  const auto nap = [] {
-    std::this_thread::sleep_for(std::chrono::seconds(1));
-  };
-  const std::vector<workloads::Kernel> slow = {hooked_kernel("atax", nap),
-                                               kernels[1]};
-
-  auto& telemetry = exec::Telemetry::instance();
-  {
-    ScopedStore store(path);
-    const exec::TelemetrySnapshot before = telemetry.snapshot();
-    experiments::TraceCache cache;
-    const auto degraded = experiments::run_grid(cache, slow, jobs);
-    const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-
-    EXPECT_EQ(sim::to_json(degraded[0][0]), sim::to_json(reference[0][0]))
-        << "the point running at the deadline must finish, not degrade";
-    EXPECT_EQ(delta.tasks_timed_out, n - 1);
-    EXPECT_EQ(delta.simulations, 1u);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      for (std::size_t k = 0; k < kernels.size(); ++k) {
-        if (j == 0 && k == 0) continue;
-        EXPECT_EQ(degraded[j][k].core.total_cycles, 0u)
-            << "point (" << j << ", " << k << ") started past the deadline";
-      }
-    }
-    EXPECT_EQ(store.get().entries(), 1u) << "the finished point is persisted";
-  }
-  std::remove(path.c_str());
-}
+// ---- Failure and interrupt ---------------------------------------------
 
 // A bug keeps the historical abort semantics: run_grid rethrows the
 // lowest-index failure, after every other point finished and was
@@ -229,8 +176,8 @@ TEST_F(CampaignTest, InterruptedCampaignResumesOnlyMissingPoints) {
   std::remove(path.c_str());
 }
 
-// The scheduler plumbing must not perturb the happy path: a grid with
-// default request settings equals the reference at several pool widths.
+// The scheduler plumbing must not perturb the happy path: a grid that
+// nothing interrupts equals the reference at several pool widths.
 TEST_F(CampaignTest, DefaultLifecycleIsInvisibleAtAnyWidth) {
   const auto kernels = experiments::select_kernels({"atax"});
   const auto jobs = small_grid();

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -154,39 +153,6 @@ TEST(Endurance, EndToEndSttOutlivesPramByTenOrders) {
   EXPECT_TRUE(project_lifetime(wear, stt_mram_endurance())
                   .effectively_unlimited());
   EXPECT_LT(project_lifetime(wear, pram_endurance()).years(), 0.1);
-}
-
-// ---- Wear maps --------------------------------------------------------
-
-TEST(WearMap, SnapshotsPerFrameWrites) {
-  mem::SetAssocCache c(mem::CacheGeometry{1024, 2, 64});  // 8 sets x 2 ways
-  c.fill(0x0000, false);                // set 0, one write
-  c.fill(0x0200, false);                // set 0, second way
-  for (int i = 0; i < 4; ++i) c.access(0x0000, true);
-  const WearMap m = wear_map(c);
-  EXPECT_EQ(m.sets, 8u);
-  EXPECT_EQ(m.ways, 2u);
-  ASSERT_EQ(m.writes.size(), 16u);
-  EXPECT_EQ(m.set_max(0), 5u);  // fill + 4 writes on the hot frame
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : m.writes) total += w;
-  EXPECT_EQ(total, c.total_writes());
-}
-
-TEST(WearMap, ImbalanceAndWritesToFailure) {
-  mem::SetAssocCache c(mem::CacheGeometry{1024, 2, 64});
-  const WearMap empty = wear_map(c);
-  EXPECT_DOUBLE_EQ(empty.imbalance(), 1.0);
-  EXPECT_TRUE(std::isinf(empty.writes_to_failure(pram_endurance())));
-
-  c.fill(0x0000, false);
-  for (int i = 0; i < 15; ++i) c.access(0x0000, true);  // hot frame: 16
-  const WearMap m = wear_map(c);
-  // 16 writes on one of 16 frames: max/mean = 16 / 1 = 16.
-  EXPECT_DOUBLE_EQ(m.imbalance(), 16.0);
-  // All writes land on the hot frame, so the array fails when that frame
-  // absorbs the endurance budget: 1e6 more writes at share 16/16.
-  EXPECT_NEAR(m.writes_to_failure(pram_endurance()), 1e6, 1e6 * 1e-9);
 }
 
 TEST(Endurance, ProfileFromCountersMatchesProfileWear) {

@@ -26,15 +26,13 @@
 // in the --store) and exits 130; kernel mode keeps the default SIGINT
 // disposition. A kernel-mode flag (kKernelModeFlags) next to --artifact,
 // --kernels without it, an unknown artifact name, and a malformed number
-// (--jobs, --deadline, --vwb-kbit, --vwb-lines, --banks, --clock-ghz,
-// --faults, --ecc), like an unknown flag, print usage and exit 2.
+// (--jobs, --vwb-kbit, --vwb-lines, --banks, --clock-ghz, --faults, --ecc),
+// like an unknown flag, print usage and exit 2.
 //
 // Both modes take --csv, --jobs=N (0 = one worker per hardware thread),
-// --deadline=SECS (each grid's wall-clock budget: points not started by
-// then are skipped as timed-out), and --store=PATH / --trace-store=PATH:
-// persistent result and trace stores, so a repeated run reads back stats
-// and traces instead of recomputing them. --no-store and --no-trace-store
-// ignore the STTSIM_RESULT_STORE / STTSIM_TRACE_STORE defaults. A run opens
+// and --store=PATH / --trace-store=PATH: persistent result and trace
+// stores, so a repeated run reads back stats and traces instead of
+// recomputing them. A store opens only from its flag. A run opens
 // only the stores it reads: --list opens neither, and --trace-out,
 // --check-oracle and an --org list open no result store. A store path
 // has one writer at a time: a run that finds it held prints one line and
@@ -98,10 +96,9 @@ struct CliOptions {
       "          [--banks=N] [--clock-ghz=F] [--trace-out=FILE]\n"
       "          [--faults=SEED[:PPM[:DOUBLEPCT]]] [--ecc=CORR[:REFILL]]\n"
       "          [--baseline-penalty] [--check-oracle] [--jobs=N]\n"
-      "          [--store=PATH] [--no-store] [--trace-store=PATH]\n"
-      "          [--no-trace-store] [--deadline=SECS] [--csv|--json]\n"
+      "          [--store=PATH] [--trace-store=PATH] [--csv|--json]\n"
       "       %s --artifact=NAME[,NAME...]|all [--kernels=a,b,c] [--csv]\n"
-      "          [--jobs=N] [--deadline=SECS] [the store flags above]\n"
+      "          [--jobs=N] [--store=PATH] [--trace-store=PATH]\n"
       "(a comma-separated --org list runs each organization in turn and\n"
       " reports them side by side; --faults enables deterministic\n"
       " retention-fault injection on NVM organizations — SEED keys the\n"
@@ -183,11 +180,8 @@ constexpr const char* kKernelModeFlags[] = {
 
 CliOptions parse_args(int argc, char** argv) {
   CliOptions o;
-  bool no_store = false;
-  bool no_trace_store = false;
   bool kernel_mode_flag = false;
   bool kernels_flag = false;
-  exec::CampaignRequest request;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     for (const char* flag : kKernelModeFlags) {
@@ -262,38 +256,17 @@ CliOptions parse_args(int argc, char** argv) {
       unsigned jobs = 0;
       number(val, jobs);
       exec::set_default_jobs(jobs);
-    } else if (take("--deadline=")) {
-      if (!parse_finite(val.c_str(), request.deadline_s)) usage(argv[0]);
     } else if (take("--store=")) {
       o.store = val;
-    } else if (arg == "--no-store") {
-      no_store = true;
     } else if (take("--trace-store=")) {
       o.trace_store = val;
-    } else if (arg == "--no-trace-store") {
-      no_trace_store = true;
     } else {
       usage(argv[0]);
     }
   }
-  if (o.store.empty() && !no_store) {
-    if (const char* env = std::getenv("STTSIM_RESULT_STORE");
-        env != nullptr && *env != '\0') {
-      o.store = env;
-    }
-  }
-  if (no_store) o.store.clear();
-  if (o.trace_store.empty() && !no_trace_store) {
-    if (const char* env = std::getenv("STTSIM_TRACE_STORE");
-        env != nullptr && *env != '\0') {
-      o.trace_store = env;
-    }
-  }
-  if (no_trace_store) o.trace_store.clear();
   const bool artifact_mode = !o.artifacts.empty();
   if (kernels_flag && !artifact_mode) usage(argv[0]);
   if (artifact_mode && kernel_mode_flag) usage(argv[0]);
-  exec::set_default_request(request);
   // Only grids read the drain flag the handler sets; kernel mode keeps
   // the default disposition, so its first Ctrl-C ends the run.
   if (artifact_mode) exec::install_interrupt_handler();
