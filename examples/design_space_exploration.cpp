@@ -29,16 +29,9 @@ int main() {
   const std::vector<std::string> names{"gemm", "atax", "jacobi-1d"};
   const auto kernels = experiments::select_kernels(names);
   const auto opts = workloads::CodegenOptions::all();
-  experiments::TraceCache cache;
-
-  // Baseline runs (SRAM, same code).
-  std::vector<sim::RunStats> base;
-  for (const auto& k : kernels) {
-    base.push_back(experiments::run_kernel(
-        cache, k, experiments::make_config(cpu::Dl1Organization::kSramBaseline),
-        opts));
-  }
-
+  // One grid: the SRAM baseline (same code), then every VWB design.
+  std::vector<experiments::SuiteJob> jobs{
+      {experiments::make_config(cpu::Dl1Organization::kSramBaseline), opts}};
   std::vector<Point> points;
   for (const unsigned kbit : {1u, 2u, 4u, 8u}) {
     for (const unsigned lines : {2u, 4u}) {
@@ -49,16 +42,19 @@ int main() {
         cfg.vwb_total_kbit = kbit;
         cfg.vwb_lines = lines;
         cfg.nvm_banks = banks;
-        double sum = 0;
-        for (std::size_t i = 0; i < kernels.size(); ++i) {
-          const auto stats =
-              experiments::run_kernel(cache, kernels[i], cfg, opts);
-          sum += experiments::penalty_pct(stats, base[i]);
-        }
-        points.push_back(
-            {kbit, lines, banks, sum / static_cast<double>(kernels.size())});
+        jobs.push_back({cfg, opts});
+        points.push_back({kbit, lines, banks, 0.0});
       }
     }
+  }
+  experiments::TraceCache cache;
+  const auto grid = experiments::run_grid(cache, kernels, jobs);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    double sum = 0;
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+      sum += experiments::penalty_pct(grid[p + 1][i], grid[0][i]);
+    }
+    points[p].avg_penalty = sum / static_cast<double>(kernels.size());
   }
 
   std::sort(points.begin(), points.end(),

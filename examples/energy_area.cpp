@@ -21,12 +21,12 @@ int main() {
   std::fputs("\n", stdout);
   std::fputs(experiments::area_report().c_str(), stdout);
 
-  // Per-component drill-down for one run.
+  // Per-component drill-down for one run: a one-point grid.
   experiments::TraceCache cache;
-  const auto& kernel = workloads::find_kernel("gemm");
-  const auto stats = experiments::run_kernel(
-      cache, kernel, experiments::make_config(cpu::Dl1Organization::kNvmVwb),
-      workloads::CodegenOptions::none());
+  const auto stats = experiments::run_grid(
+      cache, experiments::select_kernels({"gemm"}),
+      {{experiments::make_config(cpu::Dl1Organization::kNvmVwb),
+        workloads::CodegenOptions::none()}})[0][0];
   const auto e =
       experiments::dl1_energy(stats, tech::stt_mram_l1d_64kb());
   std::printf("\ngemm on the proposal: DL1 reads %llu / writes %llu\n",

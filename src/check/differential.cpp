@@ -195,7 +195,10 @@ std::string write_reproducer(const std::string& dir, const std::string& tag,
       << "organization: " << cpu::to_string(config.organization) << "\n"
       << "vwb_total_kbit: " << config.vwb_total_kbit << "\n"
       << "nvm_banks: " << config.nvm_banks << "\n"
-      << "mshr_entries: " << config.mshr_entries << "\n";
+      << "mshr_entries: " << config.mshr_entries << "\n"
+      << "l2: capacity_bytes=" << config.l2.capacity_bytes
+      << " associativity=" << config.l2.associativity
+      << " line_bytes=" << config.l2.line_bytes << "\n";
   if (config.faults_active()) {
     txt << "faults: seed=" << config.faults.seed
         << " ppm=" << config.faults.fail_ppm
@@ -206,7 +209,7 @@ std::string write_reproducer(const std::string& dir, const std::string& tag,
   txt << "trace_ops: " << result.trace.size() << "\n"
       << "minimizer_probes: " << result.probes << "\n"
       << "divergence: " << result.divergence.detail << "\n"
-      << "replay: sttsim_cli --check-oracle --trace-in=" << tag << ".trace"
+      << "replay: sttsim --check-oracle --trace-in=" << tag << ".trace"
       << " --org=" << cpu::to_string(config.organization);
   if (config.faults_active()) {
     txt << " --faults=" << config.faults.seed << ":" << config.faults.fail_ppm

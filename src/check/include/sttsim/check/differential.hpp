@@ -51,8 +51,9 @@ MinimizeResult minimize_trace(const cpu::SystemConfig& config,
 
 /// Writes a replayable reproducer: `<dir>/<tag>.trace` (binary trace,
 /// cpu::trace_io format) plus `<dir>/<tag>.txt` describing the
-/// configuration, the divergence, and the replay command. Creates `dir` if
-/// needed; returns the trace path.
+/// configuration (L2 geometry included, which no sttsim flag sets), the
+/// divergence, and the replay command. Creates `dir` if needed; returns
+/// the trace path.
 std::string write_reproducer(const std::string& dir, const std::string& tag,
                              const cpu::SystemConfig& config,
                              const MinimizeResult& result);

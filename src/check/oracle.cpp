@@ -752,7 +752,12 @@ class VwbOracle final : public OracleBase {
     Cycle accepted = now + 1;
     for (Addr s = first; s <= last; s += sector_) {
       if (vwb_.probe(s).hit) {
-        // Absorbed by the VWB; any fill-register copy becomes stale.
+        // Absorbed by the VWB; any fill-register copy becomes stale. The
+        // simulator has no such invalidate: a VWB-held sector has no
+        // fill-register copy (a prefetch of it returns early, a promotion
+        // consumes the register, the ride-along skips staged sectors). If
+        // a change ever breaks that, the simulator keeps a stale copy
+        // this model drops, and the campaigns diverge.
         if (!faults_.skip_fill_register_invalidate_on_store) {
           fills_.invalidate(s);
         }

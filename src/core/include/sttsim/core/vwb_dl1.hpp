@@ -92,9 +92,7 @@ class VwbDl1System final : public Dl1System {
       // Absorbed by the VWB (paper: the DL1 is updated via the VWB only
       // when the block is already present). A store into a still-promoting
       // sector does not stall: the single-ported cells latch the store data
-      // and the arriving promotion merges around it. Any fill-register copy
-      // of the sector becomes stale.
-      fills_.invalidate(s);
+      // and the arriving promotion merges around it.
       stats_.front_store_hits += 1;
       return now + 1;
     }

@@ -11,11 +11,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -62,57 +60,6 @@ class ParallelExecutor {
     }
     enqueue(std::packaged_task<void()>(std::move(task)));
     return future;
-  }
-
-  /// Runs `fn(0) .. fn(count-1)` across the pool and returns the results
-  /// in input order. If any invocation throws, the lowest-index exception
-  /// is rethrown after all submitted tasks finished or were drained.
-  template <typename F>
-  auto map(std::size_t count, F&& fn)
-      -> std::vector<std::invoke_result_t<F&, std::size_t>> {
-    using R = std::invoke_result_t<F&, std::size_t>;
-    std::vector<R> out;
-    out.reserve(count);
-    if (jobs_ == 1) {
-      for (std::size_t i = 0; i < count; ++i) out.push_back(fn(i));
-      return out;
-    }
-    // A failed call hands its exception back as a value, not through the
-    // future's shared state: a worker may drop the last reference to that
-    // state after the caller is done with its future, and the exception
-    // must not be freed there while the caller still reads it (its
-    // reference count lives in the uninstrumented C++ runtime, so
-    // ThreadSanitizer cannot see that release as synchronization).
-    struct Slot {
-      std::optional<R> value;
-      std::exception_ptr error;
-    };
-    std::vector<std::future<Slot>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(submit([&fn, i] {
-        Slot slot;
-        try {
-          slot.value.emplace(fn(i));
-        } catch (...) {
-          slot.error = std::current_exception();
-        }
-        return slot;
-      }));
-    }
-    // Collect in input order; capture the first failure but keep draining
-    // so no task is left referencing `fn` when we unwind.
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      Slot slot = f.get();
-      if (slot.error) {
-        if (!first_error) first_error = std::move(slot.error);
-      } else {
-        out.push_back(std::move(*slot.value));
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return out;
   }
 
  private:

@@ -11,14 +11,15 @@
 //
 // A task that has started always finishes: nothing interrupts a running
 // simulation, so a grid point that was started is always complete (and,
-// with a result store, persisted). Tasks go straight to
-// ParallelExecutor::map; with jobs == 1 they run inline in submission
+// with a result store, persisted). Each task is one
+// ParallelExecutor::submit; with jobs == 1 they run inline in submission
 // order. No state outlives a run_request() call.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <exception>
+#include <future>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -85,16 +86,31 @@ template <typename F>
 auto run_request(ParallelExecutor& pool, std::size_t count, F&& fn)
     -> std::vector<TaskResult<std::invoke_result_t<F&, std::size_t>>> {
   using R = std::invoke_result_t<F&, std::size_t>;
-  return pool.map(count, [&](std::size_t i) {
-    TaskResult<R> task;
-    if (interrupt_source().cancelled()) return task;
-    try {
-      task.value.emplace(fn(i));
-    } catch (...) {
-      task.error = std::current_exception();
-    }
-    return task;
-  });
+  // Each task returns its TaskResult by value, exception included, so no
+  // exception is ever freed through a future's shared state: a worker may
+  // drop the last reference to that state after the caller is done with
+  // its future, and the exception must not be freed there while the
+  // caller still reads it (its reference count lives in the uninstrumented
+  // C++ runtime, so ThreadSanitizer cannot see that release as
+  // synchronization).
+  std::vector<std::future<TaskResult<R>>> futures;
+  futures.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    futures.push_back(pool.submit([&fn, i] {
+      TaskResult<R> task;
+      if (interrupt_source().cancelled()) return task;
+      try {
+        task.value.emplace(fn(i));
+      } catch (...) {
+        task.error = std::current_exception();
+      }
+      return task;
+    }));
+  }
+  std::vector<TaskResult<R>> out;
+  out.reserve(count);
+  for (auto& f : futures) out.push_back(f.get());
+  return out;
 }
 
 }  // namespace sttsim::exec

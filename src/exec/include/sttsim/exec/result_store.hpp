@@ -5,7 +5,8 @@
 // *full* simulation input (experiments::simulation_digest) and stores the
 // complete encoded RunStats record, so a warm re-run of a figure probes the
 // store instead of simulating and a one-parameter grid edit recomputes only
-// the dirty points (experiments::lookup_result / record_result).
+// the dirty points (experiments::run_grid, the store's only reader and
+// writer).
 //
 // The file, its record format, crash recovery and the one-writer lock are
 // exec::AppendLog's (append_log.hpp). This class fixes the magic
@@ -58,9 +59,9 @@ class ResultStore : private AppendLog {
   std::size_t payload_bytes_;
 };
 
-/// Process-wide active store, consulted by experiments::run_grid and the
-/// CLI run paths (the CLI's `--store=PATH` flag installs one; nullptr —
-/// the default — disables memoization entirely). Not owning.
+/// Process-wide active store, consulted by experiments::run_grid (the
+/// CLI's artifact-mode `--store=PATH` flag installs one; nullptr — the
+/// default — disables memoization entirely). Not owning.
 void set_result_store(ResultStore* store);
 ResultStore* result_store();
 

@@ -59,7 +59,7 @@ class TraceStore : private AppendLog {
 };
 
 /// Process-wide active trace store, consulted by the experiments trace
-/// cache (the CLI's `--trace-store=PATH` flag installs one;
+/// cache (the CLI's artifact-mode `--trace-store=PATH` flag installs one;
 /// nullptr — the default — disables trace persistence). Not owning.
 void set_trace_store(TraceStore* store);
 TraceStore* trace_store();

@@ -9,6 +9,9 @@
 #include "sttsim/tech/area.hpp"
 #include "sttsim/util/text.hpp"
 
+// Every grid driver below is a declaration: the jobs of its grid (each a
+// system configuration plus codegen options), in the order the grid runs
+// them, and the series that reduce the grid to a per-kernel figure.
 namespace sttsim::experiments {
 namespace {
 
@@ -16,21 +19,63 @@ using cpu::Dl1Organization;
 using workloads::CodegenOptions;
 using workloads::Kernel;
 
-std::vector<std::string> labels_of(const std::vector<Kernel>& kernels) {
-  std::vector<std::string> out;
-  out.reserve(kernels.size());
-  for (const Kernel& k : kernels) out.push_back(k.name);
+/// A driver's results: rows[j][k] is jobs[j] on kernels[k].
+struct Grid {
+  std::vector<Kernel> kernels;
+  std::vector<std::vector<sim::RunStats>> rows;
+};
+
+/// Runs a driver's jobs on the kernels `filter` selects (the full suite
+/// when it is empty).
+Grid run_jobs(const KernelFilter& filter, const std::vector<SuiteJob>& jobs) {
+  Grid g{select_kernels(filter), {}};
+  TraceCache cache;
+  g.rows = run_grid(cache, g.kernels, jobs);
+  return g;
+}
+
+/// The per-kernel figure: one row per kernel of `g`, then the AVERAGE row.
+report::FigureData per_kernel(const Grid& g, std::string title,
+                              std::string unit,
+                              std::vector<report::Series> series) {
+  report::FigureData fig;
+  fig.title = std::move(title);
+  fig.row_header = "kernel";
+  fig.value_unit = std::move(unit);
+  for (const Kernel& k : g.kernels) fig.row_labels.push_back(k.name);
+  fig.series = std::move(series);
+  return report::with_average_row(std::move(fig));
+}
+
+/// One penalty series: grid row `variant` against grid row `baseline`.
+struct Penalty {
+  std::string name;
+  std::size_t variant;
+  std::size_t baseline;
+};
+
+std::vector<report::Series> penalties(const Grid& g,
+                                      const std::vector<Penalty>& specs) {
+  std::vector<report::Series> out;
+  for (const Penalty& p : specs) {
+    report::Series s{p.name, {}};
+    for (std::size_t k = 0; k < g.kernels.size(); ++k) {
+      s.values.push_back(
+          penalty_pct(g.rows[p.variant][k], g.rows[p.baseline][k]));
+    }
+    out.push_back(std::move(s));
+  }
   return out;
 }
 
-std::vector<double> penalties(const std::vector<sim::RunStats>& variant,
-                              const std::vector<sim::RunStats>& baseline) {
-  std::vector<double> out;
-  out.reserve(variant.size());
-  for (std::size_t i = 0; i < variant.size(); ++i) {
-    out.push_back(penalty_pct(variant[i], baseline[i]));
-  }
-  return out;
+/// A figure of penalties only, in percent: `jobs` run on the selected
+/// kernels, one series per entry of `specs`.
+report::FigureData penalty_figure(const KernelFilter& filter,
+                                  std::string title,
+                                  const std::vector<SuiteJob>& jobs,
+                                  const std::vector<Penalty>& specs) {
+  const Grid g = run_jobs(filter, jobs);
+  return per_kernel(g, std::move(title), "%", penalties(g, specs));
 }
 
 }  // namespace
@@ -67,70 +112,38 @@ std::string table1_technology() {
 }
 
 report::FigureData fig1_dropin_penalty(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmDropIn), base}});
-  const auto& sram = grid[0];
-  const auto& nvm = grid[1];
-  report::FigureData fig;
-  fig.title =
+  return penalty_figure(
+      filter,
       "Fig. 1 - Performance penalty for the drop-in NVM D-cache, relative to "
-      "the SRAM D-cache baseline (=100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  fig.series.push_back({"Drop-In STT-MRAM D-Cache", penalties(nvm, sram)});
-  return report::with_average_row(std::move(fig));
+      "the SRAM D-cache baseline (=100%)",
+      {{make_config(Dl1Organization::kSramBaseline), base},
+       {make_config(Dl1Organization::kNvmDropIn), base}},
+      {{"Drop-In STT-MRAM D-Cache", 1, 0}});
 }
 
 report::FigureData fig3_vwb_penalty(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const auto grid = run_grid(
-      cache, kernels,
+  return penalty_figure(
+      filter,
+      "Fig. 3 - Performance penalty for the modified NVM D-Cache (with VWB) "
+      "compared to a simple drop-in NVM replacement (SRAM baseline = 100%)",
       {{make_config(Dl1Organization::kSramBaseline), base},
        {make_config(Dl1Organization::kNvmDropIn), base},
-       {make_config(Dl1Organization::kNvmVwb), base}});
-  const auto& sram = grid[0];
-  const auto& dropin = grid[1];
-  const auto& vwb = grid[2];
-  report::FigureData fig;
-  fig.title =
-      "Fig. 3 - Performance penalty for the modified NVM D-Cache (with VWB) "
-      "compared to a simple drop-in NVM replacement (SRAM baseline = 100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  fig.series.push_back({"Drop-in NVM D-Cache", penalties(dropin, sram)});
-  fig.series.push_back({"NVM D-Cache with VWB", penalties(vwb, sram)});
-  return report::with_average_row(std::move(fig));
+       {make_config(Dl1Organization::kNvmVwb), base}},
+      {{"Drop-in NVM D-Cache", 1, 0}, {"NVM D-Cache with VWB", 2, 0}});
 }
 
 report::FigureData fig4_rw_breakdown(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmVwb), base}});
-  const auto& sram = grid[0];
-  const auto& vwb = grid[1];
-  report::FigureData fig;
-  fig.title =
-      "Fig. 4 - Relative contribution of read vs write access latency to the "
-      "penalty of the modified (VWB) NVM D-cache";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
+  const Grid g = run_jobs(filter,
+                          {{make_config(Dl1Organization::kSramBaseline), base},
+                           {make_config(Dl1Organization::kNvmVwb), base}});
+  const auto& sram = g.rows[0];
+  const auto& vwb = g.rows[1];
   std::vector<double> read_share;
   std::vector<double> write_share;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
+  for (std::size_t i = 0; i < g.kernels.size(); ++i) {
     const double dr =
         static_cast<double>(vwb[i].core.read_stall_cycles) -
         static_cast<double>(sram[i].core.read_stall_cycles);
@@ -143,67 +156,48 @@ report::FigureData fig4_rw_breakdown(const KernelFilter& filter) {
     read_share.push_back(total == 0 ? 0.0 : read_extra / total * 100.0);
     write_share.push_back(total == 0 ? 0.0 : write_extra / total * 100.0);
   }
-  fig.series.push_back({"Read penalty contribution", std::move(read_share)});
-  fig.series.push_back({"Write penalty contribution", std::move(write_share)});
-  return report::with_average_row(std::move(fig));
+  return per_kernel(
+      g,
+      "Fig. 4 - Relative contribution of read vs write access latency to the "
+      "penalty of the modified (VWB) NVM D-cache",
+      "%",
+      {{"Read penalty contribution", std::move(read_share)},
+       {"Write penalty contribution", std::move(write_share)}});
 }
 
 report::FigureData fig5_transformations(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const CodegenOptions full = CodegenOptions::all();
-  const auto grid = run_grid(
-      cache, kernels,
+  return penalty_figure(
+      filter,
+      "Fig. 5 - Performance penalty of the modified NVM DL1 (with VWB) with "
+      "and without code transformations (penalty vs the SRAM baseline "
+      "running the same code = 100%)",
       {{make_config(Dl1Organization::kSramBaseline), base},
        {make_config(Dl1Organization::kSramBaseline), full},
        {make_config(Dl1Organization::kNvmDropIn), base},
        {make_config(Dl1Organization::kNvmVwb), base},
-       {make_config(Dl1Organization::kNvmVwb), full}});
-  const auto& sram_base = grid[0];
-  const auto& sram_opt = grid[1];
-  const auto& dropin = grid[2];
-  const auto& vwb_base = grid[3];
-  const auto& vwb_opt = grid[4];
-  report::FigureData fig;
-  fig.title =
-      "Fig. 5 - Performance penalty of the modified NVM DL1 (with VWB) with "
-      "and without code transformations (penalty vs the SRAM baseline "
-      "running the same code = 100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  fig.series.push_back({"Drop-in NVM", penalties(dropin, sram_base)});
-  fig.series.push_back({"No Optimization", penalties(vwb_base, sram_base)});
-  fig.series.push_back({"With Optimization", penalties(vwb_opt, sram_opt)});
-  return report::with_average_row(std::move(fig));
+       {make_config(Dl1Organization::kNvmVwb), full}},
+      {{"Drop-in NVM", 2, 0},
+       {"No Optimization", 3, 0},
+       {"With Optimization", 4, 1}});
 }
 
 report::FigureData fig6_contributions(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const cpu::SystemConfig vwb_cfg = make_config(Dl1Organization::kNvmVwb);
-  const auto grid = run_grid(
-      cache, kernels,
-      {{vwb_cfg, CodegenOptions::none()},
-       {vwb_cfg, CodegenOptions::only_vectorize()},
-       {vwb_cfg, CodegenOptions::only_prefetch()},
-       {vwb_cfg, CodegenOptions::only_branch_opts()}});
-  const auto& none = grid[0];
-  const auto& vec = grid[1];
-  const auto& pf = grid[2];
-  const auto& br = grid[3];
-  report::FigureData fig;
-  fig.title =
-      "Fig. 6 - Contribution of the individual code transformations to the "
-      "performance-penalty reduction of the NVM DL1 (with VWB)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
+  const Grid g =
+      run_jobs(filter, {{vwb_cfg, CodegenOptions::none()},
+                        {vwb_cfg, CodegenOptions::only_vectorize()},
+                        {vwb_cfg, CodegenOptions::only_prefetch()},
+                        {vwb_cfg, CodegenOptions::only_branch_opts()}});
+  const auto& none = g.rows[0];
+  const auto& vec = g.rows[1];
+  const auto& pf = g.rows[2];
+  const auto& br = g.rows[3];
   std::vector<double> s_pf;
   std::vector<double> s_vec;
   std::vector<double> s_other;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
+  for (std::size_t i = 0; i < g.kernels.size(); ++i) {
     const double c = static_cast<double>(none[i].core.total_cycles);
     const double r_vec =
         std::max(c - static_cast<double>(vec[i].core.total_cycles), 0.0);
@@ -216,38 +210,31 @@ report::FigureData fig6_contributions(const KernelFilter& filter) {
     s_vec.push_back(total == 0 ? 0.0 : r_vec / total * 100.0);
     s_other.push_back(total == 0 ? 0.0 : r_br / total * 100.0);
   }
-  fig.series.push_back({"Pre-fetching", std::move(s_pf)});
-  fig.series.push_back({"Vectorization", std::move(s_vec)});
-  fig.series.push_back({"Others", std::move(s_other)});
-  return report::with_average_row(std::move(fig));
+  return per_kernel(
+      g,
+      "Fig. 6 - Contribution of the individual code transformations to the "
+      "performance-penalty reduction of the NVM DL1 (with VWB)",
+      "%",
+      {{"Pre-fetching", std::move(s_pf)},
+       {"Vectorization", std::move(s_vec)},
+       {"Others", std::move(s_other)}});
 }
 
 namespace {
 
 report::FigureData vwb_size_sweep(const KernelFilter& filter,
                                   const CodegenOptions& opts,
-                                  const std::string& title) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
-  const std::vector<unsigned> kbits{1u, 2u, 4u};
+                                  std::string title) {
   std::vector<SuiteJob> jobs{
       {make_config(Dl1Organization::kSramBaseline), opts}};
-  for (const unsigned kbit : kbits) {
+  std::vector<Penalty> series;
+  for (const unsigned kbit : {1u, 2u, 4u}) {
     cpu::SystemConfig cfg = make_config(Dl1Organization::kNvmVwb);
     cfg.vwb_total_kbit = kbit;
+    series.push_back({strprintf("VWB = %uKBit", kbit), jobs.size(), 0});
     jobs.push_back({cfg, opts});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
-  report::FigureData fig;
-  fig.title = title;
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  for (std::size_t i = 0; i < kbits.size(); ++i) {
-    fig.series.push_back({strprintf("VWB = %uKBit", kbits[i]),
-                          penalties(grid[i + 1], grid[0])});
-  }
-  return report::with_average_row(std::move(fig));
+  return penalty_figure(filter, std::move(title), jobs, series);
 }
 
 }  // namespace
@@ -267,148 +254,97 @@ report::FigureData fig7_vwb_size_optimized(const KernelFilter& filter) {
 }
 
 report::FigureData fig8_alternatives(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions full = CodegenOptions::all();
-  const auto grid = run_grid(
-      cache, kernels,
+  return penalty_figure(
+      filter,
+      "Fig. 8 - Performance penalty: our proposal vs a modified L0 cache and "
+      "the EMSHR (all fronts 2 KBit, fully associative; SRAM baseline = "
+      "100%)",
       {{make_config(Dl1Organization::kSramBaseline), full},
        {make_config(Dl1Organization::kNvmVwb), full},
        {make_config(Dl1Organization::kNvmEmshr), full},
-       {make_config(Dl1Organization::kNvmL0), full}});
-  const auto& sram = grid[0];
-  report::FigureData fig;
-  fig.title =
-      "Fig. 8 - Performance penalty: our proposal vs a modified L0 cache and "
-      "the EMSHR (all fronts 2 KBit, fully associative; SRAM baseline = "
-      "100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  fig.series.push_back({"Our Proposal", penalties(grid[1], sram)});
-  fig.series.push_back({"EMSHR", penalties(grid[2], sram)});
-  fig.series.push_back({"L0-Cache", penalties(grid[3], sram)});
-  return report::with_average_row(std::move(fig));
+       {make_config(Dl1Organization::kNvmL0), full}},
+      {{"Our Proposal", 1, 0}, {"EMSHR", 2, 0}, {"L0-Cache", 3, 0}});
 }
 
 report::FigureData fig9_baseline_gain(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const CodegenOptions full = CodegenOptions::all();
   const cpu::SystemConfig sram_cfg =
       make_config(Dl1Organization::kSramBaseline);
   const cpu::SystemConfig vwb_cfg = make_config(Dl1Organization::kNvmVwb);
-  const auto grid = run_grid(cache, kernels,
-                             {{sram_cfg, base},
-                              {sram_cfg, full},
-                              {vwb_cfg, base},
-                              {vwb_cfg, full}});
-  const auto& sram_base = grid[0];
-  const auto& sram_opt = grid[1];
-  const auto& vwb_base = grid[2];
-  const auto& vwb_opt = grid[3];
-  report::FigureData fig;
-  fig.title =
-      "Fig. 9 - Effect of the code transformations on the SRAM baseline vs "
-      "on the NVM proposal (gain over each system's own unoptimized run)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
+  const Grid g = run_jobs(filter, {{sram_cfg, base},
+                                   {sram_cfg, full},
+                                   {vwb_cfg, base},
+                                   {vwb_cfg, full}});
   std::vector<double> g_base;
   std::vector<double> g_vwb;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    g_base.push_back(gain_pct(sram_base[i], sram_opt[i]));
-    g_vwb.push_back(gain_pct(vwb_base[i], vwb_opt[i]));
+  for (std::size_t i = 0; i < g.kernels.size(); ++i) {
+    g_base.push_back(gain_pct(g.rows[0][i], g.rows[1][i]));
+    g_vwb.push_back(gain_pct(g.rows[2][i], g.rows[3][i]));
   }
-  fig.series.push_back({"Baseline Performance gain", std::move(g_base)});
-  fig.series.push_back({"NVM proposal Performance gain", std::move(g_vwb)});
-  return report::with_average_row(std::move(fig));
+  return per_kernel(
+      g,
+      "Fig. 9 - Effect of the code transformations on the SRAM baseline vs "
+      "on the NVM proposal (gain over each system's own unoptimized run)",
+      "%",
+      {{"Baseline Performance gain", std::move(g_base)},
+       {"NVM proposal Performance gain", std::move(g_vwb)}});
 }
 
 report::FigureData ablation_banking(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions full = CodegenOptions::all();
-  const std::vector<unsigned> bank_counts{1u, 2u, 4u, 8u};
   std::vector<SuiteJob> jobs{
       {make_config(Dl1Organization::kSramBaseline), full}};
-  for (const unsigned banks : bank_counts) {
+  std::vector<Penalty> series;
+  for (const unsigned banks : {1u, 2u, 4u, 8u}) {
     cpu::SystemConfig cfg = make_config(Dl1Organization::kNvmVwb);
     cfg.nvm_banks = banks;
+    series.push_back(
+        {strprintf("%u bank%s", banks, banks == 1 ? "" : "s"), jobs.size(), 0});
     jobs.push_back({cfg, full});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
-  report::FigureData fig;
-  fig.title =
+  return penalty_figure(
+      filter,
       "Ablation A1 - NVM array banking vs optimized-VWB penalty (SRAM "
-      "baseline = 100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  for (std::size_t i = 0; i < bank_counts.size(); ++i) {
-    fig.series.push_back(
-        {strprintf("%u bank%s", bank_counts[i],
-                   bank_counts[i] == 1 ? "" : "s"),
-         penalties(grid[i + 1], grid[0])});
-  }
-  return report::with_average_row(std::move(fig));
+      "baseline = 100%)",
+      jobs, series);
 }
 
 report::FigureData ablation_store_buffer(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const std::vector<unsigned> depths{1u, 2u, 4u, 8u};
   std::vector<SuiteJob> jobs{
       {make_config(Dl1Organization::kSramBaseline), base}};
-  for (const unsigned depth : depths) {
+  std::vector<Penalty> series;
+  for (const unsigned depth : {1u, 2u, 4u, 8u}) {
     cpu::SystemConfig cfg = make_config(Dl1Organization::kNvmDropIn);
     cfg.store_buffer_depth = depth;
+    series.push_back({strprintf("depth %u", depth), jobs.size(), 0});
     jobs.push_back({cfg, base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
-  report::FigureData fig;
-  fig.title =
+  return penalty_figure(
+      filter,
       "Ablation A2 - Store-buffer depth vs drop-in NVM penalty (SRAM "
-      "baseline = 100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  for (std::size_t i = 0; i < depths.size(); ++i) {
-    fig.series.push_back({strprintf("depth %u", depths[i]),
-                          penalties(grid[i + 1], grid[0])});
-  }
-  return report::with_average_row(std::move(fig));
+      "baseline = 100%)",
+      jobs, series);
 }
 
 report::FigureData ablation_write_mitigation(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const auto grid = run_grid(
-      cache, kernels,
+  return penalty_figure(
+      filter,
+      "Ablation A4 - Read-oriented (VWB) vs write-oriented (SRAM write "
+      "buffer) mitigation, unoptimized code (SRAM baseline = 100%)",
       {{make_config(Dl1Organization::kSramBaseline), base},
        {make_config(Dl1Organization::kNvmDropIn), base},
        {make_config(Dl1Organization::kNvmVwb), base},
-       {make_config(Dl1Organization::kNvmWriteBuf), base}});
-  const auto& sram = grid[0];
-  report::FigureData fig;
-  fig.title =
-      "Ablation A4 - Read-oriented (VWB) vs write-oriented (SRAM write "
-      "buffer) mitigation, unoptimized code (SRAM baseline = 100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  fig.series.push_back({"Drop-in NVM", penalties(grid[1], sram)});
-  fig.series.push_back({"VWB (read-oriented)", penalties(grid[2], sram)});
-  fig.series.push_back({"Write buffer [2]-style", penalties(grid[3], sram)});
-  return report::with_average_row(std::move(fig));
+       {make_config(Dl1Organization::kNvmWriteBuf), base}},
+      {{"Drop-in NVM", 1, 0},
+       {"VWB (read-oriented)", 2, 0},
+       {"Write buffer [2]-style", 3, 0}});
 }
 
 std::string lifetime_report(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const auto stt = reliability::stt_mram_endurance();
   const auto reram = reliability::reram_endurance();
   const auto pram = reliability::pram_endurance();
@@ -416,17 +352,17 @@ std::string lifetime_report(const KernelFilter& filter) {
   // The RunStats wear counters (hottest frame / total array writes) are
   // enough to rebuild the profile, so this report is a one-job grid and
   // memoizes in the result store like every other figure.
-  const auto grid = run_grid(cache, kernels, {{cfg, CodegenOptions::none()}});
+  const Grid g = run_jobs(filter, {{cfg, CodegenOptions::none()}});
   const std::uint64_t frames = cfg.dl1_config().geometry.num_lines();
   report::TableBuilder t({"kernel", "max frame writes/s", "STT-MRAM (1e16)",
                           "ReRAM (1e8)", "PRAM (1e6)",
                           "PRAM + ideal levelling"});
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const sim::RunStats& s = grid[0][i];
+  for (std::size_t i = 0; i < g.kernels.size(); ++i) {
+    const sim::RunStats& s = g.rows[0][i];
     const auto wear = reliability::profile_from_counters(
         s.mem.l1_frame_writes_max, s.mem.l1_frame_writes_total, frames,
         s.core.total_cycles, 1.0);
-    t.add_row({kernels[i].name, strprintf("%.3g", wear.max_write_rate_hz()),
+    t.add_row({g.kernels[i].name, strprintf("%.3g", wear.max_write_rate_hz()),
                reliability::format_lifetime(
                    reliability::project_lifetime(wear, stt)),
                reliability::format_lifetime(
@@ -445,37 +381,26 @@ std::string lifetime_report(const KernelFilter& filter) {
 }
 
 report::FigureData energy_report(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmVwb), base}});
-  const auto& sram = grid[0];
-  const auto& vwb = grid[1];
-  report::FigureData fig;
-  fig.title =
-      "A3 - DL1 energy per kernel run (dynamic array accesses + leakage)";
-  fig.row_header = "kernel";
-  fig.value_unit = "uJ";
-  fig.row_labels = labels_of(kernels);
+  const Grid g = run_jobs(filter,
+                          {{make_config(Dl1Organization::kSramBaseline), base},
+                           {make_config(Dl1Organization::kNvmVwb), base}});
   std::vector<double> e_sram;
   std::vector<double> e_vwb;
   const tech::TechnologyParams sram_t = tech::sram_l1d_64kb();
   const tech::TechnologyParams stt_t = tech::stt_mram_l1d_64kb();
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    e_sram.push_back(dl1_energy(sram[i], sram_t).total_nj() / 1e3);
-    e_vwb.push_back(dl1_energy(vwb[i], stt_t).total_nj() / 1e3);
+  for (std::size_t i = 0; i < g.kernels.size(); ++i) {
+    e_sram.push_back(dl1_energy(g.rows[0][i], sram_t).total_nj() / 1e3);
+    e_vwb.push_back(dl1_energy(g.rows[1][i], stt_t).total_nj() / 1e3);
   }
-  fig.series.push_back({"SRAM baseline", std::move(e_sram)});
-  fig.series.push_back({"STT-MRAM + VWB", std::move(e_vwb)});
-  return report::with_average_row(std::move(fig));
+  return per_kernel(
+      g, "A3 - DL1 energy per kernel run (dynamic array accesses + leakage)",
+      "uJ",
+      {{"SRAM baseline", std::move(e_sram)},
+       {"STT-MRAM + VWB", std::move(e_vwb)}});
 }
 
 report::FigureData exploration_iso_area(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   // Realistic scaling: the doubled array pays sqrt(2) more latency
   // (3.37 ns -> 4.77 ns quantizes to a 5th read cycle).
@@ -485,61 +410,44 @@ report::FigureData exploration_iso_area(const KernelFilter& filter) {
   // designs can approach this by keeping subarray size constant).
   cpu::SystemConfig big_fast = make_config(Dl1Organization::kNvmVwb);
   big_fast.stt.capacity_bytes = 128 * kKiB;
-  const auto grid = run_grid(
-      cache, kernels,
-      {{make_config(Dl1Organization::kSramBaseline), base},
-       {make_config(Dl1Organization::kNvmVwb), base},
-       {big, base},
-       {big_fast, base}});
-  const auto& sram = grid[0];
-  report::FigureData fig;
-  fig.title =
+  return penalty_figure(
+      filter,
       "X6 - Iso-area capacity: 64 KB vs 128 KB STT-MRAM DL1 (the 64 KB SRAM "
       "macro's footprint), with the VWB, unoptimized code (SRAM baseline = "
       "100%). 'scaled' pays the sqrt(2) array-latency cost; 'subarrayed' "
-      "holds latency via constant-size subarrays";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  fig.series.push_back({"VWB 64KB", penalties(grid[1], sram)});
-  fig.series.push_back({"VWB 128KB scaled", penalties(grid[2], sram)});
-  fig.series.push_back({"VWB 128KB subarrayed", penalties(grid[3], sram)});
-  return report::with_average_row(std::move(fig));
+      "holds latency via constant-size subarrays",
+      {{make_config(Dl1Organization::kSramBaseline), base},
+       {make_config(Dl1Organization::kNvmVwb), base},
+       {big, base},
+       {big_fast, base}},
+      {{"VWB 64KB", 1, 0},
+       {"VWB 128KB scaled", 2, 0},
+       {"VWB 128KB subarrayed", 3, 0}});
 }
 
 report::FigureData sensitivity_clock(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const std::vector<double> clocks{1.0, 1.5, 2.0, 3.0};
-  // One batch for the whole sweep: (SRAM, NVM) pairs per clock.
+  // One grid for the whole sweep: (SRAM, NVM) pairs per clock.
   std::vector<SuiteJob> jobs;
-  for (const double ghz : clocks) {
+  std::vector<Penalty> series;
+  for (const double ghz : {1.0, 1.5, 2.0, 3.0}) {
     cpu::SystemConfig s_cfg = make_config(Dl1Organization::kSramBaseline);
     s_cfg.clock_ghz = ghz;
     cpu::SystemConfig n_cfg = make_config(Dl1Organization::kNvmDropIn);
     n_cfg.clock_ghz = ghz;
+    series.push_back(
+        {strprintf("%.1f GHz", ghz), jobs.size() + 1, jobs.size()});
     jobs.push_back({s_cfg, base});
     jobs.push_back({n_cfg, base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
-  report::FigureData fig;
-  fig.title =
+  return penalty_figure(
+      filter,
       "X7 - Drop-in penalty vs core clock (the STT read quantizes to more "
-      "cycles as the clock rises; SRAM baseline at the same clock = 100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  for (std::size_t i = 0; i < clocks.size(); ++i) {
-    fig.series.push_back({strprintf("%.1f GHz", clocks[i]),
-                          penalties(grid[2 * i + 1], grid[2 * i])});
-  }
-  return report::with_average_row(std::move(fig));
+      "cycles as the clock rises; SRAM baseline at the same clock = 100%)",
+      jobs, series);
 }
 
 report::FigureData sensitivity_cell(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto dual = tech::stt_mram_l1d_64kb();
   const auto mtj1 = tech::stt_mram_l1d_64kb_1t1mtj();
@@ -549,27 +457,20 @@ report::FigureData sensitivity_cell(const KernelFilter& filter) {
     cfg.stt = cell;
     return cfg;
   };
-  const auto grid = run_grid(
-      cache, kernels,
+  return penalty_figure(
+      filter,
+      "X8 - Cell-generation sensitivity: the Section III bottleneck flip "
+      "(1T-1MTJ reads fast/writes slowly; the dual-MTJ cell is the paper's "
+      "read-limited Table I part; SRAM baseline = 100%)",
       {{make_config(Dl1Organization::kSramBaseline), base},
        {cfg_with(dual, Dl1Organization::kNvmDropIn), base},
        {cfg_with(mtj1, Dl1Organization::kNvmDropIn), base},
        {cfg_with(dual, Dl1Organization::kNvmVwb), base},
-       {cfg_with(mtj1, Dl1Organization::kNvmVwb), base}});
-  const auto& sram = grid[0];
-  report::FigureData fig;
-  fig.title =
-      "X8 - Cell-generation sensitivity: the Section III bottleneck flip "
-      "(1T-1MTJ reads fast/writes slowly; the dual-MTJ cell is the paper's "
-      "read-limited Table I part; SRAM baseline = 100%)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  fig.series.push_back({"dual-MTJ drop-in", penalties(grid[1], sram)});
-  fig.series.push_back({"1T-1MTJ drop-in", penalties(grid[2], sram)});
-  fig.series.push_back({"dual-MTJ + VWB", penalties(grid[3], sram)});
-  fig.series.push_back({"1T-1MTJ + VWB", penalties(grid[4], sram)});
-  return report::with_average_row(std::move(fig));
+       {cfg_with(mtj1, Dl1Organization::kNvmVwb), base}},
+      {{"dual-MTJ drop-in", 1, 0},
+       {"1T-1MTJ drop-in", 2, 0},
+       {"dual-MTJ + VWB", 3, 0},
+       {"1T-1MTJ + VWB", 4, 0}});
 }
 
 namespace {
@@ -590,47 +491,37 @@ cpu::SystemConfig faulted_config(Dl1Organization org, std::uint32_t ppm) {
 }  // namespace
 
 report::FigureData fig_reliability_retention(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const std::vector<std::uint32_t> ppms{0, 1000, 10000, 100000};
-  std::vector<SuiteJob> jobs;
-  jobs.push_back({make_config(Dl1Organization::kSramBaseline), base});
-  for (const std::uint32_t ppm : ppms) {
+  constexpr std::uint32_t kWorstPpm = 100000;
+  std::vector<SuiteJob> jobs{
+      {make_config(Dl1Organization::kSramBaseline), base}};
+  std::vector<Penalty> specs;
+  for (const std::uint32_t ppm : {0u, 1000u, 10000u, kWorstPpm}) {
+    specs.push_back({strprintf("fail ppm=%u", ppm), jobs.size(), 0});
     jobs.push_back({faulted_config(Dl1Organization::kNvmVwb, ppm), base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
-  const auto& sram = grid[0];
-  report::FigureData fig;
-  fig.title =
+  const Grid g = run_jobs(filter, jobs);
+  std::vector<report::Series> series = penalties(g, specs);
+  const tech::TechnologyParams stt_t = tech::stt_mram_l1d_64kb();
+  std::vector<double> energy_overhead;
+  for (std::size_t i = 0; i < g.kernels.size(); ++i) {
+    const double clean = dl1_energy(g.rows[1][i], stt_t).total_nj();
+    const double worst = dl1_energy(g.rows.back()[i], stt_t).total_nj();
+    energy_overhead.push_back((worst - clean) / clean * 100.0);
+  }
+  series.push_back({strprintf("energy overhead @ppm=%u", kWorstPpm),
+                    std::move(energy_overhead)});
+  return per_kernel(
+      g,
       "R1 - VWB system penalty vs raw retention-failure rate (SEC-DED ECC: "
       "single-bit flips corrected on read, double-bit flips refill the "
       "line; fault-free SRAM baseline = 100%). The last series is the DL1 "
       "energy overhead of the worst failure rate over the fault-free VWB "
-      "system (longer runtime = more leakage)";
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  for (std::size_t i = 0; i < ppms.size(); ++i) {
-    fig.series.push_back({strprintf("fail ppm=%u", ppms[i]),
-                          penalties(grid[1 + i], sram)});
-  }
-  const tech::TechnologyParams stt_t = tech::stt_mram_l1d_64kb();
-  std::vector<double> energy_overhead;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const double clean = dl1_energy(grid[1][i], stt_t).total_nj();
-    const double worst = dl1_energy(grid[ppms.size()][i], stt_t).total_nj();
-    energy_overhead.push_back((worst - clean) / clean * 100.0);
-  }
-  fig.series.push_back(
-      {strprintf("energy overhead @ppm=%u", ppms.back()),
-       std::move(energy_overhead)});
-  return report::with_average_row(std::move(fig));
+      "system (longer runtime = more leakage)",
+      "%", std::move(series));
 }
 
 report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
   const auto stt = reliability::stt_mram_endurance();
   const std::vector<Dl1Organization> orgs{Dl1Organization::kNvmDropIn,
@@ -640,7 +531,7 @@ report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
   for (const Dl1Organization org : orgs) {
     jobs.push_back({make_config(org), base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
+  const Grid g = run_jobs(filter, jobs);
   // The RunStats wear counters (hottest frame / total array writes) are
   // enough to rebuild the projection, so this figure memoizes in the
   // result store.
@@ -655,64 +546,55 @@ report::FigureData fig_reliability_lifetime(const KernelFilter& filter) {
                              : reliability::project_lifetime(wear, stt);
     return std::log10(est.years());
   };
-  report::FigureData fig;
-  fig.title =
+  std::vector<report::Series> series;
+  for (std::size_t j = 0; j < orgs.size(); ++j) {
+    std::vector<double> v;
+    for (std::size_t i = 0; i < g.kernels.size(); ++i) {
+      v.push_back(years(g.rows[j][i], /*leveled=*/false));
+    }
+    series.push_back({to_string(orgs[j]), std::move(v)});
+  }
+  std::vector<double> leveled;
+  for (std::size_t i = 0; i < g.kernels.size(); ++i) {
+    leveled.push_back(years(g.rows[1][i], /*leveled=*/true));
+  }
+  series.push_back({"nvm-vwb leveled", std::move(leveled)});
+  return per_kernel(
+      g,
       "R2 - Projected DL1 lifetime (log10 years to first cell failure, "
       "STT-MRAM 1e16 writes/cell) vs organization under sustained kernel "
       "write pressure; 'leveled' spreads writes evenly over all frames "
-      "(the wear-levelling headroom)";
-  fig.row_header = "kernel";
-  fig.value_unit = "log10(years)";
-  fig.row_labels = labels_of(kernels);
-  for (std::size_t j = 0; j < orgs.size(); ++j) {
-    std::vector<double> v;
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      v.push_back(years(grid[j][i], /*leveled=*/false));
-    }
-    fig.series.push_back({to_string(orgs[j]), std::move(v)});
-  }
-  std::vector<double> leveled;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    leveled.push_back(years(grid[1][i], /*leveled=*/true));
-  }
-  fig.series.push_back({"nvm-vwb leveled", std::move(leveled)});
-  return report::with_average_row(std::move(fig));
+      "(the wear-levelling headroom)",
+      "log10(years)", std::move(series));
 }
 
 report::FigureData fig_reliability_ecc_overhead(const KernelFilter& filter) {
-  const std::vector<Kernel> kernels = select_kernels(filter);
-  TraceCache cache;
   const CodegenOptions base = CodegenOptions::none();
-  const std::vector<double> clocks{1.0, 2.0, 3.0};
   constexpr std::uint32_t kPpm = 100000;
   // (clean, faulted) pairs per clock, like sensitivity_clock.
   std::vector<SuiteJob> jobs;
-  for (const double ghz : clocks) {
+  std::vector<Penalty> series;
+  for (const double ghz : {1.0, 2.0, 3.0}) {
     cpu::SystemConfig clean = make_config(Dl1Organization::kNvmVwb);
     clean.clock_ghz = ghz;
     cpu::SystemConfig faulted = faulted_config(Dl1Organization::kNvmVwb, kPpm);
     faulted.clock_ghz = ghz;
+    series.push_back(
+        {strprintf("%.1f GHz", ghz), jobs.size() + 1, jobs.size()});
     jobs.push_back({clean, base});
     jobs.push_back({faulted, base});
   }
-  const auto grid = run_grid(cache, kernels, jobs);
-  report::FigureData fig;
-  fig.title = strprintf(
-      "R3 - ECC overhead vs core clock: runtime cost of the SEC-DED read "
-      "path (correction + refill penalties at fail ppm=%u) over the "
-      "fault-free VWB system at the same clock (=100%%). Retention windows "
-      "are cycle-denominated, so a faster clock both shortens the window "
-      "wall-time and shrinks the relative cost of each fixed-cycle "
-      "correction",
-      kPpm);
-  fig.row_header = "kernel";
-  fig.value_unit = "%";
-  fig.row_labels = labels_of(kernels);
-  for (std::size_t i = 0; i < clocks.size(); ++i) {
-    fig.series.push_back({strprintf("%.1f GHz", clocks[i]),
-                          penalties(grid[2 * i + 1], grid[2 * i])});
-  }
-  return report::with_average_row(std::move(fig));
+  return penalty_figure(
+      filter,
+      strprintf(
+          "R3 - ECC overhead vs core clock: runtime cost of the SEC-DED read "
+          "path (correction + refill penalties at fail ppm=%u) over the "
+          "fault-free VWB system at the same clock (=100%%). Retention "
+          "windows are cycle-denominated, so a faster clock both shortens "
+          "the window wall-time and shrinks the relative cost of each "
+          "fixed-cycle correction",
+          kPpm),
+      jobs, series);
 }
 
 std::string area_report() {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <tuple>
 
 #include "sttsim/cpu/decoded_trace.hpp"
@@ -83,16 +84,6 @@ void hash_system_config(util::Hash64& h, const cpu::SystemConfig& c) {
   }
 }
 
-/// Version preamble shared by both digest flavors: a record written under
-/// any different hash/store/trace-format generation can never match.
-util::Hash64 digest_base() {
-  util::Hash64 h;
-  h.u32(util::kHashVersion)
-      .u32(exec::ResultStore::kSchemaVersion)
-      .u32(cpu::kTraceFormatVersion);
-  return h;
-}
-
 }  // namespace
 
 std::uint64_t trace_digest(std::string_view kernel_name,
@@ -114,26 +105,15 @@ std::uint64_t trace_digest(std::string_view kernel_name,
 std::uint64_t simulation_digest(std::string_view kernel_name,
                                 const workloads::CodegenOptions& opts,
                                 const cpu::SystemConfig& config) {
-  util::Hash64 h = digest_base();
+  // Version preamble: a record written under any different
+  // hash/store/trace-format generation can never match.
+  util::Hash64 h;
+  h.u32(util::kHashVersion)
+      .u32(exec::ResultStore::kSchemaVersion)
+      .u32(cpu::kTraceFormatVersion);
   h.u8(0);  // key flavor: named suite kernel
   h.str(kernel_name);
   hash_codegen(h, opts);
-  hash_system_config(h, config);
-  return h.digest();
-}
-
-std::uint64_t simulation_digest(const cpu::Trace& trace,
-                                const cpu::SystemConfig& config) {
-  util::Hash64 h = digest_base();
-  h.u8(1);  // key flavor: external trace content
-  h.u64(trace.size());
-  for (const cpu::TraceOp& op : trace) {
-    h.u8(static_cast<std::uint8_t>(op.kind))
-        .u8(op.size)
-        .u32(op.count)
-        .u64(op.addr)
-        .u64(op.value);
-  }
   hash_system_config(h, config);
   return h.digest();
 }
@@ -229,6 +209,10 @@ const cpu::Trace& TraceCache::get(const workloads::Kernel& kernel,
       [&] { return cpu::reassemble(*acquire(kernel, opts)); });
 }
 
+namespace {
+
+/// The RunStats `store` holds under `digest`, counted as a memo hit or
+/// miss; nullopt on a miss, and (uncounted) when `store` is null.
 std::optional<sim::RunStats> lookup_result(const exec::ResultStore* store,
                                            std::uint64_t digest) {
   if (store == nullptr) return std::nullopt;
@@ -241,6 +225,7 @@ std::optional<sim::RunStats> lookup_result(const exec::ResultStore* store,
   return sim::decode_run_stats(payload);
 }
 
+/// Appends `stats` to `store` under `digest`; a no-op when `store` is null.
 void record_result(exec::ResultStore* store, std::uint64_t digest,
                    const sim::RunStats& stats) {
   if (store == nullptr) return;
@@ -248,25 +233,6 @@ void record_result(exec::ResultStore* store, std::uint64_t digest,
   sim::encode_run_stats(stats, payload);
   store->append(digest, payload);
 }
-
-sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
-                         const cpu::SystemConfig& config,
-                         const workloads::CodegenOptions& opts) {
-  exec::ResultStore* store = exec::result_store();
-  const std::uint64_t digest =
-      store != nullptr ? simulation_digest(kernel.name, opts, config) : 0;
-  if (const auto hit = lookup_result(store, digest)) return *hit;
-  const TraceCache::Handle trace = cache.acquire(kernel, opts);
-  cpu::System system(config);
-  const std::uint64_t t0 = now_ns();
-  const sim::RunStats stats = system.run(*trace);
-  exec::Telemetry::instance().count_replay_ns(now_ns() - t0);
-  exec::Telemetry::instance().count_simulation(trace->size());
-  record_result(store, digest, stats);
-  return stats;
-}
-
-namespace {
 
 /// One grid point still to simulate: jobs[j] on kernels[k]. `digest` is the
 /// point's result-store key (0 and unused when no store is active).

@@ -5,14 +5,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sttsim/cpu/system.hpp"
 #include "sttsim/exec/memo_cache.hpp"
-#include "sttsim/exec/result_store.hpp"
 #include "sttsim/sim/stats.hpp"
 #include "sttsim/tech/energy.hpp"
 #include "sttsim/workloads/suite.hpp"
@@ -76,8 +74,7 @@ class TraceCache {
   const cpu::DecodedTrace& get_decoded(const workloads::Kernel& kernel,
                                        const workloads::CodegenOptions& opts);
   /// Raw TraceOp form, reassembled from the decoded trace on first request
-  /// and memoized separately (the CLI and dumps; grid replays never call
-  /// this).
+  /// and memoized separately (grid replays never call this).
   const cpu::Trace& get(const workloads::Kernel& kernel,
                         const workloads::CodegenOptions& opts);
 
@@ -137,29 +134,6 @@ std::uint64_t simulation_digest(std::string_view kernel_name,
                                 const workloads::CodegenOptions& opts,
                                 const cpu::SystemConfig& config);
 
-/// Same key space for externally captured traces (the CLI's --trace-in):
-/// kernel identity is replaced by a content digest over every trace op.
-std::uint64_t simulation_digest(const cpu::Trace& trace,
-                                const cpu::SystemConfig& config);
-
-/// The RunStats `store` holds under `digest`, counted as a memo hit or
-/// miss; nullopt on a miss, and (uncounted) when `store` is null. run_grid,
-/// run_kernel and the CLI's kernel mode probe the result store through it.
-std::optional<sim::RunStats> lookup_result(const exec::ResultStore* store,
-                                           std::uint64_t digest);
-
-/// Appends `stats` to `store` under `digest`; a no-op when `store` is null.
-void record_result(exec::ResultStore* store, std::uint64_t digest,
-                   const sim::RunStats& stats);
-
-/// Runs one kernel on one system configuration with the given codegen.
-/// When a persistent result store is active (exec::set_result_store), the
-/// store is probed first — a hit bypasses the simulation entirely — and
-/// computed results are appended for the next run.
-sim::RunStats run_kernel(TraceCache& cache, const workloads::Kernel& kernel,
-                         const cpu::SystemConfig& config,
-                         const workloads::CodegenOptions& opts);
-
 /// One grid point of an experiment: a full system configuration plus the
 /// codegen options the kernels are compiled with.
 struct SuiteJob {
@@ -181,8 +155,9 @@ struct SuiteJob {
 /// generated once per grid and only those of in-flight points stay
 /// resident.
 ///
-/// When a persistent result store is active (exec::set_result_store; the
-/// CLI's --store=PATH flag), every point's digest is probed up front:
+/// run_grid is the only code that reads or writes the result store. When
+/// one is active (exec::set_result_store; the CLI's --store=PATH flag),
+/// every point's digest is probed up front:
 /// hits are filled into the deterministic result positions immediately
 /// (bypassing trace generation and simulation; counted as memo_hits) and
 /// only the misses become pool tasks (counted as memo_misses), so a

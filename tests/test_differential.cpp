@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "sttsim/check/differential.hpp"
 #include "sttsim/cpu/system.hpp"
@@ -42,6 +43,31 @@ std::uint64_t campaign_seeds() {
   return 200;
 }
 
+/// Whether the simulator and the oracle agree on one campaign trace. On a
+/// divergence the trace is minimized and written as a reproducer named
+/// `tag` into the working directory, and the failure gives its path;
+/// `sttsim --trace-in=PATH --org=ORG --check-oracle` replays it (the .txt
+/// beside it holds the full configuration).
+::testing::AssertionResult agrees(const cpu::SystemConfig& cfg,
+                                  const cpu::Trace& trace,
+                                  const std::string& tag) {
+  const check::Divergence div = check::run_differential(cfg, trace);
+  if (!div.diverged) return ::testing::AssertionSuccess();
+  const check::MinimizeResult min = check::minimize_trace(cfg, trace);
+  const std::string path = check::write_reproducer(
+      std::filesystem::current_path().string(), tag, cfg, min);
+  return ::testing::AssertionFailure()
+         << tag << ": " << div.detail << "\nreproducer (" << min.trace.size()
+         << " ops): " << path;
+}
+
+/// The reproducer name of one campaign trace.
+std::string campaign_tag(const char* campaign, Dl1Organization org,
+                         Addr region, std::uint64_t seed) {
+  return std::string(campaign) + "_" + cpu::to_string(org) + "_region" +
+         std::to_string(region) + "_seed" + std::to_string(seed);
+}
+
 class DifferentialCampaign
     : public ::testing::TestWithParam<Dl1Organization> {};
 
@@ -52,11 +78,8 @@ TEST_P(DifferentialCampaign, SimulatorMatchesOracleOnRandomTraces) {
   // The three working-set regimes: in-L1, L1-straddling, and L2-bound.
   for (const Addr region : {4 * kKiB, 96 * kKiB, 512 * kKiB}) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const cpu::Trace trace = random_trace(seed, 600, region);
-      const check::Divergence div = check::run_differential(cfg, trace);
-      ASSERT_FALSE(div.diverged)
-          << cpu::to_string(GetParam()) << " region " << region << " seed "
-          << seed << ": " << div.detail;
+      ASSERT_TRUE(agrees(cfg, random_trace(seed, 600, region),
+                         campaign_tag("random", GetParam(), region, seed)));
     }
   }
 }
@@ -70,11 +93,8 @@ TEST_P(DifferentialCampaign, SmallL2DirtyVictimsMatchOracle) {
   cfg.l2.capacity_bytes = 128 * kKiB;
   cfg.l2.associativity = 4;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const cpu::Trace trace = random_trace(seed, 4000, kMiB);
-    const check::Divergence div = check::run_differential(cfg, trace);
-    ASSERT_FALSE(div.diverged)
-        << cpu::to_string(GetParam()) << " seed " << seed << ": "
-        << div.detail;
+    ASSERT_TRUE(agrees(cfg, random_trace(seed, 4000, kMiB),
+                       campaign_tag("small_l2", GetParam(), kMiB, seed)));
   }
 }
 
@@ -119,11 +139,8 @@ TEST_P(FaultedDifferentialCampaign, OraclePredictsEccCorrectedOutcomes) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       const cpu::SystemConfig cfg =
           faulted_campaign_config(GetParam(), /*fault_seed=*/seed);
-      const cpu::Trace trace = random_trace(seed, 600, region);
-      const check::Divergence div = check::run_differential(cfg, trace);
-      ASSERT_FALSE(div.diverged)
-          << cpu::to_string(GetParam()) << " region " << region << " seed "
-          << seed << ": " << div.detail;
+      ASSERT_TRUE(agrees(cfg, random_trace(seed, 600, region),
+                         campaign_tag("faulted", GetParam(), region, seed)));
     }
   }
 }

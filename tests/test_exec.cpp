@@ -1,7 +1,7 @@
-// Unit tests for the parallel experiment engine: executor ordering and
-// exception propagation, the concurrent memo-cache's exactly-once
-// generation, the throughput telemetry counters, and both persistent
-// stores under pool workers.
+// Unit tests for the parallel experiment engine: the executor's serial
+// path, concurrency and exception propagation, the concurrent memo-cache's
+// exactly-once generation, the throughput telemetry counters, and both
+// persistent stores under pool workers.
 //
 // Deliberately includes only sttsim/exec headers: the test_exec_tsan
 // target recompiles this file together with the exec sources under
@@ -23,6 +23,7 @@
 
 #include "sttsim/exec/memo_cache.hpp"
 #include "sttsim/exec/parallel_executor.hpp"
+#include "sttsim/exec/request.hpp"
 #include "sttsim/exec/result_store.hpp"
 #include "sttsim/exec/telemetry.hpp"
 #include "sttsim/exec/trace_store.hpp"
@@ -50,27 +51,18 @@ TEST(ParallelExecutor, SerialPathRunsInlineOnCallingThread) {
   EXPECT_EQ(f.get(), 42);
 }
 
-TEST(ParallelExecutor, MapReturnsResultsInInputOrder) {
-  ParallelExecutor pool(4);
-  const std::size_t n = 200;
-  const auto out = pool.map(n, [](std::size_t i) {
-    if (i % 7 == 0) std::this_thread::yield();  // shuffle completion order
-    return i * i;
-  });
-  ASSERT_EQ(out.size(), n);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], i * i);
-}
-
 TEST(ParallelExecutor, PoolActuallyRunsTasksConcurrently) {
   ParallelExecutor pool(2);
   // Both tasks wait on the latch, so each completes only if the other is
   // running at the same time on its own worker.
   std::latch both_started(2);
-  const auto out = pool.map(2, [&](std::size_t i) {
+  const auto out = run_request(pool, 2, [&](std::size_t i) {
     both_started.arrive_and_wait();
     return i;
   });
-  EXPECT_EQ(out, (std::vector<std::size_t>{0, 1}));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].value, 0u);
+  EXPECT_EQ(out[1].value, 1u);
 }
 
 TEST(ParallelExecutor, SubmitPropagatesExceptionThroughFuture) {
@@ -78,31 +70,6 @@ TEST(ParallelExecutor, SubmitPropagatesExceptionThroughFuture) {
   auto f = pool.submit(
       []() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ParallelExecutor, MapRethrowsLowestIndexException) {
-  ParallelExecutor pool(4);
-  try {
-    pool.map(10, [](std::size_t i) -> int {
-      if (i == 3 || i == 7) {
-        throw std::runtime_error("fail at " + std::to_string(i));
-      }
-      return 0;
-    });
-    FAIL() << "map did not rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "fail at 3");
-  }
-}
-
-TEST(ParallelExecutor, SerialMapPropagatesException) {
-  ParallelExecutor pool(1);
-  EXPECT_THROW(pool.map(3,
-                        [](std::size_t i) -> int {
-                          if (i == 1) throw std::logic_error("serial");
-                          return 0;
-                        }),
-               std::logic_error);
 }
 
 TEST(MemoCache, GeneratesEachKeyExactlyOnceUnderContention) {
@@ -273,7 +240,7 @@ TEST(Telemetry, CountsFromWorkerThreadsAreNotLost) {
   Telemetry& t = Telemetry::instance();
   const TelemetrySnapshot before = t.snapshot();
   ParallelExecutor pool(4);
-  pool.map(100, [&](std::size_t) {
+  run_request(pool, 100, [&](std::size_t) {
     t.count_simulation(10);
     return 0;
   });
@@ -310,7 +277,7 @@ TEST(ResultStoreConcurrency, PoolWorkersAppendAndLookupRaceFree) {
     set_result_store(&store);
     EXPECT_EQ(result_store(), &store);
     ParallelExecutor pool(8);
-    pool.map(kPoints, [&](std::size_t i) {
+    run_request(pool, kPoints, [&](std::size_t i) {
       std::uint8_t payload[kPayload];
       for (std::size_t b = 0; b < kPayload; ++b) {
         payload[b] = static_cast<std::uint8_t>(i + b);
@@ -350,7 +317,7 @@ TEST(TraceStoreConcurrency, PoolWorkersAppendAndLookupRaceFree) {
     set_trace_store(&store);
     EXPECT_EQ(trace_store(), &store);
     ParallelExecutor pool(8);
-    pool.map(kPoints, [&](std::size_t i) {
+    run_request(pool, kPoints, [&](std::size_t i) {
       const std::vector<std::uint8_t> blob = blob_of(i);
       store.append(i, blob.data(), blob.size());
       store.append(1ull << 40, blob.data(), blob.size());  // contended

@@ -195,23 +195,21 @@ TEST(EndToEnd, PaperHeadlineShapeHolds) {
   // the order of magnitude.
   experiments::TraceCache cache;
   const auto kernels = experiments::select_kernels({"trisolv", "gesummv"});
+  const auto base_cfg =
+      experiments::make_config(Dl1Organization::kSramBaseline);
+  const auto grid = experiments::run_grid(
+      cache, kernels,
+      {{base_cfg, CodegenOptions::none()},
+       {base_cfg, CodegenOptions::all()},
+       {experiments::make_config(Dl1Organization::kNvmDropIn),
+        CodegenOptions::none()},
+       {experiments::make_config(Dl1Organization::kNvmVwb),
+        CodegenOptions::all()}});
   double dropin_avg = 0;
   double opt_avg = 0;
-  for (const auto& k : kernels) {
-    const auto base_cfg =
-        experiments::make_config(Dl1Organization::kSramBaseline);
-    const auto sram_b = experiments::run_kernel(
-        cache, k, base_cfg, CodegenOptions::none());
-    const auto sram_o = experiments::run_kernel(
-        cache, k, base_cfg, CodegenOptions::all());
-    const auto dropin = experiments::run_kernel(
-        cache, k, experiments::make_config(Dl1Organization::kNvmDropIn),
-        CodegenOptions::none());
-    const auto vwb_o = experiments::run_kernel(
-        cache, k, experiments::make_config(Dl1Organization::kNvmVwb),
-        CodegenOptions::all());
-    dropin_avg += experiments::penalty_pct(dropin, sram_b);
-    opt_avg += experiments::penalty_pct(vwb_o, sram_o);
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    dropin_avg += experiments::penalty_pct(grid[2][k], grid[0][k]);
+    opt_avg += experiments::penalty_pct(grid[3][k], grid[1][k]);
   }
   dropin_avg /= static_cast<double>(kernels.size());
   opt_avg /= static_cast<double>(kernels.size());

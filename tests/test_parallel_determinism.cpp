@@ -71,7 +71,7 @@ TEST(TraceCacheConcurrency, ManyThreadsOneGenerationPerKey) {
 }
 
 TEST(TraceCacheConcurrency, GridMatchesPerCallRuns) {
-  // run_grid's fan-out must agree with run_kernel one at a time.
+  // run_grid's fan-out must agree with one System::run per point.
   const auto kernels = select_kernels({"trisolv", "gesummv"});
   const workloads::CodegenOptions base = workloads::CodegenOptions::none();
   const auto sram_cfg = make_config(cpu::Dl1Organization::kSramBaseline);
@@ -84,7 +84,9 @@ TEST(TraceCacheConcurrency, GridMatchesPerCallRuns) {
   for (std::size_t j = 0; j < 2; ++j) {
     const auto& cfg = j == 0 ? sram_cfg : vwb_cfg;
     for (std::size_t k = 0; k < kernels.size(); ++k) {
-      const auto one = run_kernel(serial_cache, kernels[k], cfg, base);
+      cpu::System system(cfg);
+      const auto one =
+          system.run(serial_cache.get_decoded(kernels[k], base));
       EXPECT_EQ(grid[j][k].core.total_cycles, one.core.total_cycles);
       EXPECT_EQ(grid[j][k].mem.loads, one.mem.loads);
       EXPECT_EQ(grid[j][k].mem.stores, one.mem.stores);

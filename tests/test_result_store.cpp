@@ -770,36 +770,6 @@ TEST(IncrementalGrid, FaultSeedEditRecomputesOnlyFaultActivePoints) {
   std::remove(path.c_str());
 }
 
-TEST(IncrementalGrid, RunKernelProbesAndFillsStore) {
-  const auto kernels = experiments::select_kernels({"atax"});
-  const cpu::SystemConfig cfg =
-      experiments::make_config(cpu::Dl1Organization::kNvmVwb);
-  const workloads::CodegenOptions opts = workloads::CodegenOptions::none();
-  const std::string path = temp_store_path("runkernel");
-  std::remove(path.c_str());
-
-  exec::set_result_store(nullptr);
-  experiments::TraceCache ref_cache;
-  const sim::RunStats reference =
-      experiments::run_kernel(ref_cache, kernels[0], cfg, opts);
-
-  ScopedStore store(path);
-  experiments::TraceCache cache;
-  const sim::RunStats cold =
-      experiments::run_kernel(cache, kernels[0], cfg, opts);
-  EXPECT_EQ(store.get().entries(), 1u);
-  auto& telemetry = exec::Telemetry::instance();
-  const exec::TelemetrySnapshot before = telemetry.snapshot();
-  const sim::RunStats warm =
-      experiments::run_kernel(cache, kernels[0], cfg, opts);
-  const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
-  EXPECT_EQ(delta.memo_hits, 1u);
-  EXPECT_EQ(delta.simulations, 0u);
-  EXPECT_EQ(sim::to_json(warm), sim::to_json(cold));
-  EXPECT_EQ(sim::to_json(cold), sim::to_json(reference));
-  std::remove(path.c_str());
-}
-
 // RunStats must survive the store's binary encoding exactly — every counter
 // is a u64, so decode(encode(x)) == x bit for bit.
 TEST(RunStatsCodec, ExactRoundTrip) {

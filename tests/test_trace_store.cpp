@@ -388,17 +388,20 @@ class ScopedTraceStore {
 };
 
 TEST(TraceStoreIntegration, WarmRunGeneratesZeroTracesAndStaysIdentical) {
-  const workloads::Kernel& kernel = workloads::find_kernel("atax");
-  const workloads::CodegenOptions opts = workloads::CodegenOptions::all();
-  const cpu::SystemConfig cfg =
-      experiments::make_config(cpu::Dl1Organization::kNvmVwb);
+  const auto kernels = experiments::select_kernels({"atax"});
+  const std::vector<experiments::SuiteJob> jobs = {
+      {experiments::make_config(cpu::Dl1Organization::kNvmVwb),
+       workloads::CodegenOptions::all()}};
+  // One grid point: the atax trace replayed on the VWB system.
+  const auto run = [&](experiments::TraceCache& cache) {
+    return sim::to_json(experiments::run_grid(cache, kernels, jobs)[0][0]);
+  };
   const std::string path = temp_store_path("integration");
   std::remove(path.c_str());
 
   exec::set_trace_store(nullptr);
   experiments::TraceCache ref_cache;
-  const std::string reference =
-      sim::to_json(experiments::run_kernel(ref_cache, kernel, cfg, opts));
+  const std::string reference = run(ref_cache);
 
   auto& telemetry = exec::Telemetry::instance();
   std::string cold;
@@ -406,7 +409,7 @@ TEST(TraceStoreIntegration, WarmRunGeneratesZeroTracesAndStaysIdentical) {
     ScopedTraceStore store(path);
     const exec::TelemetrySnapshot before = telemetry.snapshot();
     experiments::TraceCache cache;
-    cold = sim::to_json(experiments::run_kernel(cache, kernel, cfg, opts));
+    cold = run(cache);
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     EXPECT_EQ(delta.trace_store_misses, 1u);
     EXPECT_EQ(delta.trace_store_hits, 0u);
@@ -419,8 +422,7 @@ TEST(TraceStoreIntegration, WarmRunGeneratesZeroTracesAndStaysIdentical) {
     ScopedTraceStore store(path);
     const exec::TelemetrySnapshot before = telemetry.snapshot();
     experiments::TraceCache cache;
-    const std::string warm =
-        sim::to_json(experiments::run_kernel(cache, kernel, cfg, opts));
+    const std::string warm = run(cache);
     const exec::TelemetrySnapshot delta = telemetry.snapshot() - before;
     EXPECT_EQ(delta.trace_store_hits, 1u);
     EXPECT_EQ(delta.trace_store_misses, 0u);

@@ -11,9 +11,9 @@
 //   sttsim --kernel=gemm --org=nvm-vwb,nvm-l0,nvm-emshr   (side by side)
 //   sttsim --list                  (kernels, then artifact names)
 //
-// --org accepts a comma-separated list: the named organizations replay the
-// decoded trace one after another (cpu::System::run each) and are reported
-// side by side, in the order given.
+// --org accepts a comma-separated list: the trace is decoded once and
+// replayed on each named organization in turn (cpu::System::run each), and
+// the runs are reported side by side, in the order given.
 //
 // Artifact mode prints artifacts of experiments::artifacts() in the order
 // given, with one blank line between two tables and nothing between two
@@ -25,18 +25,18 @@
 // Its first Ctrl-C drains the running grid (started points finish and stay
 // in the --store) and exits 130; kernel mode keeps the default SIGINT
 // disposition. A kernel-mode flag (kKernelModeFlags) next to --artifact,
-// --kernels without it, an unknown artifact name, and a malformed number
-// (--jobs, --vwb-kbit, --vwb-lines, --banks, --clock-ghz, --faults, --ecc),
-// like an unknown flag, print usage and exit 2.
+// an artifact-mode flag (kArtifactModeFlags) without it, an unknown
+// artifact name, and a malformed number (--jobs, --vwb-kbit, --vwb-lines,
+// --banks, --clock-ghz, --faults, --ecc), like an unknown flag, print
+// usage and exit 2.
 //
-// Both modes take --csv, --jobs=N (0 = one worker per hardware thread),
-// and --store=PATH / --trace-store=PATH: persistent result and trace
-// stores, so a repeated run reads back stats and traces instead of
-// recomputing them. A store opens only from its flag. A run opens
-// only the stores it reads: --list opens neither, and --trace-out,
-// --check-oracle and an --org list open no result store. A store path
-// has one writer at a time: a run that finds it held prints one line and
-// goes on without that store.
+// Both modes take --csv and --jobs=N (0 = one worker per hardware
+// thread). Artifact mode alone takes --store=PATH / --trace-store=PATH:
+// persistent result and trace stores, so a repeated run reads back stats
+// and traces instead of recomputing them. A store opens only from its
+// flag. A store path has one writer at a time: a run that finds it held
+// prints one line and goes on without that store. Kernel mode opens no
+// store: it simulates each run it prints.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,7 +96,7 @@ struct CliOptions {
       "          [--banks=N] [--clock-ghz=F] [--trace-out=FILE]\n"
       "          [--faults=SEED[:PPM[:DOUBLEPCT]]] [--ecc=CORR[:REFILL]]\n"
       "          [--baseline-penalty] [--check-oracle] [--jobs=N]\n"
-      "          [--store=PATH] [--trace-store=PATH] [--csv|--json]\n"
+      "          [--csv|--json]\n"
       "       %s --artifact=NAME[,NAME...]|all [--kernels=a,b,c] [--csv]\n"
       "          [--jobs=N] [--store=PATH] [--trace-store=PATH]\n"
       "(a comma-separated --org list runs each organization in turn and\n"
@@ -178,14 +178,21 @@ constexpr const char* kKernelModeFlags[] = {
     "--clock-ghz=", "--faults=",          "--ecc=",          "--json",
     "--check-oracle", "--baseline-penalty"};
 
+/// Flags only artifact mode reads; anywhere else they are rejected.
+constexpr const char* kArtifactModeFlags[] = {"--kernels=", "--store=",
+                                              "--trace-store="};
+
 CliOptions parse_args(int argc, char** argv) {
   CliOptions o;
   bool kernel_mode_flag = false;
-  bool kernels_flag = false;
+  bool artifact_mode_flag = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     for (const char* flag : kKernelModeFlags) {
       if (arg.rfind(flag, 0) == 0) kernel_mode_flag = true;
+    }
+    for (const char* flag : kArtifactModeFlags) {
+      if (arg.rfind(flag, 0) == 0) artifact_mode_flag = true;
     }
     std::string val;
     const auto take = [&](const char* prefix) {
@@ -248,7 +255,6 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (take("--artifact=")) {
       if (!parse_artifacts(val, o.artifacts)) usage(argv[0]);
     } else if (take("--kernels=")) {
-      kernels_flag = true;
       for (std::string& name : split(val, ',')) {
         if (!name.empty()) o.kernels.push_back(std::move(name));
       }
@@ -265,7 +271,7 @@ CliOptions parse_args(int argc, char** argv) {
     }
   }
   const bool artifact_mode = !o.artifacts.empty();
-  if (kernels_flag && !artifact_mode) usage(argv[0]);
+  if (artifact_mode_flag && !artifact_mode) usage(argv[0]);
   if (artifact_mode && kernel_mode_flag) usage(argv[0]);
   // Only grids read the drain flag the handler sets; kernel mode keeps
   // the default disposition, so its first Ctrl-C ends the run.
@@ -306,18 +312,16 @@ std::unique_ptr<Store> open_store(Args&&... args) {
   }
 }
 
-/// Opens the result store if `results` and the trace store if `traces`,
-/// each only when its path is set. Callers pass what the run reads, so a
-/// store the run never reads is never created.
-void open_stores(const CliOptions& o, bool results, bool traces) {
+/// Opens the store of each path artifact mode was given.
+void open_stores(const CliOptions& o) {
   static std::unique_ptr<exec::ResultStore> store_holder;
-  if (results && !o.store.empty()) {
+  if (!o.store.empty()) {
     store_holder =
         open_store<exec::ResultStore>(o.store, sim::kRunStatsBytes);
     exec::set_result_store(store_holder.get());
   }
   static std::unique_ptr<exec::TraceStore> trace_store_holder;
-  if (traces && !o.trace_store.empty()) {
+  if (!o.trace_store.empty()) {
     trace_store_holder = open_store<exec::TraceStore>(
         o.trace_store, cpu::kTraceFormatVersion);
     exec::set_trace_store(trace_store_holder.get());
@@ -336,7 +340,7 @@ int run(const CliOptions& o) {
     return 0;
   }
   if (!o.artifacts.empty()) {
-    open_stores(o, /*results=*/true, /*traces=*/true);
+    open_stores(o);
     for (std::size_t i = 0; i < o.artifacts.size(); ++i) {
       const std::string out =
           experiments::render_artifact(*o.artifacts[i], o.kernels, o.csv);
@@ -349,74 +353,37 @@ int run(const CliOptions& o) {
     std::fprintf(stderr, "exactly one of --kernel / --trace-in required\n");
     return 2;
   }
-  // Only a one-organization run simulates through the result store:
-  // --trace-out only captures, --check-oracle runs the reference model, and
-  // an --org list replays each organization directly.
-  open_stores(o,
-              /*results=*/o.trace_out.empty() && !o.check_oracle &&
-                  o.orgs.size() == 1,
-              /*traces=*/!o.kernel.empty());
-
-  cpu::Trace trace;
-  if (!o.kernel.empty()) {
-    // Through the trace cache: a miss synthesizes the decoded trace
-    // directly (and persists it when --trace-store is active); a warm
-    // store serves the stored blob with zero generation.
-    experiments::TraceCache cache;
-    trace = cache.get(workloads::find_kernel(o.kernel), o.codegen);
-  } else {
-    trace = cpu::read_trace_file(o.trace_in);
-  }
+  cpu::Trace trace = o.kernel.empty()
+                         ? cpu::read_trace_file(o.trace_in)
+                         : cpu::reassemble(
+                               workloads::find_kernel(o.kernel)
+                                   .generate_decoded(o.codegen));
   if (!o.trace_out.empty()) {
     cpu::write_trace_file(o.trace_out, trace);
     std::printf("wrote %zu ops to %s\n", trace.size(), o.trace_out.c_str());
     return 0;
   }
-
-  if (o.orgs.size() > 1) {
-    if (o.check_oracle || o.baseline_penalty || o.json) {
-      std::fprintf(stderr,
-                   "--org with multiple organizations is incompatible with "
-                   "--check-oracle/--baseline-penalty/--json\n");
-      return 2;
-    }
-    // Side-by-side comparison: every organization replays the decoded
-    // trace in turn. All of them run before anything prints, so a
-    // configuration error still leaves stdout empty.
-    const cpu::DecodedTrace decoded = cpu::decode(trace);
-    std::vector<sim::RunStats> all;
-    all.reserve(o.orgs.size());
-    for (const cpu::Dl1Organization org : o.orgs) {
-      cpu::SystemConfig cfg = o.system;
-      cfg.organization = org;
-      cpu::System system(cfg);
-      all.push_back(system.run(decoded));
-    }
-    for (std::size_t i = 0; i < o.orgs.size(); ++i) {
-      if (!o.csv) {
-        if (i > 0) std::printf("\n");
-        std::printf("organization : %s\n", cpu::to_string(o.orgs[i]));
-        std::printf("workload     : %s (%s)\n",
-                    o.kernel.empty() ? o.trace_in.c_str() : o.kernel.c_str(),
-                    o.codegen.label().c_str());
-      }
-      print_stats(all[i], o.csv);
-    }
-    return 0;
+  if (o.orgs.size() > 1 && (o.check_oracle || o.baseline_penalty || o.json)) {
+    std::fprintf(stderr,
+                 "--org with multiple organizations is incompatible with "
+                 "--check-oracle/--baseline-penalty/--json\n");
+    return 2;
   }
-
-  const cpu::Dl1Organization org = o.orgs.front();
-  cpu::SystemConfig cfg = o.system;
-  cfg.organization = org;
+  const auto config_of = [&](cpu::Dl1Organization org) {
+    cpu::SystemConfig cfg = o.system;
+    cfg.organization = org;
+    return cfg;
+  };
 
   if (o.check_oracle) {
+    const cpu::SystemConfig cfg = config_of(o.orgs.front());
     // Kernel generators emit zero store payloads; give them deterministic
     // values so the data-content shadow distinguishes stale bytes.
     if (!o.kernel.empty()) cpu::assign_store_values(trace, 0x5eed);
     const check::Divergence div = check::run_differential(cfg, trace);
     if (!div.diverged) {
       std::printf("oracle agreement: %zu ops, no divergence (%s)\n",
-                  trace.size(), cpu::to_string(org));
+                  trace.size(), cpu::to_string(cfg.organization));
       return 0;
     }
     std::fprintf(stderr, "DIVERGENCE: %s\nminimizing...\n",
@@ -429,57 +396,43 @@ int run(const CliOptions& o) {
     return 1;
   }
 
-  const bool with_baseline = o.baseline_penalty && !o.json &&
-                             org != cpu::Dl1Organization::kSramBaseline;
-
-  // One simulation with result-store memoization: a named kernel is keyed
-  // by (name x codegen x config), an external trace by its content digest.
-  const auto simulate = [&](const cpu::SystemConfig& c) -> sim::RunStats {
-    cpu::SystemConfig validated = c;
-    validated.validate();
-    exec::ResultStore* store = exec::result_store();
-    std::uint64_t digest = 0;
-    if (store != nullptr) {
-      digest = o.kernel.empty()
-                   ? experiments::simulation_digest(trace, validated)
-                   : experiments::simulation_digest(o.kernel, o.codegen,
-                                                    validated);
-    }
-    if (const auto hit = experiments::lookup_result(store, digest)) {
-      return *hit;
-    }
-    cpu::System system(validated, cpu::System::kPrevalidated);
-    const sim::RunStats stats = system.run(trace);
-    experiments::record_result(store, digest, stats);
-    return stats;
+  // Every organization replays the one decoded trace, and all of them run
+  // before anything prints, so a configuration error leaves stdout empty.
+  // With --baseline-penalty the SRAM reference replays alongside, on the
+  // experiment engine's pool (inline at --jobs=1).
+  const cpu::DecodedTrace decoded = cpu::decode(trace);
+  const auto replay = [&](cpu::Dl1Organization org) {
+    cpu::System system(config_of(org));
+    return system.run(decoded);
   };
-
-  // With --baseline-penalty the variant and the SRAM reference run as two
-  // jobs on the experiment engine's pool (a no-op at --jobs=1).
-  cpu::SystemConfig base_cfg = o.system;
-  base_cfg.organization = cpu::Dl1Organization::kSramBaseline;
+  const bool with_baseline =
+      o.baseline_penalty && !o.json &&
+      o.orgs.front() != cpu::Dl1Organization::kSramBaseline;
   exec::ParallelExecutor pool;
-  std::future<sim::RunStats> baseline_run;
+  std::future<sim::RunStats> baseline;
   if (with_baseline) {
-    baseline_run = pool.submit([&] { return simulate(base_cfg); });
+    baseline = pool.submit(
+        [&] { return replay(cpu::Dl1Organization::kSramBaseline); });
   }
-  const sim::RunStats stats = simulate(cfg);
+  std::vector<sim::RunStats> stats;
+  for (const cpu::Dl1Organization org : o.orgs) stats.push_back(replay(org));
   if (o.json) {
-    std::printf("%s\n", sim::to_json(stats).c_str());
+    std::printf("%s\n", sim::to_json(stats.front()).c_str());
     return 0;
   }
-  if (!o.csv) {
-    std::printf("organization : %s\n", cpu::to_string(org));
-    std::printf("workload     : %s (%s)\n",
-                o.kernel.empty() ? o.trace_in.c_str() : o.kernel.c_str(),
-                o.codegen.label().c_str());
+  for (std::size_t i = 0; i < o.orgs.size(); ++i) {
+    if (!o.csv) {
+      if (i > 0) std::printf("\n");
+      std::printf("organization : %s\n", cpu::to_string(o.orgs[i]));
+      std::printf("workload     : %s (%s)\n",
+                  o.kernel.empty() ? o.trace_in.c_str() : o.kernel.c_str(),
+                  o.codegen.label().c_str());
+    }
+    print_stats(stats[i], o.csv);
   }
-  print_stats(stats, o.csv);
-
   if (with_baseline) {
-    const sim::RunStats base = baseline_run.get();
     std::printf("penalty vs same-code SRAM baseline: %+.2f%%\n",
-                experiments::penalty_pct(stats, base));
+                experiments::penalty_pct(stats.front(), baseline.get()));
   }
   return 0;
 }
